@@ -10,6 +10,7 @@ violation is a certificate that no dispatchable point exists at all.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ from .caseio import CaseData, StudyConfig
 from .dispatch_model import (CompactPsd, DispatchPoint, build_compact,
                              initial_dispatch)
 from .errors import DegenerateCut, EmptyRegionError, NoRenewables
-from .maxmin_iblp import make_scenarios, run_iblp
+from .maxmin_iblp import IblpOracle, make_scenarios, run_iblp
 from .maxmin_milp import MaxMinSolution, cut_vector, solve_maxmin_milp
 from .polytope import FacetProvenance, Polytope, box, remove_redundant
 
@@ -108,71 +109,77 @@ def run(case: CaseData, cfg: StudyConfig, method: str = "milp") -> DrrResult:
     all_cuts: list[Cut] = []
     termination = MAX_ITERATIONS
 
-    for k in range(1, cfg.max_outer_iters + 1):
-        t0 = time.perf_counter()
-        if method == "milp":
-            sols = [solve_maxmin_milp(m, W, cfg)]
-        else:
-            scenarios = make_scenarios(W0, W, w_bar, cfg)
-            sols = run_iblp(m, W, scenarios, cfg)
-        oracle_ms = (time.perf_counter() - t0) * 1e3
+    # One iblp oracle per run: its LP memo and worker pool outlive the
+    # iterations, not the run.
+    oracle = IblpOracle(m, cfg) if method == "iblp" else None
+    with contextlib.nullcontext() if oracle is None else oracle:
+        for k in range(1, cfg.max_outer_iters + 1):
+            t0 = time.perf_counter()
+            if method == "milp":
+                sols = [solve_maxmin_milp(m, W, cfg)]
+            else:
+                scenarios = make_scenarios(W0, W, w_bar, cfg)
+                sols = run_iblp(m, W, scenarios, cfg, oracle)
+            oracle_ms = (time.perf_counter() - t0) * 1e3
 
-        F_k = max((s.F for s in sols), default=0.0)
-        worst = max(sols, key=lambda s: s.F) if sols else None
-        diag = dict(worst.diagnostics) if worst is not None else {}
-        w_star = worst.w_star.copy() if worst is not None else None
-        if F_k <= cfg.eps_term:
-            trace.append(IterationRecord(k=k, F=F_k, cuts_added=0,
-                                         oracle_ms=oracle_ms,
-                                         facets_after=W.n_facets,
-                                         region_after=(W.H.copy(), W.f.copy()),
-                                         oracle_diag=diag, w_star=w_star))
-            termination = CONVERGED
-            break
-
-        batch = sorted([s for s in sols if s.F > cfg.eps_term],
-                       key=lambda s: -s.F)[:cfg.cut_batch_cap]
-        rows, offsets, tags = [], [], []
-        empty_certificate = False
-        for s in batch:
-            try:
-                cut = make_cut(s, m)
-            except DegenerateCut:
-                # Zero direction with positive violation: the dual value is
-                # F for every w, so no point is dispatchable.
-                empty_certificate = True
+            F_k = max((s.F for s in sols), default=0.0)
+            worst = max(sols, key=lambda s: s.F) if sols else None
+            diag = dict(worst.diagnostics) if worst is not None else {}
+            if oracle is not None:
+                diag.update(oracle.counts)
+            w_star = worst.w_star.copy() if worst is not None else None
+            if F_k <= cfg.eps_term:
+                trace.append(IterationRecord(k=k, F=F_k, cuts_added=0,
+                                             oracle_ms=oracle_ms,
+                                             facets_after=W.n_facets,
+                                             region_after=(W.H.copy(), W.f.copy()),
+                                             oracle_diag=diag, w_star=w_star))
+                termination = CONVERGED
                 break
-            rows.append(cut.normal)
-            offsets.append(cut.offset)
-            tags.append(FacetProvenance("Cut", iteration=k,
-                                        scenario=s.diagnostics.get("scenario")))
-            all_cuts.append(cut)
 
-        if empty_certificate:
-            trace.append(IterationRecord(k=k, F=F_k, cuts_added=0,
-                                         oracle_ms=oracle_ms,
-                                         facets_after=W.n_facets,
-                                         region_after=(W.H.copy(), W.f.copy()),
-                                         oracle_diag=diag, w_star=w_star))
-            termination = EMPTY_REGION
-            break
+            batch = sorted([s for s in sols if s.F > cfg.eps_term],
+                           key=lambda s: -s.F)[:cfg.cut_batch_cap]
+            rows, offsets, tags = [], [], []
+            empty_certificate = False
+            for s in batch:
+                try:
+                    cut = make_cut(s, m)
+                except DegenerateCut:
+                    # Zero direction with positive violation: the dual value is
+                    # F for every w, so no point is dispatchable.
+                    empty_certificate = True
+                    break
+                rows.append(cut.normal)
+                offsets.append(cut.offset)
+                tags.append(FacetProvenance("Cut", iteration=k,
+                                            scenario=s.diagnostics.get("scenario")))
+                all_cuts.append(cut)
 
-        W = W.with_rows(np.array(rows), np.array(offsets), tags)
-        try:
-            W = remove_redundant(W, backend=cfg.lp_backend)
-        except EmptyRegionError:
+            if empty_certificate:
+                trace.append(IterationRecord(k=k, F=F_k, cuts_added=0,
+                                             oracle_ms=oracle_ms,
+                                             facets_after=W.n_facets,
+                                             region_after=(W.H.copy(), W.f.copy()),
+                                             oracle_diag=diag, w_star=w_star))
+                termination = EMPTY_REGION
+                break
+
+            W = W.with_rows(np.array(rows), np.array(offsets), tags)
+            try:
+                W = remove_redundant(W, backend=cfg.lp_backend)
+            except EmptyRegionError:
+                trace.append(IterationRecord(k=k, F=F_k, cuts_added=len(rows),
+                                             oracle_ms=oracle_ms,
+                                             facets_after=W.n_facets,
+                                             region_after=(W.H.copy(), W.f.copy()),
+                                             oracle_diag=diag, w_star=w_star))
+                termination = EMPTY_REGION
+                break
             trace.append(IterationRecord(k=k, F=F_k, cuts_added=len(rows),
                                          oracle_ms=oracle_ms,
                                          facets_after=W.n_facets,
                                          region_after=(W.H.copy(), W.f.copy()),
                                          oracle_diag=diag, w_star=w_star))
-            termination = EMPTY_REGION
-            break
-        trace.append(IterationRecord(k=k, F=F_k, cuts_added=len(rows),
-                                     oracle_ms=oracle_ms,
-                                     facets_after=W.n_facets,
-                                     region_after=(W.H.copy(), W.f.copy()),
-                                     oracle_diag=diag, w_star=w_star))
 
     return DrrResult(region=W, trace=trace, termination=termination,
                      method=method, seed=cfg.seed,

@@ -22,19 +22,25 @@ multipliers and nonnegative inequality multipliers, so the duals of a
 feasibility solve can be consumed directly as cut coefficients.
 
 Two interchangeable backends implement the contract: ``"internal"`` (the
-dense simplex in :mod:`drrcalc.simplex`) and ``"scipy"`` (HiGHS through
-``scipy.optimize.linprog``).  ``DEFAULT_BACKEND`` picks scipy for speed; the
-internal solver is cross-checked against it in the test suite and can be
-forced everywhere via configuration.
+dense simplex in :mod:`drrcalc.simplex`) and ``"scipy"`` (the HiGHS dual
+simplex, Huangfu & Hall, Math. Prog. Comp. 2018, through the bindings that
+scipy ships in ``scipy.optimize._highspy._core``).  The scipy backend makes
+the same HiGHS call as ``scipy.optimize.linprog(method="highs")`` and reads
+the same marginals, without linprog's per-call input cleaning and option
+parsing, which cost more than HiGHS itself on the small LPs solved here.
+``DEFAULT_BACKEND`` picks scipy for speed; the internal solver is
+cross-checked against it in the test suite and can be forced everywhere via
+configuration.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.optimize._highspy._core as _highs
 
 from . import simplex
 from .errors import DimensionMismatch, NumericalFailure
@@ -88,10 +94,14 @@ class LinearProgram:
             )
         if self.lb.size != n or self.ub.size != n:
             raise DimensionMismatch("bound vectors must match the variable count")
-        for name, arr in (("c", self.c), ("M_eq", self.M_eq), ("M_in", self.M_in),
-                          ("r_eq", self.r_eq), ("r_in", self.r_in)):
+        for name, arr in (("c", self.c), ("M_eq", self.M_eq), ("M_in", self.M_in)):
+            if not np.isfinite(arr).all():
+                raise DimensionMismatch(f"non-finite coefficients in {name}")
+        for name, arr in (("r_eq", self.r_eq), ("r_in", self.r_in)):
             if np.isnan(arr).any():
                 raise DimensionMismatch(f"NaN coefficients in {name}")
+        if (self.lb > self.ub).any():
+            raise DimensionMismatch("lower bound above upper bound")
 
     @property
     def nvar(self) -> int:
@@ -180,46 +190,109 @@ def _solve_internal(lp: LinearProgram) -> LpSolution:
 
 # --- scipy / HiGHS backend -----------------------------------------------------
 
+# HiGHS status -> contract status, as linprog maps them (a model HiGHS
+# rejects counts as infeasible there too).
+_HIGHS_STATUS = {
+    _highs.HighsModelStatus.kOptimal: OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _highs.HighsModelStatus.kModelError: INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+# linprog's post-solve feasibility tolerance: sqrt(tol) * 10 at tol = 1e-9.
+_FEASIBILITY_TOL = np.sqrt(1e-9) * 10
+
+
+@functools.cache
+def _highs_options():
+    """The options linprog(method="highs") hands HiGHS, built once per process."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    return opts
+
+
+def _highs_model(c, A, lhs, rhs, lb, ub) -> _highs.HighsLp:
+    """Column-wise HiGHS model of min c@x s.t. lhs <= A@x <= rhs, lb <= x <= ub."""
+    model = _highs.HighsLp()
+    model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
+    model.col_cost_ = c
+    model.col_lower_, model.col_upper_ = lb, ub
+    model.row_lower_, model.row_upper_ = lhs, rhs
+    # CSC of A: nonzeros of A.T in row-major order are A's in column order.
+    At = A.T
+    nz = At != 0.0
+    mat = model.a_matrix_
+    mat.num_col_, mat.num_row_ = A.shape[1], A.shape[0]
+    mat.format_ = _highs.MatrixFormat.kColwise
+    mat.start_ = np.concatenate(([0], np.cumsum(nz.sum(axis=1)))).astype(np.int32)
+    mat.index_ = np.nonzero(nz)[1].astype(np.int32)
+    mat.value_ = At[nz]
+    return model
+
+
 def _solve_scipy(lp: LinearProgram) -> LpSolution:
     sign = 1.0 if lp.sense == "min" else -1.0
-    bounds = list(zip(
-        np.where(np.isfinite(lp.lb), lp.lb, -np.inf),
-        np.where(np.isfinite(lp.ub), lp.ub, np.inf),
-    ))
-    res = linprog(
-        sign * lp.c,
-        A_ub=lp.M_in if lp.r_in.size else None,
-        b_ub=lp.r_in if lp.r_in.size else None,
-        A_eq=lp.M_eq if lp.r_eq.size else None,
-        b_eq=lp.r_eq if lp.r_eq.size else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 2:
-        return LpSolution(status=INFEASIBLE, backend="scipy")
-    if res.status == 3:
-        return LpSolution(status=UNBOUNDED, backend="scipy")
-    if res.status != 0:
-        raise NumericalFailure(f"scipy/HiGHS failed: {res.message}")
-
     m_eq, m_in = lp.r_eq.size, lp.r_in.size
-    y_eq = res.eqlin.marginals if m_eq else np.zeros(0)
-    y_in = res.ineqlin.marginals if m_in else np.zeros(0)
-    low = res.lower.marginals
-    upp = res.upper.marginals
-    # linprog ran in min space: same reduced-cost reading for both senses.
-    mu_in = np.maximum(-np.asarray(y_in, dtype=float), 0.0)
+    lb = np.where(np.isfinite(lp.lb), lp.lb, -np.inf)
+    ub = np.where(np.isfinite(lp.ub), lp.ub, np.inf)
+    # Inequality rows first, then equality rows as lhs == rhs, as linprog does.
+    rhs = np.concatenate([lp.r_in, lp.r_eq])
+    lhs = np.concatenate([np.full(m_in, -np.inf), lp.r_eq])
+    model = _highs_model(sign * lp.c, np.vstack([lp.M_in, lp.M_eq]),
+                         lhs, rhs, lb, ub)
+
+    # A fresh, cold solver per call: a warm start may land on another
+    # optimal vertex and so change the duals that become cuts.
+    h = _highs._Highs()
+    h.passOptions(_highs_options())
+    run_ok = False
+    if h.passModel(model) == _highs.HighsStatus.kError:
+        model_status = _highs.HighsModelStatus.kModelError
+    else:
+        run_ok = h.run() != _highs.HighsStatus.kError
+        model_status = h.getModelStatus()
+    status = _HIGHS_STATUS.get(model_status)
+    if status in (INFEASIBLE, UNBOUNDED):
+        return LpSolution(status=status, backend="scipy")
+    if status != OPTIMAL or not run_ok:
+        raise NumericalFailure(
+            f"scipy/HiGHS failed: {h.modelStatusToString(model_status)}")
+
+    solution = h.getSolution()
+    x = np.array(solution.col_value)
+    fun = h.getInfo().objective_function_value
+    row = np.array(solution.row_value)
+    # linprog's _check_result: an optimum must satisfy what it claims to.
+    tol = _FEASIBILITY_TOL
+    if not ((x >= lb - tol).all() and (x <= ub + tol).all()
+            and (rhs[:m_in] - row[:m_in] >= -tol).all()
+            and (np.abs(rhs[m_in:] - row[m_in:]) <= tol).all()
+            and not np.isnan(fun)):
+        raise NumericalFailure(
+            "scipy/HiGHS reported an optimum that violates the constraints "
+            f"by more than {tol:.2e}")
+
+    y = np.array(solution.row_dual)
+    # Bound marginals: the column dual goes to the bound the column sits at.
+    col_status = np.array([int(s) for s in h.getBasis().col_status])
+    col_dual = np.array(solution.col_dual)
+    low = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
+    upp = np.where(col_status == int(_highs.HighsBasisStatus.kUpper), col_dual, 0.0)
+    # HiGHS ran in min space: same reduced-cost reading for both senses.
+    mu_in = np.maximum(-y[:m_in], 0.0)
     nu_lb = np.maximum(low, 0.0)
     nu_ub = np.maximum(-upp, 0.0)
     if lp.sense == "min":
-        mu_eq = np.asarray(y_eq, dtype=float)
-        obj = res.fun
+        mu_eq = y[m_in:]
+        obj = fun
     else:
-        mu_eq = -np.asarray(y_eq, dtype=float)
-        obj = -res.fun
-    return LpSolution(status=OPTIMAL, x=np.asarray(res.x, dtype=float),
-                      objective=float(obj), mu_eq=mu_eq, mu_in=mu_in,
-                      nu_lb=nu_lb, nu_ub=nu_ub, backend="scipy")
+        mu_eq = -y[m_in:]
+        obj = -fun
+    return LpSolution(status=OPTIMAL, x=x, objective=float(obj), mu_eq=mu_eq,
+                      mu_in=mu_in, nu_lb=nu_lb, nu_ub=nu_ub, backend="scipy")
 
 
 # --- certificates ----------------------------------------------------------------

@@ -11,11 +11,18 @@ once per run from the seed) plus per-iteration projections of the forecast
 onto every current facet.  Scenarios are independent, so the batch can run
 across a process pool; results merge in scenario order, which keeps output
 identical for any worker count.
+
+Starts converge onto the same few region vertices, so most alternation
+steps repeat an LP already solved.  An :class:`IblpOracle` lives for one
+region computation and memoizes both half-steps (see :class:`LpMemo`); with
+more than one worker it also owns the one process pool of the run, whose
+workers keep their own memo warm across outer iterations.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +30,7 @@ import numpy as np
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
 from .errors import DrrError, NumericalFailure, ZeroNormal
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
 from .maxmin_milp import MaxMinSolution, cut_vector, dualize
 from .polytope import Polytope
 
@@ -84,11 +91,75 @@ def _project_into(W: Polytope, w0: np.ndarray, backend) -> np.ndarray:
     return sol.x[:n]
 
 
+class LpMemo:
+    """Solutions of the alternation's LPs, keyed by the bytes of w.
+
+    The multiplier LP depends only on the model and w, so its entries hold
+    for the whole run.  The w-step LP depends on (alpha, delta), which the
+    multiplier step fixes from w, and on the region; its entries are keyed
+    by that w and dropped whenever the region changes.  Every LP is built
+    only on a miss.  An entry is the solution a fresh solve returns, with
+    its arrays made read-only, so a hit cannot change any result.
+    """
+
+    def __init__(self, backend: str | None):
+        self.backend = backend
+        self.multiplier: dict[bytes, LpSolution] = {}
+        self.wstep: dict[bytes, LpSolution] = {}
+        self._region: tuple[bytes, bytes] | None = None
+        self.solves = 0           # LPs handed to the solver, projections included
+        self.hits = 0
+        self.multiplier_steps = 0
+
+    def set_region(self, W: Polytope) -> None:
+        key = (W.H.tobytes(), W.f.tobytes())
+        if key != self._region:
+            self.wstep.clear()
+            self._region = key
+
+    def _lookup(self, cache: dict, key: bytes, build) -> LpSolution:
+        sol = cache.get(key)
+        if sol is not None:
+            self.hits += 1
+            return sol
+        self.solves += 1
+        sol = solve_lp(build(), backend=self.backend)
+        for arr in (sol.x, sol.mu_eq, sol.mu_in, sol.nu_lb, sol.nu_ub, sol.farkas):
+            if arr is not None:
+                arr.flags.writeable = False
+        cache[key] = sol
+        return sol
+
+    def multiplier_step(self, dmm, w: np.ndarray) -> LpSolution:
+        self.multiplier_steps += 1
+        return self._lookup(self.multiplier, w.tobytes(),
+                            lambda: dmm.multiplier_lp_at(w))
+
+    def w_step(self, dmm, w: np.ndarray, alpha, delta) -> LpSolution:
+        return self._lookup(self.wstep, w.tobytes(),
+                            lambda: dmm.w_lp_at(alpha, delta))
+
+    def counts(self) -> tuple[int, int, int]:
+        return self.solves, self.hits, self.multiplier_steps
+
+
+# The oracle whose memo alternate_solve uses.  A pool worker installs its own
+# in the initializer, for the life of the pool; the calling process installs
+# the run's oracle for one serial batch and then restores the previous value.
+_ACTIVE: IblpOracle | None = None
+
+
 def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinSolution:
     """Alternating maximization from one starting point."""
+    if _ACTIVE is not None and _ACTIVE.m is m:
+        memo = _ACTIVE.memo
+    else:
+        memo = LpMemo(cfg.lp_backend)
+    memo.set_region(W)
     dmm = dualize(m, W)
     w = np.asarray(w0, dtype=float)
     if not W.contains(w, tol=1e-9):
+        memo.solves += 1
         w = _project_into(W, w, cfg.lp_backend)
 
     sequence: list[float] = []
@@ -96,7 +167,7 @@ def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinS
     alpha = delta = None
     rounds = 0
     for rounds in range(1, cfg.alt_max_rounds + 1):
-        mult = solve_lp(dmm.multiplier_lp_at(w), backend=cfg.lp_backend)
+        mult = memo.multiplier_step(dmm, w)
         if mult.status != OPTIMAL:
             raise NumericalFailure(f"multiplier step returned {mult.status}")
         F = mult.objective
@@ -106,7 +177,7 @@ def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinS
         if F - F_prev <= cfg.eps_alt or rounds == cfg.alt_max_rounds:
             break  # always stop on a multiplier step
         F_prev = F
-        wstep = solve_lp(dmm.w_lp_at(alpha, delta), backend=cfg.lp_backend)
+        wstep = memo.w_step(dmm, w, alpha, delta)
         if wstep.status != OPTIMAL:
             raise NumericalFailure(f"w step returned {wstep.status}")
         w = wstep.x
@@ -118,49 +189,94 @@ def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinS
                                        "sequence": sequence})
 
 
-# Worker-side globals installed once per process by the pool initializer.
-_WORKER_ARGS: tuple | None = None
+class IblpOracle:
+    """The iblp oracle of one region computation.
+
+    It holds the run's :class:`LpMemo` and, when ``cfg.thread_count > 1``,
+    the run's one process pool: started by the first batch, shut down by
+    :meth:`close`.  Each worker keeps its own memo for the life of the pool
+    and receives the current region with every task.  ``counts`` is the
+    scenario accounting of the last batch; the memo counts in it depend on
+    the worker count, so it must never reach the exported region.
+    """
+
+    def __init__(self, m: CompactPsd, cfg: StudyConfig):
+        self.m = m
+        self.cfg = cfg
+        self.memo = LpMemo(cfg.lp_backend)
+        self.counts: dict[str, int] = {}
+        self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def map(self, tasks: list) -> list:
+        """Outcomes of ``_solve_scenario`` over ``tasks``, in task order."""
+        workers = self.cfg.thread_count
+        if workers <= 1:
+            global _ACTIVE
+            previous, _ACTIVE = _ACTIVE, self
+            try:
+                return [_solve_scenario(t) for t in tasks]
+            finally:
+                _ACTIVE = previous
+        if self._pool is None:
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(self.m, self.cfg))
+        return list(self._pool.map(_solve_scenario, tasks,
+                                   chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _init_worker(m, W, cfg):
-    global _WORKER_ARGS
-    _WORKER_ARGS = (m, W, cfg)
+def _init_worker(m, cfg):
+    global _ACTIVE
+    _ACTIVE = IblpOracle(m, cfg)
 
 
 def _solve_scenario(task):
-    idx, w0 = task
-    m, W, cfg = _WORKER_ARGS
+    """One start: index, solution, error and the memo counts it added."""
+    W, idx, w0 = task
+    oracle = _ACTIVE
+    before = oracle.memo.counts()
     try:
-        sol = alternate_solve(m, W, w0, cfg)
+        sol, err = alternate_solve(oracle.m, W, w0, oracle.cfg), None
         sol.diagnostics["scenario"] = idx
-        return idx, sol, None
     except DrrError as exc:
-        return idx, None, f"scenario {idx}: {exc}"
+        sol, err = None, f"scenario {idx}: {exc}"
+    added = tuple(a - b for a, b in zip(oracle.memo.counts(), before))
+    return idx, sol, err, added
 
 
 def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
-             cfg: StudyConfig) -> list[MaxMinSolution]:
+             cfg: StudyConfig, oracle: IblpOracle | None = None
+             ) -> list[MaxMinSolution]:
     """Alternate-solve every scenario; keep deduplicated positive violations.
 
     Failures are collected per scenario and only raised when no scenario
     succeeds.  The result order follows scenario order for any thread count.
+    ``oracle`` carries memo and pool across the calls of one run; without
+    it the call uses its own, closed on return.
     """
-    tasks = list(enumerate(scenarios.combined()))
+    tasks = [(W, idx, w0) for idx, w0 in enumerate(scenarios.combined())]
     if not tasks:
         raise ValueError("scenario set is empty")
+    if oracle is not None and (oracle.m is not m or oracle.cfg is not cfg):
+        raise ValueError("oracle belongs to another model or configuration")
 
-    if cfg.thread_count > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=cfg.thread_count, initializer=_init_worker,
-                initargs=(m, W, cfg)) as pool:
-            outcomes = list(pool.map(_solve_scenario, tasks,
-                                     chunksize=max(1, len(tasks) // (4 * cfg.thread_count))))
-    else:
-        _init_worker(m, W, cfg)
-        outcomes = [_solve_scenario(t) for t in tasks]
+    with IblpOracle(m, cfg) if oracle is None else contextlib.nullcontext(oracle) as run:
+        outcomes = run.map(tasks)
 
-    failures = [err for _, _, err in outcomes if err]
-    solutions = [sol for _, sol, _ in outcomes if sol is not None]
+    failures = [err for _, _, err, _ in outcomes if err]
+    solutions = [sol for _, sol, _, _ in outcomes if sol is not None]
+    solves, hits, steps = map(sum, zip(*(added for *_, added in outcomes)))
     if not solutions:
         raise NumericalFailure(
             "all scenarios failed: " + "; ".join(failures[:5]))
@@ -179,4 +295,10 @@ def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
             continue
         kept_vectors.append(vec)
         kept.append(s)
+    run.counts = {"scenarios_started": len(tasks),
+                  "scenarios_failed": len(failures),
+                  "scenarios_positive": len(positive),
+                  "scenarios_kept": len(kept),
+                  "lp_solves": solves, "memo_hits": hits,
+                  "multiplier_steps": steps}
     return kept

@@ -141,6 +141,37 @@ def test_run_result_metadata(twobus):
     assert res.iterations == len(res.trace)
 
 
+def test_iblp_one_pool_per_run_and_scenario_accounting(pjm5, monkeypatch):
+    import concurrent.futures
+
+    import drrcalc.maxmin_iblp as iblp
+    events = []
+    base = concurrent.futures.ProcessPoolExecutor
+
+    class CountingPool(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            events.append("start")
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            events.append("shutdown")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    res = run(pjm5, StudyConfig(s1_count=30, thread_count=2), method="iblp")
+    assert res.iterations > 1
+    assert events == ["start", "shutdown"]
+    assert iblp._ACTIVE is None
+    facets_before = 4  # initial box of the two farms
+    for rec in res.trace:
+        d = rec.oracle_diag
+        assert d["scenarios_started"] == 30 + facets_before
+        assert d["scenarios_failed"] == 0
+        assert d["scenarios_kept"] <= d["scenarios_positive"]
+        assert d["lp_solves"] + d["memo_hits"] > 0
+        facets_before = rec.facets_after
+
+
 def test_zero_capacity_farm_degenerate_box(twobus):
     # Farm pinned at 0 MW with a load the fleet can carry alone: the engine
     # verifies the degenerate box and stops at once.

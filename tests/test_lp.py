@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import drrcalc.lp as lp_mod
+from drrcalc.caseio import StudyConfig
+from drrcalc.engine import run
+from drrcalc.errors import DimensionMismatch
 from drrcalc.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                        certificate_errors, solve_lp, to_mps, verify_farkas)
+                        LpSolution, certificate_errors, solve_lp, to_mps,
+                        verify_farkas)
 
 BACKENDS = ["internal", "scipy"]
 
@@ -210,3 +216,132 @@ def test_medium_size_cross_check():
     got = solve_lp(lp, backend="internal")
     assert got.status == ref.status == OPTIMAL
     assert abs(got.objective - ref.objective) / (1 + abs(ref.objective)) < 1e-7
+
+
+# --- input checks ---------------------------------------------------------------
+
+_VALID = dict(c=[1.0, 1.0], M_eq=[[1.0, 1.0]], r_eq=[1.0],
+              M_in=[[1.0, -1.0]], r_in=[0.2], lb=[0.0, 0.0], ub=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", [np.inf, 1.0]),
+    ("c", [np.nan, 1.0]),
+    ("M_eq", [[1.0, -np.inf]]),
+    ("M_in", [[np.inf, 1.0]]),
+    ("r_eq", [np.nan]),
+    ("r_in", [np.nan]),
+    ("lb", [0.0, 2.0]),
+])
+def test_rejected_inputs(field, value):
+    LinearProgram(**_VALID)
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(**{**_VALID, field: value})
+
+
+# --- direct HiGHS call against linprog ---------------------------------------------
+
+def _linprog_solve(lp: LinearProgram) -> LpSolution:
+    """The scipy backend as ``linprog(method="highs")``: the reference that
+    the direct HiGHS call must match bit for bit."""
+    sign = 1.0 if lp.sense == "min" else -1.0
+    bounds = list(zip(
+        np.where(np.isfinite(lp.lb), lp.lb, -np.inf),
+        np.where(np.isfinite(lp.ub), lp.ub, np.inf),
+    ))
+    res = linprog(
+        sign * lp.c,
+        A_ub=lp.M_in if lp.r_in.size else None,
+        b_ub=lp.r_in if lp.r_in.size else None,
+        A_eq=lp.M_eq if lp.r_eq.size else None,
+        b_eq=lp.r_eq if lp.r_eq.size else None,
+        bounds=bounds,
+        method="highs",
+    )
+    if res.status == 2:
+        return LpSolution(status=INFEASIBLE, backend="scipy")
+    if res.status == 3:
+        return LpSolution(status=UNBOUNDED, backend="scipy")
+    assert res.status == 0, res.message
+    y_eq = res.eqlin.marginals if lp.r_eq.size else np.zeros(0)
+    y_in = res.ineqlin.marginals if lp.r_in.size else np.zeros(0)
+    mu_eq = np.asarray(y_eq, dtype=float) * sign
+    return LpSolution(status=OPTIMAL, x=np.asarray(res.x, dtype=float),
+                      objective=float(sign * res.fun), mu_eq=mu_eq,
+                      mu_in=np.maximum(-np.asarray(y_in, dtype=float), 0.0),
+                      nu_lb=np.maximum(res.lower.marginals, 0.0),
+                      nu_ub=np.maximum(-res.upper.marginals, 0.0),
+                      backend="scipy")
+
+
+def _assert_bitwise_equal(got: LpSolution, ref: LpSolution):
+    assert got.status == ref.status
+    assert np.array_equal(got.objective, ref.objective, equal_nan=True)
+    for name in ("x", "mu_eq", "mu_in", "nu_lb", "nu_ub", "farkas"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _check_against_linprog(lps, monkeypatch):
+    """solve_lp on the direct path against solve_lp on linprog, the elastic
+    Farkas solve of an infeasible LP included."""
+    for lp in lps:
+        got = solve_lp(lp, backend="scipy")
+        with monkeypatch.context() as mp:
+            mp.setattr(lp_mod, "_solve_scipy", _linprog_solve)
+            ref = solve_lp(lp, backend="scipy")
+        _assert_bitwise_equal(got, ref)
+
+
+def test_direct_highs_matches_linprog_random(monkeypatch):
+    rng = np.random.default_rng(20240611)
+    lps = [_random_lp(rng) for _ in range(100)]
+    lps += [LinearProgram(c=[1.0], lb=[3.0]),
+            LinearProgram(c=[1.0], sense="max", lb=[45.0], ub=[65.0]),
+            LinearProgram(c=[1.0], sense="max", M_in=[[1.0]], r_in=[3.0])]
+    _check_against_linprog(lps, monkeypatch)
+
+
+def test_direct_highs_matches_linprog_infeasible(monkeypatch):
+    rng = np.random.default_rng(2718)
+    lps = [LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
+                         M_in=[[1.0]], r_in=[1.0], lb=[0.0])]
+    for _ in range(20):
+        n = int(rng.integers(3, 8))
+        a = rng.normal(size=n)
+        lps.append(LinearProgram(c=rng.normal(size=n), M_eq=np.vstack([a, a]),
+                                 r_eq=np.array([1.0, 2.0]),
+                                 lb=np.full(n, -5.0), ub=np.full(n, 5.0)))
+    assert all(solve_lp(lp).status == INFEASIBLE for lp in lps)
+    _check_against_linprog(lps, monkeypatch)
+
+
+def test_direct_highs_matches_linprog_unbounded(monkeypatch):
+    rng = np.random.default_rng(1618)
+    lps = [LinearProgram(c=[-1.0], lb=[0.0])]
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        d = rng.normal(size=n)
+        M_in = rng.normal(size=(3, n))
+        M_in -= np.outer(M_in @ d, d) / (d @ d)
+        lps.append(LinearProgram(c=-d, M_in=M_in, r_in=np.ones(3)))
+    assert all(solve_lp(lp).status == UNBOUNDED for lp in lps)
+    _check_against_linprog(lps, monkeypatch)
+
+
+def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
+    seen = []
+    direct = lp_mod._solve_scipy
+
+    def record(lp):
+        seen.append(lp)
+        return direct(lp)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp_mod, "_solve_scipy", record)
+        run(twobus, StudyConfig(), method="iblp")
+    assert len(seen) > 50
+    for lp in seen:
+        _assert_bitwise_equal(direct(lp), _linprog_solve(lp))

@@ -8,8 +8,8 @@ from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dis
 from drrcalc.engine import init_w0
 from drrcalc.errors import DimensionMismatch
 from drrcalc.lp import solve_lp
-from drrcalc.maxmin_iblp import (alternate_solve, gen_s1, gen_s2,
-                                 make_scenarios, run_iblp)
+from drrcalc.maxmin_iblp import (IblpOracle, LpMemo, alternate_solve, gen_s1,
+                                 gen_s2, make_scenarios, run_iblp)
 from drrcalc.maxmin_milp import (build_kkt_mip, cut_vector, default_big_m,
                                  dualize, solve_maxmin_milp)
 from drrcalc.polytope import FacetProvenance, Polytope
@@ -259,3 +259,46 @@ def test_run_iblp_aggregates_failures(two, monkeypatch):
     scen = make_scenarios(W0, W0, np.array([0.5]), cfg)
     with pytest.raises(Exception, match="all scenarios failed"):
         mod.run_iblp(m, W0, scen, StudyConfig(thread_count=1))
+
+
+# --- LP memo ---------------------------------------------------------------------
+
+
+def test_memo_entries_are_shared_and_read_only(two):
+    _, m, W0, cfg = two
+    memo = LpMemo(cfg.lp_backend)
+    memo.set_region(W0)
+    dmm = dualize(m, W0)
+    w = np.array([0.5])
+    mult = memo.multiplier_step(dmm, w)
+    assert memo.multiplier_step(dmm, w.copy()) is mult
+    na = dmm.n_alpha
+    wstep = memo.w_step(dmm, w, mult.x[:na], mult.x[na:])
+    assert memo.w_step(dmm, w, mult.x[:na], mult.x[na:]) is wstep
+    assert memo.counts() == (2, 2, 2)  # solves, hits, multiplier steps
+    for sol in (mult, wstep):
+        for arr in (sol.x, sol.mu_eq, sol.mu_in, sol.nu_lb, sol.nu_ub):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+    # A new region drops the w-step entries but keeps the multiplier ones.
+    memo.set_region(Polytope(H=[[1.0], [-1.0]], f=[0.6, -0.5],
+                             provenance=(FacetProvenance("Cut", iteration=1),
+                                         FacetProvenance("Cut", iteration=2))))
+    assert not memo.wstep and memo.multiplier
+
+
+def test_iblp_memo_solves_fewer_lps_than_steps(two):
+    case, m, W0, cfg = two
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    scen = make_scenarios(W0, W0, w_bar, cfg)
+    with IblpOracle(m, cfg) as oracle:
+        kept = run_iblp(m, W0, scen, cfg, oracle)
+        counts = oracle.counts
+    assert counts["lp_solves"] < counts["multiplier_steps"]
+    assert counts["memo_hits"] > 0
+    assert counts["scenarios_started"] == len(scen.combined())
+    assert counts["scenarios_failed"] == 0
+    assert counts["scenarios_kept"] == len(kept) <= counts["scenarios_positive"]
+    # Same cuts as a call without the run's oracle.
+    alone = run_iblp(m, W0, scen, cfg)
+    assert [s.F for s in alone] == [s.F for s in kept]
