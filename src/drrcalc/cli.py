@@ -2,8 +2,8 @@
 
 Exit codes are frozen for CI use: 0 converged, 1 any error, 2 empty region,
 3 iteration cap.  Every run writes ``manifest.json`` into the output
-directory (input hashes, resolved settings, artifact list, phase timings),
-success or failure.
+directory (input hashes, resolved settings, artifact list, phase timings,
+per-iteration oracle counters), success or failure.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ _TERMINATION_EXIT = {
     engine.EMPTY_REGION: EXIT_EMPTY,
     engine.MAX_ITERATIONS: EXIT_MAXITER,
 }
+
+# Per-iteration oracle counters written to the manifest's "oracle" list:
+# iblp's scenario and LP accounting, milp's node count and big-M margin.
+# The iblp ones vary with the worker count, so they stay out of region.json,
+# binding.json and trace.csv.
+_ORACLE_COUNTERS = ("scenarios_started", "scenarios_failed",
+                    "scenarios_positive", "scenarios_kept", "lp_solves",
+                    "memo_hits", "multiplier_steps", "mip_nodes", "big_m_margin")
 
 
 def _sha256(path: Path) -> str:
@@ -107,6 +115,10 @@ def cmd_compute(args) -> int:
         manifest["notes"] = frag["notes"]
         manifest["iterations"] = result.iterations
         manifest["termination"] = result.termination
+        manifest["oracle"] = analysis._jsonable([
+            {"k": rec.k, **{key: rec.oracle_diag[key] for key in _ORACLE_COUNTERS
+                            if key in rec.oracle_diag}}
+            for rec in result.trace])
         m = result.model
         manifest["model"] = {
             "equality_rows": int(m.b.size),

@@ -21,7 +21,7 @@ import numpy as np
 from .caseio import CaseData, StudyConfig
 from .errors import (DimensionMismatch, InfeasibleDispatch, SingularNetwork,
                      UnboundedCost)
-from .lp import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from .lp import OPTIMAL, UNBOUNDED, LinearProgram, elastic_lp, solve_lp
 
 _ANGLE_UNLIMITED = 360.0
 
@@ -190,16 +190,7 @@ def initial_dispatch(case: CaseData, cfg: StudyConfig) -> DispatchPoint:
 
 def _aggregate_shortfall(lp: LinearProgram, cfg: StudyConfig) -> float:
     """Minimum total violation of an infeasible dispatch LP (pu)."""
-    n = lp.nvar
-    m_eq, m_in = lp.r_eq.size, lp.r_in.size
-    c = np.concatenate([np.zeros(n), np.ones(2 * m_eq + m_in)])
-    M_eq = np.hstack([lp.M_eq, np.eye(m_eq), -np.eye(m_eq), np.zeros((m_eq, m_in))])
-    M_in = np.hstack([lp.M_in, np.zeros((m_in, 2 * m_eq)), -np.eye(m_in)])
-    lb = np.concatenate([lp.lb, np.zeros(2 * m_eq + m_in)])
-    ub = np.concatenate([lp.ub, np.full(2 * m_eq + m_in, np.inf)])
-    elastic = LinearProgram(c=c, M_eq=M_eq, r_eq=lp.r_eq, M_in=M_in,
-                            r_in=lp.r_in, lb=lb, ub=ub)
-    sol = solve_lp(elastic, backend=cfg.lp_backend)
+    sol = solve_lp(elastic_lp(lp), backend=cfg.lp_backend)
     return sol.objective if sol.optimal else math.nan
 
 

@@ -31,6 +31,16 @@ parsing, which cost more than HiGHS itself on the small LPs solved here.
 ``DEFAULT_BACKEND`` picks scipy for speed; the internal solver is
 cross-checked against it in the test suite and can be forced everywhere via
 configuration.
+
+Loops that solve one structure many times, changing only the costs or only
+the inequality right-hand side, wrap it in an :class:`LpTemplate`.  Its
+HiGHS model (bounds, row bounds, the CSC of ``[M_in; M_eq]``) is assembled
+once; ``template.bind(c=...)`` or ``template.bind(r_in=...)`` gives a
+:class:`BoundLp` that ``solve_lp`` takes like a LinearProgram.  Each solve
+still runs a fresh, cold HiGHS instance with the same options and the same
+checks, so a bound solve returns exactly what the equivalent LinearProgram
+returns.  Every scipy solve goes through a template: a plain LinearProgram
+gets a one-off one.
 """
 
 from __future__ import annotations
@@ -59,6 +69,16 @@ def _as_matrix(M, ncols):
     if M.ndim == 1:
         M = M.reshape(1, -1)
     return M
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise DimensionMismatch(f"non-finite coefficients in {name}")
+
+
+def _check_not_nan(name: str, arr: np.ndarray) -> None:
+    if np.isnan(arr).any():
+        raise DimensionMismatch(f"NaN coefficients in {name}")
 
 
 @dataclass
@@ -95,17 +115,87 @@ class LinearProgram:
         if self.lb.size != n or self.ub.size != n:
             raise DimensionMismatch("bound vectors must match the variable count")
         for name, arr in (("c", self.c), ("M_eq", self.M_eq), ("M_in", self.M_in)):
-            if not np.isfinite(arr).all():
-                raise DimensionMismatch(f"non-finite coefficients in {name}")
+            _check_finite(name, arr)
         for name, arr in (("r_eq", self.r_eq), ("r_in", self.r_in)):
-            if np.isnan(arr).any():
-                raise DimensionMismatch(f"NaN coefficients in {name}")
+            _check_not_nan(name, arr)
         if (self.lb > self.ub).any():
             raise DimensionMismatch("lower bound above upper bound")
+        # Both backends read either as no bound at all, so an empty box
+        # would solve as Unbounded.
+        if (self.lb == np.inf).any() or (self.ub == -np.inf).any():
+            raise DimensionMismatch("lower bound of +inf or upper bound of -inf")
 
     @property
     def nvar(self) -> int:
         return self.c.size
+
+
+class LpTemplate:
+    """A LinearProgram whose HiGHS model is assembled once.
+
+    :meth:`bind` swaps in new costs or a new inequality right-hand side;
+    everything else is the template LP's.  The model is assembled on the
+    first scipy solve and rewritten in place (costs and row bounds) before
+    every solve, so one template must not be solved from two threads at
+    once.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        self.lb = np.where(np.isfinite(lp.lb), lp.lb, -np.inf)
+        self.ub = np.where(np.isfinite(lp.ub), lp.ub, np.inf)
+        self._model: _highs.HighsLp | None = None
+
+    def bind(self, c=None, r_in=None) -> BoundLp:
+        """The template LP with ``c`` and/or ``r_in`` replaced; the new
+        vectors are checked as LinearProgram checks them."""
+        lp = self.lp
+        if c is None:
+            c = lp.c
+        else:
+            c = np.asarray(c, dtype=float)
+            if c.shape != lp.c.shape:
+                raise DimensionMismatch("cost vector must match the variable count")
+            _check_finite("c", c)
+        if r_in is None:
+            r_in = lp.r_in
+        else:
+            r_in = np.atleast_1d(np.asarray(r_in, dtype=float))
+            if r_in.shape != lp.r_in.shape:
+                raise DimensionMismatch("r_in must match the inequality rows")
+            _check_not_nan("r_in", r_in)
+        return BoundLp(self, c, r_in)
+
+    def highs_model(self) -> _highs.HighsLp:
+        """The shared HiGHS model; the caller sets costs and row upper bounds."""
+        if self._model is None:
+            lp = self.lp
+            # Inequality rows first, then equality rows as lhs == rhs, as
+            # linprog does; costs and row upper bounds are set per solve.
+            lhs = np.concatenate([np.full(lp.r_in.size, -np.inf), lp.r_eq])
+            self._model = _highs_model(np.vstack([lp.M_in, lp.M_eq]), lhs,
+                                       self.lb, self.ub)
+        return self._model
+
+
+@dataclass(frozen=True, eq=False)
+class BoundLp:
+    """An LpTemplate's program with its own ``c`` and ``r_in``.
+
+    It has the fields of a LinearProgram, so everything that reads one
+    (both backends, the certificates, the elastic Farkas solve) reads this.
+    """
+    template: LpTemplate
+    c: np.ndarray
+    r_in: np.ndarray
+
+    sense = property(lambda self: self.template.lp.sense)
+    M_eq = property(lambda self: self.template.lp.M_eq)
+    r_eq = property(lambda self: self.template.lp.r_eq)
+    M_in = property(lambda self: self.template.lp.M_in)
+    lb = property(lambda self: self.template.lp.lb)
+    ub = property(lambda self: self.template.lp.ub)
+    nvar = property(lambda self: self.c.size)
 
 
 @dataclass
@@ -125,13 +215,13 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def solve_lp(lp: LinearProgram, backend: str | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram | BoundLp, backend: str | None = None) -> LpSolution:
     """Solve `lp` and return a status-correct result with certified duals."""
     backend = backend or DEFAULT_BACKEND
     if backend == "internal":
         sol = _solve_internal(lp)
     elif backend == "scipy":
-        sol = _solve_scipy(lp)
+        sol = _solve_scipy(lp if isinstance(lp, BoundLp) else LpTemplate(lp).bind())
     else:
         raise ValueError(f"unknown LP backend {backend!r}")
     if sol.status == INFEASIBLE and sol.farkas is None:
@@ -146,7 +236,7 @@ def solve_lp(lp: LinearProgram, backend: str | None = None) -> LpSolution:
 
 # --- internal backend ---------------------------------------------------------
 
-def _solve_internal(lp: LinearProgram) -> LpSolution:
+def _solve_internal(lp: LinearProgram | BoundLp) -> LpSolution:
     n = lp.nvar
     m_eq = lp.r_eq.size
     m_in = lp.r_in.size
@@ -214,13 +304,13 @@ def _highs_options():
     return opts
 
 
-def _highs_model(c, A, lhs, rhs, lb, ub) -> _highs.HighsLp:
-    """Column-wise HiGHS model of min c@x s.t. lhs <= A@x <= rhs, lb <= x <= ub."""
+def _highs_model(A, lhs, lb, ub) -> _highs.HighsLp:
+    """Column-wise HiGHS model of lhs <= A@x, lb <= x <= ub; costs and row
+    upper bounds are left for the caller to set."""
     model = _highs.HighsLp()
     model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
-    model.col_cost_ = c
     model.col_lower_, model.col_upper_ = lb, ub
-    model.row_lower_, model.row_upper_ = lhs, rhs
+    model.row_lower_ = lhs
     # CSC of A: nonzeros of A.T in row-major order are A's in column order.
     At = A.T
     nz = At != 0.0
@@ -233,16 +323,15 @@ def _highs_model(c, A, lhs, rhs, lb, ub) -> _highs.HighsLp:
     return model
 
 
-def _solve_scipy(lp: LinearProgram) -> LpSolution:
+def _solve_scipy(lp: BoundLp) -> LpSolution:
+    tpl = lp.template
+    model = tpl.highs_model()
     sign = 1.0 if lp.sense == "min" else -1.0
-    m_eq, m_in = lp.r_eq.size, lp.r_in.size
-    lb = np.where(np.isfinite(lp.lb), lp.lb, -np.inf)
-    ub = np.where(np.isfinite(lp.ub), lp.ub, np.inf)
-    # Inequality rows first, then equality rows as lhs == rhs, as linprog does.
+    m_in = lp.r_in.size
+    lb, ub = tpl.lb, tpl.ub
     rhs = np.concatenate([lp.r_in, lp.r_eq])
-    lhs = np.concatenate([np.full(m_in, -np.inf), lp.r_eq])
-    model = _highs_model(sign * lp.c, np.vstack([lp.M_in, lp.M_eq]),
-                         lhs, rhs, lb, ub)
+    model.col_cost_ = sign * lp.c
+    model.row_upper_ = rhs
 
     # A fresh, cold solver per call: a warm start may land on another
     # optimal vertex and so change the duals that become cuts.
@@ -263,7 +352,7 @@ def _solve_scipy(lp: LinearProgram) -> LpSolution:
 
     solution = h.getSolution()
     x = np.array(solution.col_value)
-    fun = h.getInfo().objective_function_value
+    fun = h.getObjectiveValue()
     row = np.array(solution.row_value)
     # linprog's _check_result: an optimum must satisfy what it claims to.
     tol = _FEASIBILITY_TOL
@@ -297,19 +386,27 @@ def _solve_scipy(lp: LinearProgram) -> LpSolution:
 
 # --- certificates ----------------------------------------------------------------
 
-def _farkas_from_elastic(lp: LinearProgram, backend: str) -> np.ndarray | None:
-    """Build an infeasibility ray from the duals of the elastic relaxation."""
+def elastic_lp(lp: LinearProgram | BoundLp) -> LinearProgram:
+    """Elastic relaxation of ``lp``: minimize the total violation of its rows.
+
+    Each equality row gets a surplus and a deficit column, each inequality
+    row a deficit column, all nonnegative with unit cost; the original
+    objective is dropped.  It is feasible whenever the box is nonempty.
+    """
     n = lp.nvar
     m_eq, m_in = lp.r_eq.size, lp.r_in.size
-    # min sum of violations; original objective dropped.
     c = np.concatenate([np.zeros(n), np.ones(2 * m_eq + m_in)])
     M_eq = np.hstack([lp.M_eq, np.eye(m_eq), -np.eye(m_eq), np.zeros((m_eq, m_in))])
     M_in = np.hstack([lp.M_in, np.zeros((m_in, 2 * m_eq)), -np.eye(m_in)])
     lb = np.concatenate([lp.lb, np.zeros(2 * m_eq + m_in)])
     ub = np.concatenate([lp.ub, np.full(2 * m_eq + m_in, np.inf)])
-    elastic = LinearProgram(c=c, sense="min", M_eq=M_eq, r_eq=lp.r_eq,
-                            M_in=M_in, r_in=lp.r_in, lb=lb, ub=ub)
-    sol = solve_lp(elastic, backend=backend)
+    return LinearProgram(c=c, sense="min", M_eq=M_eq, r_eq=lp.r_eq,
+                         M_in=M_in, r_in=lp.r_in, lb=lb, ub=ub)
+
+
+def _farkas_from_elastic(lp: LinearProgram | BoundLp, backend: str) -> np.ndarray | None:
+    """Build an infeasibility ray from the duals of the elastic relaxation."""
+    sol = solve_lp(elastic_lp(lp), backend=backend)
     if not sol.optimal or sol.objective <= 1e-9:
         return None
     # min-sense elastic duals: d(obj)/d(r_eq) = mu_eq, d(obj)/d(r_in) = -mu_in.

@@ -14,8 +14,9 @@ identical for any worker count.
 
 Starts converge onto the same few region vertices, so most alternation
 steps repeat an LP already solved.  An :class:`IblpOracle` lives for one
-region computation and memoizes both half-steps (see :class:`LpMemo`); with
-more than one worker it also owns the one process pool of the run, whose
+region computation and memoizes both half-steps (see :class:`LpMemo`),
+solving each distinct LP once on a HiGHS model assembled once; with more
+than one worker it also owns the one process pool of the run, whose
 workers keep their own memo warm across outer iterations.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
 from .errors import DrrError, NumericalFailure, ZeroNormal
-from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
+from .lp import OPTIMAL, LinearProgram, LpSolution, LpTemplate, solve_lp
 from .maxmin_milp import MaxMinSolution, cut_vector, dualize
 from .polytope import Polytope
 
@@ -74,8 +75,9 @@ def make_scenarios(W0: Polytope, W: Polytope, w_bar, cfg: StudyConfig) -> Scenar
                        s2=tuple(gen_s2(W, w_bar)))
 
 
-def _project_into(W: Polytope, w0: np.ndarray, backend) -> np.ndarray:
-    """1-norm projection of w0 onto W (an LP, deterministic)."""
+def _projection_lp(W: Polytope) -> LinearProgram:
+    """1-norm projection onto W as an LP over (w, t); bind
+    ``r_in = (f, w0, -w0)`` to project the point w0."""
     n = W.dim
     c = np.concatenate([np.zeros(n), np.ones(n)])
     M_in = np.vstack([
@@ -83,23 +85,33 @@ def _project_into(W: Polytope, w0: np.ndarray, backend) -> np.ndarray:
         np.hstack([np.eye(n), -np.eye(n)]),
         np.hstack([-np.eye(n), -np.eye(n)]),
     ])
-    r_in = np.concatenate([W.f, w0, -w0])
-    lp = LinearProgram(c=c, sense="min", M_in=M_in, r_in=r_in)
+    r_in = np.concatenate([W.f, np.zeros(2 * n)])
+    return LinearProgram(c=c, sense="min", M_in=M_in, r_in=r_in)
+
+
+def _project_into(W: Polytope, w0: np.ndarray, template: LpTemplate,
+                  backend) -> np.ndarray:
+    """1-norm projection of w0 onto W (an LP, deterministic); ``template``
+    wraps ``_projection_lp(W)``."""
+    lp = template.bind(r_in=np.concatenate([W.f, w0, -w0]))
     sol = solve_lp(lp, backend=backend)
     if sol.status != OPTIMAL:
         raise NumericalFailure("projection into the current region failed")
-    return sol.x[:n]
+    return sol.x[:W.dim]
 
 
 class LpMemo:
-    """Solutions of the alternation's LPs, keyed by the bytes of w.
+    """Solutions and templates of the alternation's LPs.
 
-    The multiplier LP depends only on the model and w, so its entries hold
-    for the whole run.  The w-step LP depends on (alpha, delta), which the
-    multiplier step fixes from w, and on the region; its entries are keyed
-    by that w and dropped whenever the region changes.  Every LP is built
-    only on a miss.  An entry is the solution a fresh solve returns, with
-    its arrays made read-only, so a hit cannot change any result.
+    The multiplier LP depends only on the model and w, so its entries,
+    keyed by the bytes of w, hold for the whole run.  The w-step LP depends
+    only on (alpha, delta) and the region; its entries are keyed by the
+    bytes of the multipliers and dropped whenever the region changes.  A
+    solve happens only on a miss, and it binds new costs (or, for the
+    projection, a new right-hand side) to an :class:`LpTemplate` built once:
+    once per run for the multiplier LP, once per region for the w-step LP
+    and the projection.  An entry is the solution a fresh solve returns,
+    with its arrays made read-only, so a hit cannot change any result.
     """
 
     def __init__(self, backend: str | None):
@@ -107,6 +119,9 @@ class LpMemo:
         self.multiplier: dict[bytes, LpSolution] = {}
         self.wstep: dict[bytes, LpSolution] = {}
         self._region: tuple[bytes, bytes] | None = None
+        self._multiplier_tpl: LpTemplate | None = None
+        self._wstep_tpl: LpTemplate | None = None
+        self._projection_tpl: LpTemplate | None = None
         self.solves = 0           # LPs handed to the solver, projections included
         self.hits = 0
         self.multiplier_steps = 0
@@ -115,15 +130,16 @@ class LpMemo:
         key = (W.H.tobytes(), W.f.tobytes())
         if key != self._region:
             self.wstep.clear()
+            self._wstep_tpl = self._projection_tpl = None
             self._region = key
 
-    def _lookup(self, cache: dict, key: bytes, build) -> LpSolution:
+    def _lookup(self, cache: dict, key: bytes, bound) -> LpSolution:
         sol = cache.get(key)
         if sol is not None:
             self.hits += 1
             return sol
         self.solves += 1
-        sol = solve_lp(build(), backend=self.backend)
+        sol = solve_lp(bound(), backend=self.backend)
         for arr in (sol.x, sol.mu_eq, sol.mu_in, sol.nu_lb, sol.nu_ub, sol.farkas):
             if arr is not None:
                 arr.flags.writeable = False
@@ -132,12 +148,22 @@ class LpMemo:
 
     def multiplier_step(self, dmm, w: np.ndarray) -> LpSolution:
         self.multiplier_steps += 1
+        if self._multiplier_tpl is None:
+            self._multiplier_tpl = LpTemplate(dmm.multiplier_lp_at(w))
         return self._lookup(self.multiplier, w.tobytes(),
-                            lambda: dmm.multiplier_lp_at(w))
+                            lambda: self._multiplier_tpl.bind(c=dmm.multiplier_cost(w)))
 
-    def w_step(self, dmm, w: np.ndarray, alpha, delta) -> LpSolution:
-        return self._lookup(self.wstep, w.tobytes(),
-                            lambda: dmm.w_lp_at(alpha, delta))
+    def w_step(self, dmm, alpha: np.ndarray, delta: np.ndarray) -> LpSolution:
+        if self._wstep_tpl is None:
+            self._wstep_tpl = LpTemplate(dmm.w_lp_at(alpha, delta))
+        return self._lookup(self.wstep, alpha.tobytes() + delta.tobytes(),
+                            lambda: self._wstep_tpl.bind(c=dmm.w_cost(alpha, delta)))
+
+    def project(self, W: Polytope, w0: np.ndarray) -> np.ndarray:
+        self.solves += 1
+        if self._projection_tpl is None:
+            self._projection_tpl = LpTemplate(_projection_lp(W))
+        return _project_into(W, w0, self._projection_tpl, self.backend)
 
     def counts(self) -> tuple[int, int, int]:
         return self.solves, self.hits, self.multiplier_steps
@@ -159,8 +185,7 @@ def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinS
     dmm = dualize(m, W)
     w = np.asarray(w0, dtype=float)
     if not W.contains(w, tol=1e-9):
-        memo.solves += 1
-        w = _project_into(W, w, cfg.lp_backend)
+        w = memo.project(W, w)
 
     sequence: list[float] = []
     F_prev = -np.inf
@@ -177,7 +202,7 @@ def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinS
         if F - F_prev <= cfg.eps_alt or rounds == cfg.alt_max_rounds:
             break  # always stop on a multiplier step
         F_prev = F
-        wstep = memo.w_step(dmm, w, alpha, delta)
+        wstep = memo.w_step(dmm, alpha, delta)
         if wstep.status != OPTIMAL:
             raise NumericalFailure(f"w step returned {wstep.status}")
         w = wstep.x

@@ -52,22 +52,30 @@ class DualizedMaxMin:
         ])
         return M, np.zeros(M.shape[0])
 
-    def multiplier_lp_at(self, w: np.ndarray) -> LinearProgram:
-        """LP over (alpha, delta) at fixed w; optimum equals the violation."""
+    def multiplier_cost(self, w: np.ndarray) -> np.ndarray:
+        """Objective of ``multiplier_lp_at(w)``, the only part that moves with w."""
         m = self.m
         w = np.asarray(w, dtype=float)
-        c = np.concatenate([m.b - m.A @ w, m.E @ w - m.d])
+        return np.concatenate([m.b - m.A @ w, m.E @ w - m.d])
+
+    def multiplier_lp_at(self, w: np.ndarray) -> LinearProgram:
+        """LP over (alpha, delta) at fixed w; optimum equals the violation."""
         M_eq, r_eq = self.coupling()
         lb = np.concatenate([-np.ones(self.n_alpha), np.zeros(self.n_delta)])
         ub = np.ones(self.n_alpha + self.n_delta)
-        return LinearProgram(c=c, sense="max", M_eq=M_eq, r_eq=r_eq,
-                             lb=lb, ub=ub)
+        return LinearProgram(c=self.multiplier_cost(w), sense="max",
+                             M_eq=M_eq, r_eq=r_eq, lb=lb, ub=ub)
+
+    def w_cost(self, alpha: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Objective of ``w_lp_at(alpha, delta)``, the only part that moves."""
+        m = self.m
+        return -(alpha @ m.A) + delta @ m.E
 
     def w_lp_at(self, alpha: np.ndarray, delta: np.ndarray) -> LinearProgram:
         """LP over w at fixed multipliers, constrained to the current region."""
         m = self.m
-        grad = -(alpha @ m.A) + delta @ m.E
-        return LinearProgram(c=grad, sense="max", M_in=self.W.H, r_in=self.W.f,
+        return LinearProgram(c=self.w_cost(alpha, delta), sense="max",
+                             M_in=self.W.H, r_in=self.W.f,
                              lb=np.zeros(m.n_w), ub=m.farm_capacity_pu)
 
 

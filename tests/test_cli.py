@@ -40,6 +40,24 @@ def test_compute_iblp_trace_rows(tmp_path):
     assert len(trace) == 1 + manifest["iterations"]
 
 
+def test_manifest_oracle_counters_per_iteration(tmp_path):
+    for method, keys in (
+            ("iblp", {"scenarios_started", "scenarios_failed",
+                      "scenarios_positive", "scenarios_kept", "lp_solves",
+                      "memo_hits", "multiplier_steps"}),
+            ("milp", {"mip_nodes", "big_m_margin"})):
+        out = tmp_path / method
+        assert main(["compute", "--case", TWO, "--renewables", TWO_R,
+                     "--method", method, "--threads", "1",
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        oracle = manifest["oracle"]
+        assert [e["k"] for e in oracle] == list(range(1, manifest["iterations"] + 1))
+        assert all(set(e) == {"k"} | keys for e in oracle)
+        for name in ("region.json", "binding.json", "trace.csv"):
+            assert "lp_solves" not in (out / name).read_text()
+
+
 def test_compute_missing_case_exits_1(tmp_path, capsys):
     code = main(["compute", "--case", str(tmp_path / "nope.m"),
                  "--out", str(tmp_path / "o")])

@@ -1,5 +1,7 @@
 """LP core: both backends against each other and against the dual contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -8,9 +10,9 @@ import drrcalc.lp as lp_mod
 from drrcalc.caseio import StudyConfig
 from drrcalc.engine import run
 from drrcalc.errors import DimensionMismatch
-from drrcalc.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram,
-                        LpSolution, certificate_errors, solve_lp, to_mps,
-                        verify_farkas)
+from drrcalc.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, BoundLp, LinearProgram,
+                        LpSolution, LpTemplate, certificate_errors, solve_lp,
+                        to_mps, verify_farkas)
 
 BACKENDS = ["internal", "scipy"]
 
@@ -239,6 +241,31 @@ def test_rejected_inputs(field, value):
         LinearProgram(**{**_VALID, field: value})
 
 
+def test_rejects_lower_bound_of_plus_inf():
+    # Both solvers would read lb = ub = +inf as a free column: Unbounded.
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(c=[1.0], lb=[np.inf], ub=[np.inf])
+
+
+def test_rejects_upper_bound_of_minus_inf():
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(c=[1.0], sense="max", lb=[-np.inf], ub=[-np.inf])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", [np.inf, 1.0]),
+    ("c", [np.nan, 1.0]),
+    ("c", [1.0]),
+    ("r_in", [np.nan]),
+    ("r_in", [0.2, 0.2]),
+])
+def test_template_rejects_bad_binding(field, value):
+    template = LpTemplate(LinearProgram(**_VALID))
+    template.bind(c=[2.0, 1.0], r_in=[np.inf])
+    with pytest.raises(DimensionMismatch):
+        template.bind(**{field: value})
+
+
 # --- direct HiGHS call against linprog ---------------------------------------------
 
 def _linprog_solve(lp: LinearProgram) -> LpSolution:
@@ -282,6 +309,11 @@ def _assert_bitwise_equal(got: LpSolution, ref: LpSolution):
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _full(lp: BoundLp) -> LinearProgram:
+    """The plain LinearProgram that a template member stands for."""
+    return dataclasses.replace(lp.template.lp, c=lp.c, r_in=lp.r_in)
 
 
 def _check_against_linprog(lps, monkeypatch):
@@ -343,5 +375,53 @@ def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
         mp.setattr(lp_mod, "_solve_scipy", record)
         run(twobus, StudyConfig(), method="iblp")
     assert len(seen) > 50
+    # Most are template members: the memo's multiplier, w-step and projection LPs.
+    assert sum(lp.c is not lp.template.lp.c or lp.r_in is not lp.template.lp.r_in
+               for lp in seen) > 20
+    # Solved again after the run, so each template's model has since been
+    # rewritten for other members of its family.
     for lp in seen:
         _assert_bitwise_equal(direct(lp), _linprog_solve(lp))
+        _assert_bitwise_equal(solve_lp(lp), solve_lp(_full(lp)))
+
+
+# --- templates against the full LinearProgram ----------------------------------------
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_template_matches_full_lp_swapped_costs(backend):
+    rng = np.random.default_rng(4242)
+    for _ in range(10):
+        template = LpTemplate(_random_lp(rng))
+        for _ in range(5):
+            bound = template.bind(c=rng.normal(size=template.lp.nvar))
+            _assert_bitwise_equal(solve_lp(bound, backend=backend),
+                                  solve_lp(_full(bound), backend=backend))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_template_matches_full_lp_swapped_rhs(backend):
+    rng = np.random.default_rng(4343)
+    for _ in range(10):
+        lp = _random_lp(rng)
+        template = LpTemplate(lp)
+        for _ in range(5):
+            r_in = lp.r_in + rng.uniform(-0.5, 1.0, size=lp.r_in.size)
+            bound = template.bind(r_in=r_in)
+            _assert_bitwise_equal(solve_lp(bound, backend=backend),
+                                  solve_lp(_full(bound), backend=backend))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_template_infeasible_binding_gets_a_farkas_ray(backend):
+    # x == 5 and x <= r: feasible at r = 6, infeasible at r = 1.
+    template = LpTemplate(LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
+                                        M_in=[[1.0]], r_in=[6.0], lb=[0.0]))
+    assert solve_lp(template.bind(), backend=backend).status == OPTIMAL
+    bound = template.bind(r_in=[1.0])
+    sol = solve_lp(bound, backend=backend)
+    assert sol.status == INFEASIBLE
+    assert verify_farkas(bound, sol.farkas) > 0
+    _assert_bitwise_equal(sol, solve_lp(_full(bound), backend=backend))
+    # The template itself is untouched by the infeasible solve.
+    _assert_bitwise_equal(solve_lp(template.bind(), backend=backend),
+                          solve_lp(template.lp, backend=backend))

@@ -273,8 +273,8 @@ def test_memo_entries_are_shared_and_read_only(two):
     mult = memo.multiplier_step(dmm, w)
     assert memo.multiplier_step(dmm, w.copy()) is mult
     na = dmm.n_alpha
-    wstep = memo.w_step(dmm, w, mult.x[:na], mult.x[na:])
-    assert memo.w_step(dmm, w, mult.x[:na], mult.x[na:]) is wstep
+    wstep = memo.w_step(dmm, mult.x[:na], mult.x[na:])
+    assert memo.w_step(dmm, mult.x[:na].copy(), mult.x[na:].copy()) is wstep
     assert memo.counts() == (2, 2, 2)  # solves, hits, multiplier steps
     for sol in (mult, wstep):
         for arr in (sol.x, sol.mu_eq, sol.mu_in, sol.nu_lb, sol.nu_ub):
@@ -285,6 +285,35 @@ def test_memo_entries_are_shared_and_read_only(two):
                              provenance=(FacetProvenance("Cut", iteration=1),
                                          FacetProvenance("Cut", iteration=2))))
     assert not memo.wstep and memo.multiplier
+
+
+def test_wstep_memo_is_keyed_by_the_multipliers(two):
+    _, m, W0, cfg = two
+    memo = LpMemo(cfg.lp_backend)
+    memo.set_region(W0)
+    dmm = dualize(m, W0)
+    na = dmm.n_alpha
+    # Two farm outputs on the same side of the band share one multiplier vertex.
+    m1 = memo.multiplier_step(dmm, np.array([0.1]))
+    m2 = memo.multiplier_step(dmm, np.array([0.3]))
+    assert m1 is not m2 and m1.x.tobytes() == m2.x.tobytes()
+    wstep = memo.w_step(dmm, m1.x[:na], m1.x[na:])
+    assert memo.w_step(dmm, m2.x[:na], m2.x[na:]) is wstep
+    assert memo.counts() == (3, 1, 2)  # solves, hits, multiplier steps
+    # The key covers delta too: same alpha, other delta is another LP.
+    assert memo.w_step(dmm, m1.x[:na], np.zeros(dmm.n_delta)) is not wstep
+    assert memo.counts() == (4, 1, 2)
+    # A new region drops the entry; the next w-step is solved on the new region.
+    W1 = Polytope(H=[[1.0], [-1.0]], f=[0.6, -0.5],
+                  provenance=(FacetProvenance("Cut", iteration=1),
+                              FacetProvenance("Cut", iteration=2)))
+    memo.set_region(W1)
+    assert not memo.wstep
+    dmm1 = dualize(m, W1)
+    again = memo.w_step(dmm1, m2.x[:na], m2.x[na:])
+    assert memo.counts() == (5, 1, 2)
+    fresh = solve_lp(dmm1.w_lp_at(m2.x[:na], m2.x[na:]))
+    assert again.x.tobytes() == fresh.x.tobytes() != wstep.x.tobytes()
 
 
 def test_iblp_memo_solves_fewer_lps_than_steps(two):
