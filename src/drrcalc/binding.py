@@ -84,15 +84,14 @@ class BindingReport:
         }
 
 
-def terminal_points(W: Polytope, i: int, beta=None,
-                    backend: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+def terminal_points(W: Polytope, i: int, beta=None) -> tuple[np.ndarray, np.ndarray]:
     """Extrema of facet i along beta (default all-ones)."""
     beta = np.ones(W.dim) if beta is None else np.asarray(beta, dtype=float)
     out = []
     for sense in ("max", "min"):
         lp = LinearProgram(c=beta, sense=sense, M_in=W.H, r_in=W.f,
                            M_eq=W.H[[i]], r_eq=W.f[[i]])
-        sol = solve_lp(lp, backend=backend)
+        sol = solve_lp(lp)
         if sol.status != OPTIMAL:
             raise FacetInfeasible(
                 f"facet {i} admits no point; it should have been pruned")
@@ -120,7 +119,7 @@ def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
     entries: list[FacetBinding] = []
     unresolved: list[int] = []
     for i in range(W.n_facets):
-        w_u, w_l = terminal_points(W, i, backend=cfg.lp_backend)
+        w_u, w_l = terminal_points(W, i)
         mid = (w_u + w_l) / 2.0
         probe = probe_point(w_u, w_l, w_bar, cfg.perturb_lambda)
         degenerate = bool(np.linalg.norm(mid - w_bar) < 1e-12)
@@ -130,8 +129,7 @@ def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
             probe_mw=probe * m.base_mva, origin=ORIGIN_BOX,
             degenerate_probe=degenerate)
 
-        res = feasibility_model(m, probe, weights=slack_weights,
-                                backend=cfg.lp_backend)
+        res = feasibility_model(m, probe, weights=slack_weights)
         if res.objective > cfg.eps_slack:
             entry.origin = ORIGIN_PHYSICAL
             kind_of = {d.label: d.kind for d in m.in_rows}
@@ -140,8 +138,7 @@ def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
                     continue
                 forced = dict(slack_weights)
                 forced[label] = math.inf
-                again = feasibility_model(m, probe, weights=forced,
-                                          backend=cfg.lp_backend)
+                again = feasibility_model(m, probe, weights=forced)
                 necessity = ("necessarily binding" if not again.feasible
                              else "alternately binding")
                 entry.bindings.append(BindingEntry(

@@ -126,6 +126,10 @@ class CaseData:
         return tuple(br for br in self.raw.branches if br.status != 0)
 
 
+# Every LP and MIP is solved by the HiGHS build that scipy ships.
+_SOLVER_ECHO = {"lp_backend": "scipy", "mip_backend": "scipy"}
+
+
 @dataclass
 class StudyConfig:
     reserve_factor: float = 0.9
@@ -143,8 +147,6 @@ class StudyConfig:
     mip_gap: float = 1e-9
     alt_max_rounds: int = 50
     cut_batch_cap: int = 20
-    lp_backend: str = "scipy"           # "scipy" | "internal"
-    mip_backend: str = "scipy"          # "scipy" | "internal"
     node_limit: int = 100_000
 
     def __post_init__(self):
@@ -160,9 +162,11 @@ class StudyConfig:
             raise ValueError("s1_count must be at least 1")
 
     def algorithmic_echo(self) -> dict:
-        """Config fields that determine results (scheduling knobs excluded)."""
+        """Config fields that determine results (scheduling knobs excluded),
+        and the solver that produced them."""
         skip = {"thread_count"}
-        return {k: v for k, v in vars(self).items() if k not in skip}
+        return {**{k: v for k, v in vars(self).items() if k not in skip},
+                **_SOLVER_ECHO}
 
 
 # --- parsing -------------------------------------------------------------------

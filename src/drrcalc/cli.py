@@ -211,7 +211,7 @@ def cmd_validate(args) -> int:
                        f"max flow deviation {worst:.2e} pu"))
 
         w_bar = np.array(case.forecast_mw) / case.base_mva
-        feas0 = feasibility_model(m, w_bar, backend=cfg.lp_backend).objective
+        feas0 = feasibility_model(m, w_bar).objective
         checks.append(("forecast_dispatchable", feas0 <= cfg.eps_slack,
                        f"violation {feas0:.2e} pu"))
 
@@ -221,15 +221,15 @@ def cmd_validate(args) -> int:
         gap = 0.0
         for _ in range(10):
             w = rng.uniform(lo, hi)
-            dual = solve_lp(dmm.multiplier_lp_at(w), backend=cfg.lp_backend).objective
-            feas = feasibility_model(m, w, backend=cfg.lp_backend).objective
+            dual = solve_lp(dmm.multiplier_lp_at(w)).objective
+            feas = feasibility_model(m, w).objective
             gap = max(gap, abs(dual - feas))
         checks.append(("strong_duality", gap <= cfg.eps_dual,
                        f"max gap {gap:.2e} pu"))
 
         if args.w is not None:
             w = np.array([float(v) for v in args.w.split(",")]) / case.base_mva
-            res = feasibility_model(m, w, backend=cfg.lp_backend)
+            res = feasibility_model(m, w)
             print(f"w = {args.w} MW: violation {res.objective_mw:.6f} MW")
             for label, slack in sorted(res.slacks.items()):
                 print(f"  {label}: {slack * case.base_mva:.6f} MW")

@@ -173,11 +173,11 @@ def initial_dispatch(case: CaseData, cfg: StudyConfig) -> DispatchPoint:
                          np.full(net.n_l + net.n_b, np.inf)])
     lp = LinearProgram(c=c, sense="min", M_eq=M_eq, r_eq=r_eq,
                        M_in=M_in, r_in=r_in, lb=lb, ub=ub)
-    sol = solve_lp(lp, backend=cfg.lp_backend)
+    sol = solve_lp(lp)
     if sol.status == UNBOUNDED:
         raise UnboundedCost("dispatch LP unbounded; check gencost records")
     if sol.status != OPTIMAL:
-        shortfall = _aggregate_shortfall(lp, cfg) * net.base
+        shortfall = _aggregate_shortfall(lp) * net.base
         raise InfeasibleDispatch(shortfall)
 
     p_star = sol.x[:n_p] * net.base
@@ -188,9 +188,9 @@ def initial_dispatch(case: CaseData, cfg: StudyConfig) -> DispatchPoint:
                          ramp_dn=ramp.copy())
 
 
-def _aggregate_shortfall(lp: LinearProgram, cfg: StudyConfig) -> float:
+def _aggregate_shortfall(lp: LinearProgram) -> float:
     """Minimum total violation of an infeasible dispatch LP (pu)."""
-    sol = solve_lp(elastic_lp(lp), backend=cfg.lp_backend)
+    sol = solve_lp(elastic_lp(lp))
     return sol.objective if sol.optimal else math.nan
 
 
@@ -420,8 +420,8 @@ class _FeasibilityTemplate:
         self.m_eq, self.m_in = m_eq, m_in
 
 
-def feasibility_model(m: CompactPsd, w, weights: dict[str, float] | None = None,
-                      backend: str | None = None) -> FeasibilityResult:
+def feasibility_model(m: CompactPsd, w,
+                      weights: dict[str, float] | None = None) -> FeasibilityResult:
     """Minimum weighted slack needed to absorb renewable output `w` (pu).
 
     `weights` maps a constraint label or kind to a positive penalty; ``inf``
@@ -441,7 +441,7 @@ def feasibility_model(m: CompactPsd, w, weights: dict[str, float] | None = None,
     lp = LinearProgram(c=tmpl.c, sense="min", M_eq=tmpl.M_eq,
                        r_eq=m.b - m.A @ w, M_in=tmpl.M_in, r_in=m.d,
                        lb=tmpl.lb, ub=tmpl.ub)
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     if not sol.optimal:
         # Only reachable when `weights` hardened rows; the fully slacked
         # model is feasible by construction.

@@ -166,7 +166,7 @@ def run(case: CaseData, cfg: StudyConfig, method: str = "milp") -> DrrResult:
 
             W = W.with_rows(np.array(rows), np.array(offsets), tags)
             try:
-                W = remove_redundant(W, backend=cfg.lp_backend)
+                W = remove_redundant(W)
             except EmptyRegionError:
                 trace.append(IterationRecord(k=k, F=F_k, cuts_added=len(rows),
                                              oracle_ms=oracle_ms,

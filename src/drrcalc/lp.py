@@ -21,16 +21,14 @@ This matches the Lagrangian of a slacked minimization with free equality
 multipliers and nonnegative inequality multipliers, so the duals of a
 feasibility solve can be consumed directly as cut coefficients.
 
-Two interchangeable backends implement the contract: ``"internal"`` (the
-dense simplex in :mod:`drrcalc.simplex`) and ``"scipy"`` (the HiGHS dual
-simplex, Huangfu & Hall, Math. Prog. Comp. 2018, through the bindings that
-scipy ships in ``scipy.optimize._highspy._core``).  The scipy backend makes
-the same HiGHS call as ``scipy.optimize.linprog(method="highs")`` and reads
-the same marginals, without linprog's per-call input cleaning and option
-parsing, which cost more than HiGHS itself on the small LPs solved here.
-``DEFAULT_BACKEND`` picks scipy for speed; the internal solver is
-cross-checked against it in the test suite and can be forced everywhere via
-configuration.
+One solver implements the contract: the HiGHS dual simplex (Huangfu &
+Hall, Math. Prog. Comp. 2018), through the bindings that scipy ships in
+``scipy.optimize._highspy._core``.  :func:`solve_lp` makes the same HiGHS
+call as ``scipy.optimize.linprog(method="highs")`` and reads the same
+marginals, without linprog's per-call input cleaning and option parsing,
+which cost more than HiGHS itself on the small LPs solved here.  Results
+are checked without a second solver by :func:`certificate_errors` and
+:func:`verify_farkas`.
 
 Loops that solve one structure many times, changing only the costs or only
 the inequality right-hand side, wrap it in an :class:`LpTemplate`.  Its
@@ -39,23 +37,19 @@ once; ``template.bind(c=...)`` or ``template.bind(r_in=...)`` gives a
 :class:`BoundLp` that ``solve_lp`` takes like a LinearProgram.  Each solve
 still runs a fresh, cold HiGHS instance with the same options and the same
 checks, so a bound solve returns exactly what the equivalent LinearProgram
-returns.  Every scipy solve goes through a template: a plain LinearProgram
-gets a one-off one.
+returns.  Every solve goes through a template: a plain LinearProgram gets
+a one-off one.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize._highspy._core as _highs
 
-from . import simplex
 from .errors import DimensionMismatch, NumericalFailure
-
-DEFAULT_BACKEND = "scipy"
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -118,10 +112,12 @@ class LinearProgram:
             _check_finite(name, arr)
         for name, arr in (("r_eq", self.r_eq), ("r_in", self.r_in)):
             _check_not_nan(name, arr)
+        for name, arr in (("lb", self.lb), ("ub", self.ub)):
+            _check_not_nan(name, arr)
         if (self.lb > self.ub).any():
             raise DimensionMismatch("lower bound above upper bound")
-        # Both backends read either as no bound at all, so an empty box
-        # would solve as Unbounded.
+        # HiGHS reads either as no bound at all, so an empty box would
+        # solve as Unbounded.
         if (self.lb == np.inf).any() or (self.ub == -np.inf).any():
             raise DimensionMismatch("lower bound of +inf or upper bound of -inf")
 
@@ -135,15 +131,13 @@ class LpTemplate:
 
     :meth:`bind` swaps in new costs or a new inequality right-hand side;
     everything else is the template LP's.  The model is assembled on the
-    first scipy solve and rewritten in place (costs and row bounds) before
+    first solve and rewritten in place (costs and row bounds) before
     every solve, so one template must not be solved from two threads at
     once.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.lb = np.where(np.isfinite(lp.lb), lp.lb, -np.inf)
-        self.ub = np.where(np.isfinite(lp.ub), lp.ub, np.inf)
         self._model: _highs.HighsLp | None = None
 
     def bind(self, c=None, r_in=None) -> BoundLp:
@@ -174,7 +168,7 @@ class LpTemplate:
             # linprog does; costs and row upper bounds are set per solve.
             lhs = np.concatenate([np.full(lp.r_in.size, -np.inf), lp.r_eq])
             self._model = _highs_model(np.vstack([lp.M_in, lp.M_eq]), lhs,
-                                       self.lb, self.ub)
+                                       lp.lb, lp.ub)
         return self._model
 
 
@@ -183,7 +177,7 @@ class BoundLp:
     """An LpTemplate's program with its own ``c`` and ``r_in``.
 
     It has the fields of a LinearProgram, so everything that reads one
-    (both backends, the certificates, the elastic Farkas solve) reads this.
+    (the solver, the certificates, the elastic Farkas solve) reads this.
     """
     template: LpTemplate
     c: np.ndarray
@@ -208,77 +202,26 @@ class LpSolution:
     nu_lb: np.ndarray | None = None
     nu_ub: np.ndarray | None = None
     farkas: np.ndarray | None = None  # (y_eq, y_in) row vector on infeasibility
-    backend: str = ""
 
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
 
 
-def solve_lp(lp: LinearProgram | BoundLp, backend: str | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram | BoundLp) -> LpSolution:
     """Solve `lp` and return a status-correct result with certified duals."""
-    backend = backend or DEFAULT_BACKEND
-    if backend == "internal":
-        sol = _solve_internal(lp)
-    elif backend == "scipy":
-        sol = _solve_scipy(lp if isinstance(lp, BoundLp) else LpTemplate(lp).bind())
-    else:
-        raise ValueError(f"unknown LP backend {backend!r}")
-    if sol.status == INFEASIBLE and sol.farkas is None:
-        sol.farkas = _farkas_from_elastic(lp, backend)
+    sol = _solve_scipy(lp if isinstance(lp, BoundLp) else LpTemplate(lp).bind())
+    if sol.status == INFEASIBLE:
+        sol.farkas = _farkas_from_elastic(lp)
         if sol.farkas is None:
             # The elastic relaxation proved the constraints satisfiable, so
-            # the backend's infeasible verdict was the presolve shorthand for
+            # HiGHS's infeasible verdict was the presolve shorthand for
             # "not optimal": a feasible LP without an optimum is unbounded.
             sol.status = UNBOUNDED
     return sol
 
 
-# --- internal backend ---------------------------------------------------------
-
-def _solve_internal(lp: LinearProgram | BoundLp) -> LpSolution:
-    n = lp.nvar
-    m_eq = lp.r_eq.size
-    m_in = lp.r_in.size
-    sign = 1.0 if lp.sense == "min" else -1.0
-    # Standard form: append one slack per inequality row.
-    A = np.zeros((m_eq + m_in, n + m_in))
-    A[:m_eq, :n] = lp.M_eq
-    A[m_eq:, :n] = lp.M_in
-    A[m_eq:, n:] = np.eye(m_in)
-    b = np.concatenate([lp.r_eq, lp.r_in])
-    c = np.concatenate([sign * lp.c, np.zeros(m_in)])
-    lb = np.concatenate([lp.lb, np.zeros(m_in)])
-    ub = np.concatenate([lp.ub, np.full(m_in, np.inf)])
-
-    res = simplex.solve_standard(A, b, c, lb, ub)
-    if res.status == "infeasible":
-        y = res.farkas
-        return LpSolution(status=INFEASIBLE, backend="internal",
-                          farkas=np.concatenate([y[:m_eq], y[m_eq:]]))
-    if res.status == "unbounded":
-        return LpSolution(status=UNBOUNDED, backend="internal")
-
-    y_eq = res.y[:m_eq]
-    y_in = res.y[m_eq:]
-    z = res.z[:n]
-    # res is in min space; bound duals read off the reduced costs identically
-    # for both senses, only mu_eq and the objective flip.
-    mu_in = np.maximum(-y_in, 0.0)
-    nu_lb = np.maximum(z, 0.0)
-    nu_ub = np.maximum(-z, 0.0)
-    if lp.sense == "min":
-        mu_eq = y_eq
-        obj = res.obj
-    else:
-        mu_eq = -y_eq
-        obj = -res.obj
-    return LpSolution(status=OPTIMAL, x=res.x[:n], objective=float(obj),
-                      mu_eq=mu_eq, mu_in=mu_in, nu_lb=nu_lb, nu_ub=nu_ub,
-                      backend="internal")
-
-
-# --- scipy / HiGHS backend -----------------------------------------------------
+# --- HiGHS -----------------------------------------------------------------------
 
 # HiGHS status -> contract status, as linprog maps them (a model HiGHS
 # rejects counts as infeasible there too).
@@ -324,11 +267,10 @@ def _highs_model(A, lhs, lb, ub) -> _highs.HighsLp:
 
 
 def _solve_scipy(lp: BoundLp) -> LpSolution:
-    tpl = lp.template
-    model = tpl.highs_model()
+    model = lp.template.highs_model()
     sign = 1.0 if lp.sense == "min" else -1.0
     m_in = lp.r_in.size
-    lb, ub = tpl.lb, tpl.ub
+    lb, ub = lp.lb, lp.ub
     rhs = np.concatenate([lp.r_in, lp.r_eq])
     model.col_cost_ = sign * lp.c
     model.row_upper_ = rhs
@@ -345,7 +287,7 @@ def _solve_scipy(lp: BoundLp) -> LpSolution:
         model_status = h.getModelStatus()
     status = _HIGHS_STATUS.get(model_status)
     if status in (INFEASIBLE, UNBOUNDED):
-        return LpSolution(status=status, backend="scipy")
+        return LpSolution(status=status)
     if status != OPTIMAL or not run_ok:
         raise NumericalFailure(
             f"scipy/HiGHS failed: {h.modelStatusToString(model_status)}")
@@ -381,7 +323,7 @@ def _solve_scipy(lp: BoundLp) -> LpSolution:
         mu_eq = -y[m_in:]
         obj = -fun
     return LpSolution(status=OPTIMAL, x=x, objective=float(obj), mu_eq=mu_eq,
-                      mu_in=mu_in, nu_lb=nu_lb, nu_ub=nu_ub, backend="scipy")
+                      mu_in=mu_in, nu_lb=nu_lb, nu_ub=nu_ub)
 
 
 # --- certificates ----------------------------------------------------------------
@@ -404,9 +346,9 @@ def elastic_lp(lp: LinearProgram | BoundLp) -> LinearProgram:
                          M_in=M_in, r_in=lp.r_in, lb=lb, ub=ub)
 
 
-def _farkas_from_elastic(lp: LinearProgram | BoundLp, backend: str) -> np.ndarray | None:
+def _farkas_from_elastic(lp: LinearProgram | BoundLp) -> np.ndarray | None:
     """Build an infeasibility ray from the duals of the elastic relaxation."""
-    sol = solve_lp(elastic_lp(lp), backend=backend)
+    sol = solve_lp(elastic_lp(lp))
     if not sol.optimal or sol.objective <= 1e-9:
         return None
     # min-sense elastic duals: d(obj)/d(r_eq) = mu_eq, d(obj)/d(r_in) = -mu_in.
@@ -476,49 +418,3 @@ def certificate_errors(lp: LinearProgram, sol: LpSolution) -> dict:
         "gap": abs(sol.objective - dual_obj) / scale,
         "min_mu_in": float(sol.mu_in.min(initial=0.0)),
     }
-
-
-# --- debugging export --------------------------------------------------------------
-
-def to_mps(lp: LinearProgram, name: str = "DRRLP") -> str:
-    """Render the program in free MPS format (debugging aid)."""
-    out = io.StringIO()
-    out.write(f"NAME {name}\n")
-    if lp.sense == "max":
-        out.write("OBJSENSE\n MAX\n")
-    out.write("ROWS\n N  OBJ\n")
-    for i in range(lp.r_eq.size):
-        out.write(f" E  EQ{i}\n")
-    for i in range(lp.r_in.size):
-        out.write(f" L  IN{i}\n")
-    out.write("COLUMNS\n")
-    for j in range(lp.nvar):
-        if lp.c[j] != 0.0:
-            out.write(f" X{j} OBJ {lp.c[j]!r}\n")
-        for i in range(lp.r_eq.size):
-            if lp.M_eq[i, j] != 0.0:
-                out.write(f" X{j} EQ{i} {lp.M_eq[i, j]!r}\n")
-        for i in range(lp.r_in.size):
-            if lp.M_in[i, j] != 0.0:
-                out.write(f" X{j} IN{i} {lp.M_in[i, j]!r}\n")
-    out.write("RHS\n")
-    for i in range(lp.r_eq.size):
-        if lp.r_eq[i] != 0.0:
-            out.write(f" RHS EQ{i} {lp.r_eq[i]!r}\n")
-    for i in range(lp.r_in.size):
-        if lp.r_in[i] != 0.0:
-            out.write(f" RHS IN{i} {lp.r_in[i]!r}\n")
-    out.write("BOUNDS\n")
-    for j in range(lp.nvar):
-        lo, hi = lp.lb[j], lp.ub[j]
-        if not np.isfinite(lo) and not np.isfinite(hi):
-            out.write(f" FR BND X{j}\n")
-            continue
-        if np.isfinite(lo):
-            out.write(f" LO BND X{j} {lo!r}\n")
-        else:
-            out.write(f" MI BND X{j}\n")
-        if np.isfinite(hi):
-            out.write(f" UP BND X{j} {hi!r}\n")
-    out.write("ENDATA\n")
-    return out.getvalue()

@@ -89,12 +89,11 @@ def _projection_lp(W: Polytope) -> LinearProgram:
     return LinearProgram(c=c, sense="min", M_in=M_in, r_in=r_in)
 
 
-def _project_into(W: Polytope, w0: np.ndarray, template: LpTemplate,
-                  backend) -> np.ndarray:
+def _project_into(W: Polytope, w0: np.ndarray, template: LpTemplate) -> np.ndarray:
     """1-norm projection of w0 onto W (an LP, deterministic); ``template``
     wraps ``_projection_lp(W)``."""
     lp = template.bind(r_in=np.concatenate([W.f, w0, -w0]))
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise NumericalFailure("projection into the current region failed")
     return sol.x[:W.dim]
@@ -114,8 +113,7 @@ class LpMemo:
     with its arrays made read-only, so a hit cannot change any result.
     """
 
-    def __init__(self, backend: str | None):
-        self.backend = backend
+    def __init__(self):
         self.multiplier: dict[bytes, LpSolution] = {}
         self.wstep: dict[bytes, LpSolution] = {}
         self._region: tuple[bytes, bytes] | None = None
@@ -139,7 +137,7 @@ class LpMemo:
             self.hits += 1
             return sol
         self.solves += 1
-        sol = solve_lp(bound(), backend=self.backend)
+        sol = solve_lp(bound())
         for arr in (sol.x, sol.mu_eq, sol.mu_in, sol.nu_lb, sol.nu_ub, sol.farkas):
             if arr is not None:
                 arr.flags.writeable = False
@@ -163,7 +161,7 @@ class LpMemo:
         self.solves += 1
         if self._projection_tpl is None:
             self._projection_tpl = LpTemplate(_projection_lp(W))
-        return _project_into(W, w0, self._projection_tpl, self.backend)
+        return _project_into(W, w0, self._projection_tpl)
 
     def counts(self) -> tuple[int, int, int]:
         return self.solves, self.hits, self.multiplier_steps
@@ -180,7 +178,7 @@ def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinS
     if _ACTIVE is not None and _ACTIVE.m is m:
         memo = _ACTIVE.memo
     else:
-        memo = LpMemo(cfg.lp_backend)
+        memo = LpMemo()
     memo.set_region(W)
     dmm = dualize(m, W)
     w = np.asarray(w0, dtype=float)
@@ -228,7 +226,7 @@ class IblpOracle:
     def __init__(self, m: CompactPsd, cfg: StudyConfig):
         self.m = m
         self.cfg = cfg
-        self.memo = LpMemo(cfg.lp_backend)
+        self.memo = LpMemo()
         self.counts: dict[str, int] = {}
         self._pool = None
 

@@ -190,8 +190,7 @@ def _solve_once(dmm: DualizedMaxMin, M: float, cfg: StudyConfig):
     if facet_slack_ranges(m, W).max(initial=0.0) >= 0.99 * M:
         return None, np.inf   # the w-side caps would clip legitimate points
     mp = build_kkt_mip(dmm, M)
-    res = solve_mip(mp, gap_tol=cfg.mip_gap, backend=cfg.mip_backend,
-                    lp_backend=cfg.lp_backend, node_limit=cfg.node_limit)
+    res = solve_mip(mp, node_limit=cfg.node_limit)
     if res.status == INFEASIBLE:
         return None, np.inf   # only a clipped big-M can make this infeasible
     if res.status != OPTIMAL:

@@ -1,26 +1,21 @@
 """Mixed-binary programs on top of the LP contract.
 
-The internal solver is plain branch-and-bound over LP relaxations: best-first
-node selection with depth-first plunging, branching on the lowest-index
-fractional binary, which makes the search order (and hence the reported
-optimum among ties) deterministic.  A ``"scipy"`` backend routes the whole
-program to HiGHS instead; both honor the same result shape.
+A :class:`MixedProgram` is a :class:`LinearProgram` with some columns
+restricted to {0, 1}.  :func:`solve_mip` hands the whole program to the
+HiGHS branch-and-cut solver through ``scipy.optimize.milp``; a program
+without binaries is an LP and goes to :func:`solve_lp`.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import DimensionMismatch, NodeLimitExceeded, NumericalFailure
-from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution,
-                 solve_lp)
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 
-_INT_TOL = 1e-7
 DEFAULT_NODE_LIMIT = 100_000
 
 
@@ -49,105 +44,25 @@ class MipSolution:
     binary_values: np.ndarray | None = None
     nodes: int = 0
     bound: float = np.nan   # best dual bound at termination
-    relaxation: LpSolution | None = None  # LP solution at the winning node
 
     @property
     def optimal(self) -> bool:
         return self.status == OPTIMAL
 
 
-def solve_mip(mp: MixedProgram, gap_tol: float = 1e-9,
-              backend: str | None = None, lp_backend: str | None = None,
-              node_limit: int = DEFAULT_NODE_LIMIT) -> MipSolution:
-    """Globally solve `mp` to within absolute gap `gap_tol`."""
+def solve_mip(mp: MixedProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> MipSolution:
+    """Globally solve `mp` with a relative gap of zero; raise
+    :class:`NodeLimitExceeded` when the search needs more than
+    `node_limit` branch-and-bound nodes."""
     if not mp.binary_index:
-        sol = solve_lp(mp.lp, backend=lp_backend)
+        sol = solve_lp(mp.lp)
         return MipSolution(status=sol.status, x=sol.x, objective=sol.objective,
                            binary_values=np.zeros(0), nodes=0,
-                           bound=sol.objective, relaxation=sol)
-    if backend == "scipy":
-        return _solve_scipy_milp(mp, gap_tol)
-    return _branch_and_bound(mp, gap_tol, lp_backend, node_limit)
+                           bound=sol.objective)
+    return _solve_scipy_milp(mp, node_limit)
 
 
-def _fractional(x, binaries):
-    for j in binaries:
-        if abs(x[j] - round(x[j])) > _INT_TOL:
-            return j
-    return None
-
-
-def _branch_and_bound(mp, gap_tol, lp_backend, node_limit):
-    lp = mp.lp
-    sign = 1.0 if lp.sense == "min" else -1.0  # work in min space
-    binaries = mp.binary_index
-
-    counter = itertools.count()
-    heap = []
-
-    def solve_node(fixings):
-        child = LinearProgram(c=lp.c, sense=lp.sense, M_eq=lp.M_eq, r_eq=lp.r_eq,
-                              M_in=lp.M_in, r_in=lp.r_in, lb=lp.lb.copy(),
-                              ub=lp.ub.copy())
-        for j, v in fixings.items():
-            child.lb[j] = v
-            child.ub[j] = v
-        return solve_lp(child, backend=lp_backend)
-
-    incumbent = None
-    incumbent_obj = np.inf  # min space
-    nodes = 0
-
-    rel = solve_node({})
-    nodes += 1
-    if rel.status == UNBOUNDED:
-        return MipSolution(status=UNBOUNDED, nodes=nodes)
-    if rel.status == INFEASIBLE:
-        return MipSolution(status=INFEASIBLE, nodes=nodes)
-    heapq.heappush(heap, (sign * rel.objective, next(counter), {}, rel))
-
-    while heap:
-        if heap[0][0] >= incumbent_obj - gap_tol:
-            break  # best open bound proves the incumbent within tolerance
-        node_bound, _, fixings, rel = heapq.heappop(heap)
-        # Depth-first plunge from this node.
-        while True:
-            frac = _fractional(rel.x, binaries)
-            if frac is None:
-                obj = sign * rel.objective
-                if obj < incumbent_obj:
-                    incumbent_obj = obj
-                    incumbent = rel
-                break
-            children = []
-            for v in (0.0, 1.0):
-                fx = dict(fixings)
-                fx[frac] = v
-                nodes += 1
-                if nodes > node_limit:
-                    raise NodeLimitExceeded(nodes)
-                s = solve_node(fx)
-                if s.status == OPTIMAL and sign * s.objective < incumbent_obj - gap_tol:
-                    children.append((sign * s.objective, fx, s))
-            if not children:
-                break
-            children.sort(key=lambda t: (t[0], t[1][frac]))
-            _, fixings, rel = children[0]
-            for b, fx, s in children[1:]:
-                heapq.heappush(heap, (b, next(counter), fx, s))
-
-    if incumbent is None:
-        return MipSolution(status=INFEASIBLE, nodes=nodes)
-    lower = min(heap[0][0], incumbent_obj) if heap else incumbent_obj
-    xb = np.array([round(incumbent.x[j]) for j in binaries], dtype=float)
-    return MipSolution(status=OPTIMAL, x=incumbent.x,
-                       objective=incumbent.objective, binary_values=xb,
-                       nodes=nodes,
-                       bound=float(lower if lp.sense == "min" else -lower),
-                       relaxation=incumbent)
-
-
-def _solve_scipy_milp(mp, gap_tol):
+def _solve_scipy_milp(mp, node_limit):
     lp = mp.lp
     sign = 1.0 if lp.sense == "min" else -1.0
     constraints = []
@@ -159,11 +74,15 @@ def _solve_scipy_milp(mp, gap_tol):
     integrality[mp.binary_index] = 1
     res = milp(c=sign * lp.c, constraints=constraints, integrality=integrality,
                bounds=Bounds(lp.lb, lp.ub),
-               options={"mip_rel_gap": 0.0})
+               options={"mip_rel_gap": 0.0, "node_limit": node_limit})
     if res.status == 2:
         return MipSolution(status=INFEASIBLE)
     if res.status == 3:
         return MipSolution(status=UNBOUNDED)
+    # HiGHS reports its node limit as a solution limit, which milp does not
+    # map to a status of its own.
+    if res.status == 4 and "Solution limit reached" in res.message:
+        raise NodeLimitExceeded(node_limit)
     if res.status != 0 or res.x is None:
         raise NumericalFailure(f"HiGHS MILP failed: {res.message}")
     x = np.asarray(res.x, dtype=float)

@@ -107,15 +107,14 @@ def box(lo, hi, tags_upper, tags_lower) -> Polytope:
     return Polytope(H=H, f=f, provenance=tuple(tags_upper) + tuple(tags_lower))
 
 
-def remove_redundant(W: Polytope, backend: str | None = None) -> Polytope:
+def remove_redundant(W: Polytope) -> Polytope:
     """Drop facets that never support the region; the region is unchanged.
 
     Duplicates are collapsed first (keeping the earliest row), then each
     facet is tested with one LP against the surviving rows.  Raises
     :class:`EmptyRegionError` when the LP proves the region empty.
     """
-    probe = solve_lp(LinearProgram(c=np.zeros(W.dim), M_in=W.H, r_in=W.f),
-                     backend=backend)
+    probe = solve_lp(LinearProgram(c=np.zeros(W.dim), M_in=W.H, r_in=W.f))
     if probe.status != OPTIMAL:
         raise EmptyRegionError("outer approximation has no feasible point")
 
@@ -139,7 +138,7 @@ def remove_redundant(W: Polytope, backend: str | None = None) -> Polytope:
             M_in=np.vstack([work.H[others], work.H[[i]]]),
             r_in=np.concatenate([work.f[others], [work.f[i] + 1.0]]),
         )
-        sol = solve_lp(lp, backend=backend)
+        sol = solve_lp(lp)
         if sol.status == UNBOUNDED:  # pragma: no cover - capped above
             continue
         if sol.status != OPTIMAL:
@@ -149,14 +148,14 @@ def remove_redundant(W: Polytope, backend: str | None = None) -> Polytope:
     return work.select(alive) if len(alive) < work.n_facets else work
 
 
-def chebyshev_center(W: Polytope, backend: str | None = None) -> tuple[np.ndarray, float]:
+def chebyshev_center(W: Polytope) -> tuple[np.ndarray, float]:
     """Center and radius of the largest inscribed ball (rows are unit-norm)."""
     n = W.dim
     c = np.zeros(n + 1)
     c[-1] = 1.0
     M = np.hstack([W.H, np.ones((W.n_facets, 1))])
     lp = LinearProgram(c=c, sense="max", M_in=M, r_in=W.f)
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise EmptyRegionError("no Chebyshev center: region empty or unbounded")
     return sol.x[:n], float(sol.x[-1])

@@ -184,15 +184,19 @@ def test_config_validation_and_file(tmp_path):
     p.write_text(json.dumps({"seed": 5, "s1_count": 17}))
     loaded = load_config_file(p)
     assert loaded.seed == 5 and loaded.s1_count == 17
-    p.write_text(json.dumps({"nope": 1}))
-    with pytest.raises(ValueError):
-        load_config_file(p)
+    for unknown in ({"nope": 1}, {"lp_backend": "internal"}):
+        p.write_text(json.dumps(unknown))
+        with pytest.raises(ValueError):
+            load_config_file(p)
 
 
 def test_config_echo_excludes_scheduling():
     echo = StudyConfig(thread_count=8).algorithmic_echo()
     assert "thread_count" not in echo
     assert echo["seed"] == 0
+    # region.json and binding.json name the solver that produced them.
+    assert echo["lp_backend"] == echo["mip_backend"] == "scipy"
+    assert echo["node_limit"] == 100_000
 
 
 def test_ieee39_forecasts(ieee39):

@@ -192,18 +192,6 @@ def test_zero_capacity_farm_degenerate_box(twobus):
     assert lo[0] == hi[0] == 0.0
 
 
-@pytest.mark.parametrize("method", ["milp", "iblp"])
-def test_internal_backends_full_pipeline(twobus, method):
-    # The built-in simplex and branch-and-bound carry the whole workflow.
-    cfg = StudyConfig(lp_backend="internal", mip_backend="internal",
-                      s1_count=15)
-    res = run(twobus, cfg, method=method)
-    assert res.termination == CONVERGED
-    lo, hi = res.region.box_bounds()
-    assert lo[0] * 100 == pytest.approx(45.0, abs=1e-6)
-    assert hi[0] * 100 == pytest.approx(65.0, abs=1e-6)
-
-
 def test_cut_batch_cap_limits_cuts_per_iteration(pjm5):
     capped = run(pjm5, StudyConfig(cut_batch_cap=1, s1_count=30), method="iblp")
     assert capped.termination == CONVERGED

@@ -1,4 +1,4 @@
-"""LP core: both backends against each other and against the dual contract."""
+"""LP core: HiGHS against the dual contract and the linprog reference."""
 
 import dataclasses
 
@@ -12,16 +12,13 @@ from drrcalc.engine import run
 from drrcalc.errors import DimensionMismatch
 from drrcalc.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, BoundLp, LinearProgram,
                         LpSolution, LpTemplate, certificate_errors, solve_lp,
-                        to_mps, verify_farkas)
-
-BACKENDS = ["internal", "scipy"]
+                        verify_farkas)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_single_variable_lower_bound(backend):
+def test_single_variable_lower_bound():
     # min x s.t. x >= 3: the bound dual carries the whole certificate.
     lp = LinearProgram(c=[1.0], lb=[3.0])
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
     assert sol.nu_lb[0] == pytest.approx(1.0, abs=1e-8)
@@ -30,34 +27,31 @@ def test_single_variable_lower_bound(backend):
     assert errs["gap"] < 1e-7
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_box_maximum(backend):
+def test_box_maximum():
     # max w over 45 <= w <= 65, the final 1-D region query.
     lp = LinearProgram(c=[1.0], sense="max", lb=[45.0], ub=[65.0])
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     assert sol.objective == pytest.approx(65.0, abs=1e-9)
     assert sol.nu_ub[0] == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_inequality_dual_sign(backend):
+def test_inequality_dual_sign():
     # max x s.t. x <= 3 as a row: mu_in must come back nonnegative.
     lp = LinearProgram(c=[1.0], sense="max", M_in=[[1.0]], r_in=[3.0])
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
     assert sol.mu_in[0] == pytest.approx(1.0, abs=1e-8)
     errs = certificate_errors(lp, sol)
     assert max(errs["stationarity"], errs["gap"], errs["complementarity"]) < 1e-7
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_equality_and_inequality_mix(backend):
+def test_equality_and_inequality_mix():
     # min x + y s.t. x + y = 1, x - y <= 0.2, 0 <= x,y <= 1
     lp = LinearProgram(c=[1.0, 1.0],
                        M_eq=[[1.0, 1.0]], r_eq=[1.0],
                        M_in=[[1.0, -1.0]], r_in=[0.2],
                        lb=[0.0, 0.0], ub=[1.0, 1.0])
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
     errs = certificate_errors(lp, sol)
@@ -65,20 +59,18 @@ def test_equality_and_inequality_mix(backend):
     assert errs["gap"] < 1e-7
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_infeasible_with_farkas(backend):
+def test_infeasible_with_farkas():
     lp = LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
                        M_in=[[1.0]], r_in=[1.0], lb=[0.0])
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     assert sol.status == INFEASIBLE
     assert sol.farkas is not None
     assert verify_farkas(lp, sol.farkas) > 1e-8
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_unbounded(backend):
+def test_unbounded():
     lp = LinearProgram(c=[-1.0], lb=[0.0])
-    sol = solve_lp(lp, backend=backend)
+    sol = solve_lp(lp)
     assert sol.status == UNBOUNDED
 
 
@@ -98,44 +90,39 @@ def _random_lp(rng, m=20, n=40):
     )
 
 
-def test_internal_matches_scipy_on_random_instances():
+def _assert_certified(lp, sol):
+    errs = certificate_errors(lp, sol)
+    assert errs["primal"] < 1e-8
+    assert errs["stationarity"] < 1e-7
+    assert errs["complementarity"] < 1e-7
+    assert errs["gap"] < 1e-7
+    assert errs["min_mu_in"] > -1e-10
+
+
+def _assert_objective_matches_linprog(lp, sol):
+    ref = _linprog_solve(lp)
+    assert sol.status == ref.status
+    if ref.status == OPTIMAL:
+        assert abs(sol.objective - ref.objective) / (1.0 + abs(ref.objective)) < 1e-7
+
+
+def test_random_instances_pass_certificates():
     rng = np.random.default_rng(20240611)
     solved = 0
     for _ in range(100):
         lp = _random_lp(rng)
-        ref = solve_lp(lp, backend="scipy")
-        got = solve_lp(lp, backend="internal")
-        assert got.status == ref.status
-        if ref.status == OPTIMAL:
+        sol = solve_lp(lp)
+        _assert_objective_matches_linprog(lp, sol)
+        if sol.status == OPTIMAL:
             solved += 1
-            denom = 1.0 + abs(ref.objective)
-            assert abs(got.objective - ref.objective) / denom < 1e-7
-            errs = certificate_errors(lp, got)
-            assert errs["primal"] < 1e-8
-            assert errs["stationarity"] < 1e-7
-            assert errs["complementarity"] < 1e-7
-            assert errs["gap"] < 1e-7
-            assert errs["min_mu_in"] > -1e-10
+            _assert_certified(lp, sol)
     assert solved >= 80  # most instances are bounded
 
 
 def test_deterministic_repeat():
     rng = np.random.default_rng(7)
     lp = _random_lp(rng)
-    a = solve_lp(lp, backend="internal")
-    b = solve_lp(lp, backend="internal")
-    assert np.array_equal(a.x, b.x)
-    assert a.objective == b.objective
-
-
-def test_mps_export_roundtrip_smoke():
-    lp = LinearProgram(c=[1.0, -2.0], sense="max",
-                       M_eq=[[1.0, 1.0]], r_eq=[1.0],
-                       M_in=[[1.0, 0.0]], r_in=[0.7],
-                       lb=[0.0, 0.0], ub=[1.0, np.inf])
-    text = to_mps(lp)
-    for token in ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-        assert token in text
+    _assert_bitwise_equal(solve_lp(lp), solve_lp(lp))
 
 
 def test_beale_cycling_instance_terminates():
@@ -147,10 +134,11 @@ def test_beale_cycling_instance_terminates():
               [0.0, 0.0, 1.0, 0.0]],
         r_in=[0.0, 0.0, 1.0],
         lb=[0.0, 0.0, 0.0, 0.0])
-    ref = solve_lp(lp, backend="scipy")
-    got = solve_lp(lp, backend="internal")
-    assert got.status == ref.status == OPTIMAL
-    assert got.objective == pytest.approx(ref.objective, abs=1e-9)
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(-0.05, abs=1e-9)
+    _assert_objective_matches_linprog(lp, sol)
+    _assert_certified(lp, sol)
 
 
 def test_equality_heavy_instances_match_scipy():
@@ -165,14 +153,10 @@ def test_equality_heavy_instances_match_scipy():
         x0 = np.concatenate([rng.normal(size=n_free), rng.uniform(0, 2, m)])
         lb = np.concatenate([np.full(n_free, -np.inf), np.zeros(m)])
         lp = LinearProgram(c=rng.uniform(0, 1, n), M_eq=A, r_eq=A @ x0, lb=lb)
-        ref = solve_lp(lp, backend="scipy")
-        got = solve_lp(lp, backend="internal")
-        assert got.status == ref.status
-        if ref.status == OPTIMAL:
-            denom = 1.0 + abs(ref.objective)
-            assert abs(got.objective - ref.objective) / denom < 1e-7
-            errs = certificate_errors(lp, got)
-            assert errs["primal"] < 1e-8 and errs["gap"] < 1e-7
+        sol = solve_lp(lp)
+        _assert_objective_matches_linprog(lp, sol)
+        if sol.status == OPTIMAL:
+            _assert_certified(lp, sol)
 
 
 def test_random_infeasible_instances_agree():
@@ -185,25 +169,9 @@ def test_random_infeasible_instances_agree():
         r_eq = np.array([1.0, 2.0])
         lp = LinearProgram(c=rng.normal(size=n), M_eq=M_eq, r_eq=r_eq,
                            lb=np.full(n, -5.0), ub=np.full(n, 5.0))
-        ref = solve_lp(lp, backend="scipy")
-        got = solve_lp(lp, backend="internal")
-        assert ref.status == got.status == INFEASIBLE
-        assert verify_farkas(lp, got.farkas) > 1e-8
-        assert verify_farkas(lp, ref.farkas) > 1e-8
-
-
-def test_random_unbounded_instances_agree():
-    rng = np.random.default_rng(1618)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        d = rng.normal(size=n)
-        # Objective strictly improving along +d, constraints open along d.
-        M_in = rng.normal(size=(3, n))
-        M_in -= np.outer(M_in @ d, d) / (d @ d)  # rows orthogonal to d
-        lp = LinearProgram(c=-d, M_in=M_in, r_in=np.ones(3))
-        ref = solve_lp(lp, backend="scipy")
-        got = solve_lp(lp, backend="internal")
-        assert ref.status == got.status == UNBOUNDED
+        sol = solve_lp(lp)
+        assert sol.status == _linprog_solve(lp).status == INFEASIBLE
+        assert verify_farkas(lp, sol.farkas) > 1e-8
 
 
 def test_medium_size_cross_check():
@@ -214,10 +182,10 @@ def test_medium_size_cross_check():
     lp = LinearProgram(c=rng.normal(size=n),
                        M_in=A, r_in=A @ x0 + rng.uniform(0.1, 1.0, m),
                        lb=np.full(n, -3.0), ub=np.full(n, 3.0))
-    ref = solve_lp(lp, backend="scipy")
-    got = solve_lp(lp, backend="internal")
-    assert got.status == ref.status == OPTIMAL
-    assert abs(got.objective - ref.objective) / (1 + abs(ref.objective)) < 1e-7
+    sol = solve_lp(lp)
+    assert sol.status == OPTIMAL
+    _assert_objective_matches_linprog(lp, sol)
+    _assert_certified(lp, sol)
 
 
 # --- input checks ---------------------------------------------------------------
@@ -234,6 +202,8 @@ _VALID = dict(c=[1.0, 1.0], M_eq=[[1.0, 1.0]], r_eq=[1.0],
     ("r_eq", [np.nan]),
     ("r_in", [np.nan]),
     ("lb", [0.0, 2.0]),
+    ("lb", [np.nan, 0.0]),
+    ("ub", [1.0, np.nan]),
 ])
 def test_rejected_inputs(field, value):
     LinearProgram(**_VALID)
@@ -242,7 +212,7 @@ def test_rejected_inputs(field, value):
 
 
 def test_rejects_lower_bound_of_plus_inf():
-    # Both solvers would read lb = ub = +inf as a free column: Unbounded.
+    # HiGHS would read lb = ub = +inf as a free column: Unbounded.
     with pytest.raises(DimensionMismatch):
         LinearProgram(c=[1.0], lb=[np.inf], ub=[np.inf])
 
@@ -269,7 +239,7 @@ def test_template_rejects_bad_binding(field, value):
 # --- direct HiGHS call against linprog ---------------------------------------------
 
 def _linprog_solve(lp: LinearProgram) -> LpSolution:
-    """The scipy backend as ``linprog(method="highs")``: the reference that
+    """The HiGHS solve as ``linprog(method="highs")``: the reference that
     the direct HiGHS call must match bit for bit."""
     sign = 1.0 if lp.sense == "min" else -1.0
     bounds = list(zip(
@@ -286,9 +256,9 @@ def _linprog_solve(lp: LinearProgram) -> LpSolution:
         method="highs",
     )
     if res.status == 2:
-        return LpSolution(status=INFEASIBLE, backend="scipy")
+        return LpSolution(status=INFEASIBLE)
     if res.status == 3:
-        return LpSolution(status=UNBOUNDED, backend="scipy")
+        return LpSolution(status=UNBOUNDED)
     assert res.status == 0, res.message
     y_eq = res.eqlin.marginals if lp.r_eq.size else np.zeros(0)
     y_in = res.ineqlin.marginals if lp.r_in.size else np.zeros(0)
@@ -297,8 +267,7 @@ def _linprog_solve(lp: LinearProgram) -> LpSolution:
                       objective=float(sign * res.fun), mu_eq=mu_eq,
                       mu_in=np.maximum(-np.asarray(y_in, dtype=float), 0.0),
                       nu_lb=np.maximum(res.lower.marginals, 0.0),
-                      nu_ub=np.maximum(-res.upper.marginals, 0.0),
-                      backend="scipy")
+                      nu_ub=np.maximum(-res.upper.marginals, 0.0))
 
 
 def _assert_bitwise_equal(got: LpSolution, ref: LpSolution):
@@ -320,10 +289,10 @@ def _check_against_linprog(lps, monkeypatch):
     """solve_lp on the direct path against solve_lp on linprog, the elastic
     Farkas solve of an infeasible LP included."""
     for lp in lps:
-        got = solve_lp(lp, backend="scipy")
+        got = solve_lp(lp)
         with monkeypatch.context() as mp:
             mp.setattr(lp_mod, "_solve_scipy", _linprog_solve)
-            ref = solve_lp(lp, backend="scipy")
+            ref = solve_lp(lp)
         _assert_bitwise_equal(got, ref)
 
 
@@ -387,19 +356,16 @@ def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
 
 # --- templates against the full LinearProgram ----------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_template_matches_full_lp_swapped_costs(backend):
+def test_template_matches_full_lp_swapped_costs():
     rng = np.random.default_rng(4242)
     for _ in range(10):
         template = LpTemplate(_random_lp(rng))
         for _ in range(5):
             bound = template.bind(c=rng.normal(size=template.lp.nvar))
-            _assert_bitwise_equal(solve_lp(bound, backend=backend),
-                                  solve_lp(_full(bound), backend=backend))
+            _assert_bitwise_equal(solve_lp(bound), solve_lp(_full(bound)))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_template_matches_full_lp_swapped_rhs(backend):
+def test_template_matches_full_lp_swapped_rhs():
     rng = np.random.default_rng(4343)
     for _ in range(10):
         lp = _random_lp(rng)
@@ -407,21 +373,19 @@ def test_template_matches_full_lp_swapped_rhs(backend):
         for _ in range(5):
             r_in = lp.r_in + rng.uniform(-0.5, 1.0, size=lp.r_in.size)
             bound = template.bind(r_in=r_in)
-            _assert_bitwise_equal(solve_lp(bound, backend=backend),
-                                  solve_lp(_full(bound), backend=backend))
+            _assert_bitwise_equal(solve_lp(bound), solve_lp(_full(bound)))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_template_infeasible_binding_gets_a_farkas_ray(backend):
+def test_template_infeasible_binding_gets_a_farkas_ray():
     # x == 5 and x <= r: feasible at r = 6, infeasible at r = 1.
     template = LpTemplate(LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
                                         M_in=[[1.0]], r_in=[6.0], lb=[0.0]))
-    assert solve_lp(template.bind(), backend=backend).status == OPTIMAL
+    assert solve_lp(template.bind()).status == OPTIMAL
     bound = template.bind(r_in=[1.0])
-    sol = solve_lp(bound, backend=backend)
+    sol = solve_lp(bound)
     assert sol.status == INFEASIBLE
     assert verify_farkas(bound, sol.farkas) > 0
-    _assert_bitwise_equal(sol, solve_lp(_full(bound), backend=backend))
+    _assert_bitwise_equal(sol, solve_lp(_full(bound)))
     # The template itself is untouched by the infeasible solve.
-    _assert_bitwise_equal(solve_lp(template.bind(), backend=backend),
-                          solve_lp(template.lp, backend=backend))
+    _assert_bitwise_equal(solve_lp(template.bind()),
+                          solve_lp(template.lp))

@@ -266,7 +266,7 @@ def test_run_iblp_aggregates_failures(two, monkeypatch):
 
 def test_memo_entries_are_shared_and_read_only(two):
     _, m, W0, cfg = two
-    memo = LpMemo(cfg.lp_backend)
+    memo = LpMemo()
     memo.set_region(W0)
     dmm = dualize(m, W0)
     w = np.array([0.5])
@@ -289,7 +289,7 @@ def test_memo_entries_are_shared_and_read_only(two):
 
 def test_wstep_memo_is_keyed_by_the_multipliers(two):
     _, m, W0, cfg = two
-    memo = LpMemo(cfg.lp_backend)
+    memo = LpMemo()
     memo.set_region(W0)
     dmm = dualize(m, W0)
     na = dmm.n_alpha
