@@ -15,10 +15,17 @@ from drrcalc.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, BoundLp, LinearProgram,
                         verify_farkas)
 
 
-def test_single_variable_lower_bound():
+@pytest.fixture(params=["scipy"])
+def solve(request):
+    """solve_lp, under the solver name region.json records as lp_backend."""
+    assert StudyConfig().algorithmic_echo()["lp_backend"] == request.param
+    return solve_lp
+
+
+def test_single_variable_lower_bound(solve):
     # min x s.t. x >= 3: the bound dual carries the whole certificate.
     lp = LinearProgram(c=[1.0], lb=[3.0])
-    sol = solve_lp(lp)
+    sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.x[0] == pytest.approx(3.0, abs=1e-9)
     assert sol.nu_lb[0] == pytest.approx(1.0, abs=1e-8)
@@ -27,31 +34,31 @@ def test_single_variable_lower_bound():
     assert errs["gap"] < 1e-7
 
 
-def test_box_maximum():
+def test_box_maximum(solve):
     # max w over 45 <= w <= 65, the final 1-D region query.
     lp = LinearProgram(c=[1.0], sense="max", lb=[45.0], ub=[65.0])
-    sol = solve_lp(lp)
+    sol = solve(lp)
     assert sol.objective == pytest.approx(65.0, abs=1e-9)
     assert sol.nu_ub[0] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_inequality_dual_sign():
+def test_inequality_dual_sign(solve):
     # max x s.t. x <= 3 as a row: mu_in must come back nonnegative.
     lp = LinearProgram(c=[1.0], sense="max", M_in=[[1.0]], r_in=[3.0])
-    sol = solve_lp(lp)
+    sol = solve(lp)
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
     assert sol.mu_in[0] == pytest.approx(1.0, abs=1e-8)
     errs = certificate_errors(lp, sol)
     assert max(errs["stationarity"], errs["gap"], errs["complementarity"]) < 1e-7
 
 
-def test_equality_and_inequality_mix():
+def test_equality_and_inequality_mix(solve):
     # min x + y s.t. x + y = 1, x - y <= 0.2, 0 <= x,y <= 1
     lp = LinearProgram(c=[1.0, 1.0],
                        M_eq=[[1.0, 1.0]], r_eq=[1.0],
                        M_in=[[1.0, -1.0]], r_in=[0.2],
                        lb=[0.0, 0.0], ub=[1.0, 1.0])
-    sol = solve_lp(lp)
+    sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
     errs = certificate_errors(lp, sol)
@@ -59,18 +66,18 @@ def test_equality_and_inequality_mix():
     assert errs["gap"] < 1e-7
 
 
-def test_infeasible_with_farkas():
+def test_infeasible_with_farkas(solve):
     lp = LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
                        M_in=[[1.0]], r_in=[1.0], lb=[0.0])
-    sol = solve_lp(lp)
+    sol = solve(lp)
     assert sol.status == INFEASIBLE
     assert sol.farkas is not None
     assert verify_farkas(lp, sol.farkas) > 1e-8
 
 
-def test_unbounded():
+def test_unbounded(solve):
     lp = LinearProgram(c=[-1.0], lb=[0.0])
-    sol = solve_lp(lp)
+    sol = solve(lp)
     assert sol.status == UNBOUNDED
 
 
@@ -356,16 +363,16 @@ def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
 
 # --- templates against the full LinearProgram ----------------------------------------
 
-def test_template_matches_full_lp_swapped_costs():
+def test_template_matches_full_lp_swapped_costs(solve):
     rng = np.random.default_rng(4242)
     for _ in range(10):
         template = LpTemplate(_random_lp(rng))
         for _ in range(5):
             bound = template.bind(c=rng.normal(size=template.lp.nvar))
-            _assert_bitwise_equal(solve_lp(bound), solve_lp(_full(bound)))
+            _assert_bitwise_equal(solve(bound), solve(_full(bound)))
 
 
-def test_template_matches_full_lp_swapped_rhs():
+def test_template_matches_full_lp_swapped_rhs(solve):
     rng = np.random.default_rng(4343)
     for _ in range(10):
         lp = _random_lp(rng)
@@ -373,19 +380,19 @@ def test_template_matches_full_lp_swapped_rhs():
         for _ in range(5):
             r_in = lp.r_in + rng.uniform(-0.5, 1.0, size=lp.r_in.size)
             bound = template.bind(r_in=r_in)
-            _assert_bitwise_equal(solve_lp(bound), solve_lp(_full(bound)))
+            _assert_bitwise_equal(solve(bound), solve(_full(bound)))
 
 
-def test_template_infeasible_binding_gets_a_farkas_ray():
+def test_template_infeasible_binding_gets_a_farkas_ray(solve):
     # x == 5 and x <= r: feasible at r = 6, infeasible at r = 1.
     template = LpTemplate(LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
                                         M_in=[[1.0]], r_in=[6.0], lb=[0.0]))
-    assert solve_lp(template.bind()).status == OPTIMAL
+    assert solve(template.bind()).status == OPTIMAL
     bound = template.bind(r_in=[1.0])
-    sol = solve_lp(bound)
+    sol = solve(bound)
     assert sol.status == INFEASIBLE
     assert verify_farkas(bound, sol.farkas) > 0
-    _assert_bitwise_equal(sol, solve_lp(_full(bound)))
+    _assert_bitwise_equal(sol, solve(_full(bound)))
     # The template itself is untouched by the infeasible solve.
-    _assert_bitwise_equal(solve_lp(template.bind()),
-                          solve_lp(template.lp))
+    _assert_bitwise_equal(solve(template.bind()),
+                          solve(template.lp))

@@ -5,9 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
+from drrcalc.caseio import StudyConfig
 from drrcalc.errors import DimensionMismatch, NodeLimitExceeded
 from drrcalc.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 from drrcalc.mip import MixedProgram, solve_mip
+
+
+@pytest.fixture(params=["scipy"])
+def solve(request):
+    """solve_mip, under the solver name region.json records as mip_backend."""
+    assert StudyConfig().algorithmic_echo()["mip_backend"] == request.param
+    return solve_mip
 
 
 def test_zero_binaries_reduces_to_lp_bit_for_bit():
@@ -21,32 +29,32 @@ def test_zero_binaries_reduces_to_lp_bit_for_bit():
     assert np.array_equal(got.x, ref.x)
 
 
-def test_knapsack_toy():
+def test_knapsack_toy(solve):
     # max 3a + 2b s.t. a + b <= 1, binary
     lp = LinearProgram(c=[3.0, 2.0], sense="max", M_in=[[1.0, 1.0]],
                        r_in=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
     mp = MixedProgram(lp=lp, binary_index=[0, 1])
-    sol = solve_mip(mp)
+    sol = solve(mp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
     assert sol.x[0] == pytest.approx(1.0, abs=1e-7)
     assert sol.x[1] == pytest.approx(0.0, abs=1e-7)
 
 
-def test_all_binaries_fixed_by_bounds():
+def test_all_binaries_fixed_by_bounds(solve):
     lp = LinearProgram(c=[1.0, -1.0], lb=[1.0, 0.0], ub=[1.0, 0.0])
     mp = MixedProgram(lp=lp, binary_index=[0, 1])
-    sol = solve_mip(mp)
+    sol = solve(mp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0)
     assert list(sol.binary_values) == [1.0, 0.0]
 
 
-def test_infeasible_binary_program():
+def test_infeasible_binary_program(solve):
     # a + b = 0.5 has no binary solution.
     lp = LinearProgram(c=[1.0, 1.0], M_eq=[[1.0, 1.0]], r_eq=[0.5],
                        lb=[0.0, 0.0], ub=[1.0, 1.0])
-    sol = solve_mip(MixedProgram(lp=lp, binary_index=[0, 1]))
+    sol = solve(MixedProgram(lp=lp, binary_index=[0, 1]))
     assert sol.status == INFEASIBLE
 
 
