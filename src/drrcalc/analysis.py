@@ -25,7 +25,6 @@ import numpy as np
 from .binding import BindingReport
 from .engine import DrrResult
 from .errors import DimensionTooHigh, EmptyRegionError
-from .lp import OPTIMAL, LinearProgram, solve_lp
 from .polytope import Polytope
 
 _VERTEX_DEDUPE = 1e-8
@@ -78,13 +77,16 @@ def vertices_2d(W: Polytope) -> np.ndarray:
     return arr[order]
 
 
-def _facet_vertices(W: Polytope, verts: np.ndarray, i: int) -> np.ndarray:
-    on = np.abs(verts @ W.H[i] - W.f[i]) < 1e-7
-    return verts[on]
-
-
 def high_risk_event(W: Polytope, w_bar, base_mva: float = 100.0) -> RampEvent:
-    """Shortest move from the forecast to the region boundary (Euclidean)."""
+    """Shortest move from the forecast to the region boundary (Euclidean).
+
+    Rows of W are unit norm, so for an interior forecast the gap
+    ``f_i - H_i @ w_bar`` is the distance to facet i's hyperplane.  The foot
+    of the perpendicular on the hyperplane with the smallest gap r lies in
+    W: for every facet j, ``H_j @ foot - f_j <= -gap_j + r <= 0``.  Every
+    boundary point is at least that far away, so the event is that foot.
+    Ties go to the lowest facet index.
+    """
     w_bar = np.asarray(w_bar, dtype=float)
     viol = W.violations(w_bar)
     if viol.max(initial=-np.inf) > -1e-12:
@@ -92,59 +94,16 @@ def high_risk_event(W: Polytope, w_bar, base_mva: float = 100.0) -> RampEvent:
         return RampEvent(from_mw=w_bar * base_mva, to_mw=w_bar * base_mva,
                          distance_mw=0.0, facet=facet, degenerate=True)
 
-    verts = vertices_2d(W) if W.dim <= 2 else None
-    best: tuple[float, np.ndarray, int] | None = None
-    for i in range(W.n_facets):
-        # Perpendicular foot on the hyperplane (rows are unit norm).
-        gap = W.f[i] - W.H[i] @ w_bar
-        cand = w_bar + gap * W.H[i]
-        if not W.contains(cand, tol=1e-9):
-            if verts is not None:
-                fv = _facet_vertices(W, verts, i)
-                if fv.size == 0:
-                    continue
-                d = np.linalg.norm(fv - w_bar, axis=1)
-                pick = int(np.argmin(d))
-                cand, dist = fv[pick], float(d[pick])
-            else:
-                cand = _refine_on_facet(W, i, w_bar)
-                if cand is None:
-                    continue
-                dist = float(np.linalg.norm(cand - w_bar))
-        else:
-            dist = float(abs(gap))
-        if best is None or dist < best[0] - 1e-12:
-            best = (dist, cand, i)
-    if best is None:
-        raise EmptyRegionError("no boundary point found")
-    dist, point, facet = best
+    gaps = [W.f[i] - W.H[i] @ w_bar for i in range(W.n_facets)]
+    if not gaps:
+        raise EmptyRegionError("region has no facets")
+    facet = 0
+    for i, gap in enumerate(gaps):
+        if gap < gaps[facet] - 1e-12:
+            facet = i
+    point = w_bar + gaps[facet] * W.H[facet]
     return RampEvent(from_mw=w_bar * base_mva, to_mw=point * base_mva,
-                     distance_mw=dist * base_mva, facet=facet)
-
-
-def _refine_on_facet(W: Polytope, i: int, w_bar, iters: int = 30):
-    """Linearized refinement of min ||w - w_bar|| on facet i (dim > 2).
-
-    Frank-Wolfe with the facet pinned: each step minimizes the linearized
-    distance over the region cross-section, which needs only LP solves.
-    Approximate by construction; exact handling exists for dim <= 2.
-    """
-    eq = W.H[[i]]
-    feq = W.f[[i]]
-    start = solve_lp(LinearProgram(c=np.zeros(W.dim), M_eq=eq, r_eq=feq,
-                                   M_in=W.H, r_in=W.f))
-    if start.status != OPTIMAL:
-        return None
-    x = start.x
-    for t in range(iters):
-        grad = x - w_bar
-        step = solve_lp(LinearProgram(c=grad, sense="min", M_eq=eq, r_eq=feq,
-                                      M_in=W.H, r_in=W.f))
-        if step.status != OPTIMAL:
-            break
-        gamma = 2.0 / (t + 2.0)
-        x = (1 - gamma) * x + gamma * step.x
-    return x
+                     distance_mw=float(gaps[facet]) * base_mva, facet=facet)
 
 
 # --- artifact writing -------------------------------------------------------------

@@ -126,8 +126,10 @@ class CaseData:
         return tuple(br for br in self.raw.branches if br.status != 0)
 
 
-# Every LP and MIP is solved by the HiGHS build that scipy ships.
-_SOLVER_ECHO = {"lp_backend": "scipy", "mip_backend": "scipy"}
+# Every LP and MIP is solved by the HiGHS build that scipy ships.  HiGHS
+# runs its MIPs with a relative gap of 0; "mip_gap" keeps the value earlier
+# releases wrote, so region.json and binding.json keep their bytes.
+_SOLVER_ECHO = {"lp_backend": "scipy", "mip_backend": "scipy", "mip_gap": 1e-9}
 
 
 @dataclass
@@ -144,7 +146,6 @@ class StudyConfig:
     perturb_lambda: float = 0.01
     max_outer_iters: int = 200
     thread_count: int = 1
-    mip_gap: float = 1e-9
     alt_max_rounds: int = 50
     cut_batch_cap: int = 20
     node_limit: int = 100_000
@@ -160,6 +161,8 @@ class StudyConfig:
             raise ValueError("reserve_factor must be in (0, 1]")
         if self.s1_count < 1:
             raise ValueError("s1_count must be at least 1")
+        if self.alt_max_rounds < 1:
+            raise ValueError("alt_max_rounds must be at least 1")
 
     def algorithmic_echo(self) -> dict:
         """Config fields that determine results (scheduling knobs excluded),

@@ -311,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file of study settings")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None,
-                       help="worker count (default: cores for iblp, 1 for milp; "
-                            "env DRR_THREADS overrides)")
+                       help="processes solving iblp LPs, this one included (default: "
+                            "cores for iblp, 1 for milp; env DRR_THREADS overrides)")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("compute", help="run the full region workflow")

@@ -8,16 +8,18 @@ equal to the exact fixed-w dual value.
 
 Scenario starts come from a fixed uniform sample of the initial box (drawn
 once per run from the seed) plus per-iteration projections of the forecast
-onto every current facet.  Scenarios are independent, so the batch can run
-across a process pool; results merge in scenario order, which keeps output
-identical for any worker count.
+onto every current facet.
 
-Starts converge onto the same few region vertices, so most alternation
-steps repeat an LP already solved.  An :class:`IblpOracle` lives for one
-region computation and memoizes both half-steps (see :class:`LpMemo`),
-solving each distinct LP once on a HiGHS model assembled once; with more
-than one worker it also owns the one process pool of the run, whose
-workers keep their own memo warm across outer iterations.
+The scenarios of a batch move in lockstep: starts outside W are projected
+first, then each round is one multiplier half-step and one w-step
+half-step.  Starts converge onto the same few region vertices, so most
+steps repeat an LP already solved.  For each half-step the calling process
+solves only the distinct LPs missing from its one :class:`LpMemo`, then
+moves every scenario forward from the memo.  With ``thread_count`` N > 1
+it solves the first of N contiguous chunks of those LPs itself, and a pool
+of N - 1 workers, started once per run, solves the others.  Each LP is a
+fresh, cold HiGHS solve and results merge in scenario order, so the LPs
+solved, the cuts and the output are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ from .maxmin_milp import MaxMinSolution, cut_vector, dualize
 from .polytope import Polytope
 
 _CUT_DEDUPE_TOL = 1e-6
+
+# The alternation's LP kinds, solved for w, the multipliers (alpha, delta)
+# and the start w0; a kind's name begins the error text of its failures.
+MULTIPLIER = "multiplier step"
+WSTEP = "w step"
+PROJECTION = "projection"
 
 
 @dataclass(frozen=True)
@@ -99,128 +107,102 @@ def _project_into(W: Polytope, w0: np.ndarray, template: LpTemplate) -> np.ndarr
     return sol.x[:W.dim]
 
 
-class LpMemo:
-    """Solutions and templates of the alternation's LPs.
+class _Lps:
+    """The alternation's LPs on one model, in one process: the multiplier
+    template (that LP does not depend on the region) and the w-step and
+    projection templates of the current region."""
 
-    The multiplier LP depends only on the model and w, so its entries,
-    keyed by the bytes of w, hold for the whole run.  The w-step LP depends
-    only on (alpha, delta) and the region; its entries are keyed by the
-    bytes of the multipliers and dropped whenever the region changes.  A
-    solve happens only on a miss, and it binds new costs (or, for the
-    projection, a new right-hand side) to an :class:`LpTemplate` built once:
-    once per run for the multiplier LP, once per region for the w-step LP
-    and the projection.  An entry is the solution a fresh solve returns,
-    with its arrays made read-only, so a hit cannot change any result.
+    def __init__(self, m: CompactPsd):
+        self.m = m
+        self._region: tuple[bytes, bytes] | None = None
+        self._dmm = None
+        self._templates: dict[str, LpTemplate] = {}
+
+    def solve(self, kind: str, W: Polytope, inputs: list) -> list:
+        """``(status, x, objective)`` of each input's LP, or the DrrError
+        that stopped it, in input order."""
+        region = (W.H.tobytes(), W.f.tobytes())
+        if region != self._region:
+            self._region, self._dmm = region, dualize(self.m, W)
+            self._templates = {k: t for k, t in self._templates.items() if k == MULTIPLIER}
+        out = []
+        for v in inputs:
+            try:
+                out.append(self._solve_one(kind, W, v))
+            except DrrError as exc:
+                out.append(exc)
+        return out
+
+    def _solve_one(self, kind: str, W: Polytope, v: np.ndarray) -> tuple:
+        dmm = self._dmm
+        if kind == PROJECTION:
+            if kind not in self._templates:
+                self._templates[kind] = LpTemplate(_projection_lp(W))
+            return OPTIMAL, _project_into(W, v, self._templates[kind]), np.nan
+        if kind == MULTIPLIER:
+            lp_at, cost, args = dmm.multiplier_lp_at, dmm.multiplier_cost, (v,)
+        else:
+            lp_at, cost, args = dmm.w_lp_at, dmm.w_cost, (v[:dmm.n_alpha], v[dmm.n_alpha:])
+        if kind not in self._templates:
+            self._templates[kind] = LpTemplate(lp_at(*args))
+        sol = solve_lp(self._templates[kind].bind(c=cost(*args)))
+        if sol.status != OPTIMAL:
+            raise NumericalFailure(f"{kind} returned {sol.status}")
+        return sol.status, sol.x, sol.objective
+
+
+class LpMemo:
+    """Outcomes of the alternation's LPs, keyed by the bytes of their input.
+
+    The multiplier LP depends only on the model and w, so its entries hold
+    for the whole run.  The w-step LP depends only on the multipliers
+    (alpha, delta) and the region, the projection only on w0 and the
+    region; their entries are dropped whenever the region changes.  An
+    entry is an :class:`LpSolution` holding status, x (read-only) and
+    objective, or the DrrError that stopped its solve, so a hit cannot
+    change any result.
     """
 
     def __init__(self):
-        self.multiplier: dict[bytes, LpSolution] = {}
-        self.wstep: dict[bytes, LpSolution] = {}
+        self.entries: dict[str, dict] = {MULTIPLIER: {}, WSTEP: {}, PROJECTION: {}}
         self._region: tuple[bytes, bytes] | None = None
-        self._multiplier_tpl: LpTemplate | None = None
-        self._wstep_tpl: LpTemplate | None = None
-        self._projection_tpl: LpTemplate | None = None
         self.solves = 0           # LPs handed to the solver, projections included
         self.hits = 0
         self.multiplier_steps = 0
 
-    def set_region(self, W: Polytope) -> None:
-        key = (W.H.tobytes(), W.f.tobytes())
-        if key != self._region:
-            self.wstep.clear()
-            self._wstep_tpl = self._projection_tpl = None
-            self._region = key
-
-    def _lookup(self, cache: dict, key: bytes, bound) -> LpSolution:
-        sol = cache.get(key)
-        if sol is not None:
-            self.hits += 1
-            return sol
-        self.solves += 1
-        sol = solve_lp(bound())
-        for arr in (sol.x, sol.mu_eq, sol.mu_in, sol.nu_lb, sol.nu_ub, sol.farkas):
-            if arr is not None:
-                arr.flags.writeable = False
-        cache[key] = sol
-        return sol
-
-    def multiplier_step(self, dmm, w: np.ndarray) -> LpSolution:
-        self.multiplier_steps += 1
-        if self._multiplier_tpl is None:
-            self._multiplier_tpl = LpTemplate(dmm.multiplier_lp_at(w))
-        return self._lookup(self.multiplier, w.tobytes(),
-                            lambda: self._multiplier_tpl.bind(c=dmm.multiplier_cost(w)))
-
-    def w_step(self, dmm, alpha: np.ndarray, delta: np.ndarray) -> LpSolution:
-        if self._wstep_tpl is None:
-            self._wstep_tpl = LpTemplate(dmm.w_lp_at(alpha, delta))
-        return self._lookup(self.wstep, alpha.tobytes() + delta.tobytes(),
-                            lambda: self._wstep_tpl.bind(c=dmm.w_cost(alpha, delta)))
-
-    def project(self, W: Polytope, w0: np.ndarray) -> np.ndarray:
-        self.solves += 1
-        if self._projection_tpl is None:
-            self._projection_tpl = LpTemplate(_projection_lp(W))
-        return _project_into(W, w0, self._projection_tpl)
+    def lookup(self, kind: str, W: Polytope, inputs: list, solve) -> list:
+        """The entry of every input, in input order; ``solve(kind, W, missing)``
+        gives the outcomes of the distinct inputs not held yet."""
+        region = (W.H.tobytes(), W.f.tobytes())
+        if region != self._region:
+            self.entries[WSTEP].clear()
+            self.entries[PROJECTION].clear()
+            self._region = region
+        cache = self.entries[kind]
+        missing = {v.tobytes(): v for v in inputs if v.tobytes() not in cache}
+        for key, out in zip(missing, solve(kind, W, list(missing.values())) if missing else ()):
+            if not isinstance(out, DrrError):
+                out = LpSolution(*out)
+                out.x.flags.writeable = False
+            cache[key] = out
+        self.solves += len(missing)
+        self.hits += len(inputs) - len(missing)
+        if kind == MULTIPLIER:
+            self.multiplier_steps += len(inputs)
+        return [cache[v.tobytes()] for v in inputs]
 
     def counts(self) -> tuple[int, int, int]:
         return self.solves, self.hits, self.multiplier_steps
 
 
-# The oracle whose memo alternate_solve uses.  A pool worker installs its own
-# in the initializer, for the life of the pool; the calling process installs
-# the run's oracle for one serial batch and then restores the previous value.
-_ACTIVE: IblpOracle | None = None
-
-
-def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinSolution:
-    """Alternating maximization from one starting point."""
-    if _ACTIVE is not None and _ACTIVE.m is m:
-        memo = _ACTIVE.memo
-    else:
-        memo = LpMemo()
-    memo.set_region(W)
-    dmm = dualize(m, W)
-    w = np.asarray(w0, dtype=float)
-    if not W.contains(w, tol=1e-9):
-        w = memo.project(W, w)
-
-    sequence: list[float] = []
-    F_prev = -np.inf
-    alpha = delta = None
-    rounds = 0
-    for rounds in range(1, cfg.alt_max_rounds + 1):
-        mult = memo.multiplier_step(dmm, w)
-        if mult.status != OPTIMAL:
-            raise NumericalFailure(f"multiplier step returned {mult.status}")
-        F = mult.objective
-        na = dmm.n_alpha
-        alpha, delta = mult.x[:na], mult.x[na:]
-        sequence.append(F)
-        if F - F_prev <= cfg.eps_alt or rounds == cfg.alt_max_rounds:
-            break  # always stop on a multiplier step
-        F_prev = F
-        wstep = memo.w_step(dmm, alpha, delta)
-        if wstep.status != OPTIMAL:
-            raise NumericalFailure(f"w step returned {wstep.status}")
-        w = wstep.x
-        sequence.append(wstep.objective + float(alpha @ m.b - delta @ m.d))
-    return MaxMinSolution(F=float(sequence[-1] if rounds and sequence else 0.0),
-                          w_star=w, alpha=alpha, delta=delta, theta=None,
-                          method="iblp",
-                          diagnostics={"rounds": rounds,
-                                       "sequence": sequence})
-
-
 class IblpOracle:
     """The iblp oracle of one region computation.
 
-    It holds the run's :class:`LpMemo` and, when ``cfg.thread_count > 1``,
-    the run's one process pool: started by the first batch, shut down by
-    :meth:`close`.  Each worker keeps its own memo for the life of the pool
-    and receives the current region with every task.  ``counts`` is the
-    scenario accounting of the last batch; the memo counts in it depend on
-    the worker count, so it must never reach the exported region.
+    It holds the run's :class:`LpMemo`, the calling process's own LPs and,
+    when ``cfg.thread_count > 1``, the run's one pool of
+    ``thread_count - 1`` worker processes: started by the first half-step
+    with LPs to share, shut down by :meth:`close`.  ``counts`` is the
+    scenario accounting of the last batch.
     """
 
     def __init__(self, m: CompactPsd, cfg: StudyConfig):
@@ -228,6 +210,7 @@ class IblpOracle:
         self.cfg = cfg
         self.memo = LpMemo()
         self.counts: dict[str, int] = {}
+        self._lps = _Lps(m)
         self._pool = None
 
     def __enter__(self):
@@ -241,41 +224,94 @@ class IblpOracle:
             self._pool.shutdown()
             self._pool = None
 
-    def map(self, tasks: list) -> list:
-        """Outcomes of ``_solve_scenario`` over ``tasks``, in task order."""
-        workers = self.cfg.thread_count
-        if workers <= 1:
-            global _ACTIVE
-            previous, _ACTIVE = _ACTIVE, self
-            try:
-                return [_solve_scenario(t) for t in tasks]
-            finally:
-                _ACTIVE = previous
-        if self._pool is None:
+    def solve(self, kind: str, W: Polytope, inputs: list) -> list:
+        """Outcomes of ``_Lps.solve`` over ``inputs``: this process solves the
+        first of ``thread_count`` contiguous chunks, the pool the others."""
+        size = -(-len(inputs) // max(1, self.cfg.thread_count))
+        chunks = [inputs[i:i + size] for i in range(0, len(inputs), size)]
+        if len(chunks) > 1 and self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(self.m, self.cfg))
-        return list(self._pool.map(_solve_scenario, tasks,
-                                   chunksize=max(1, len(tasks) // (4 * workers))))
+                max_workers=self.cfg.thread_count - 1,
+                initializer=_init_worker, initargs=(self.m,))
+        futures = [self._pool.submit(_solve_chunk, kind, W, chunk)
+                   for chunk in chunks[1:]]
+        out = self._lps.solve(kind, W, chunks[0])
+        for fut in futures:
+            out.extend(fut.result())
+        return out
+
+    def alternate(self, W: Polytope, starts: list) -> list:
+        """Alternating maximization from every start, all in lockstep: per
+        start, in start order, its solution or the DrrError that stopped it."""
+        cfg, m = self.cfg, self.m
+        na = m.b.size
+
+        def lookup(kind, inputs):
+            return self.memo.lookup(kind, W, inputs, self.solve)
+
+        w = [np.asarray(w0, dtype=float) for w0 in starts]
+        out: list = [None] * len(w)
+        outside = [i for i, wi in enumerate(w) if not W.contains(wi, tol=1e-9)]
+        for i, proj in zip(outside, lookup(PROJECTION, [w[i] for i in outside])):
+            if isinstance(proj, DrrError):
+                out[i] = proj
+            else:
+                w[i] = proj.x
+
+        active = [i for i in range(len(w)) if out[i] is None]
+        mult: list = [None] * len(w)
+        sequence: list[list[float]] = [[] for _ in w]
+        F_prev = [-np.inf] * len(w)
+        for rounds in range(1, cfg.alt_max_rounds + 1):
+            going = []
+            for i, sol in zip(active, lookup(MULTIPLIER, [w[i] for i in active])):
+                if isinstance(sol, DrrError):
+                    out[i] = sol
+                    continue
+                mult[i], F = sol, sol.objective
+                sequence[i].append(F)
+                if F - F_prev[i] <= cfg.eps_alt or rounds == cfg.alt_max_rounds:
+                    # Always stop on a multiplier step.
+                    out[i] = MaxMinSolution(
+                        F=float(F), w_star=w[i], alpha=sol.x[:na], delta=sol.x[na:],
+                        theta=None, method="iblp",
+                        diagnostics={"rounds": rounds, "sequence": sequence[i],
+                                     "scenario": i})
+                else:
+                    F_prev[i] = F
+                    going.append(i)
+            active = []
+            for i, sol in zip(going, lookup(WSTEP, [mult[i].x for i in going])):
+                if isinstance(sol, DrrError):
+                    out[i] = sol
+                    continue
+                w[i] = sol.x
+                alpha, delta = mult[i].x[:na], mult[i].x[na:]
+                sequence[i].append(sol.objective + float(alpha @ m.b - delta @ m.d))
+                active.append(i)
+        return out
 
 
-def _init_worker(m, cfg):
-    global _ACTIVE
-    _ACTIVE = IblpOracle(m, cfg)
+# Set only inside a pool worker, by the pool's initializer.
+_WORKER_LPS: _Lps | None = None
 
 
-def _solve_scenario(task):
-    """One start: index, solution, error and the memo counts it added."""
-    W, idx, w0 = task
-    oracle = _ACTIVE
-    before = oracle.memo.counts()
-    try:
-        sol, err = alternate_solve(oracle.m, W, w0, oracle.cfg), None
-        sol.diagnostics["scenario"] = idx
-    except DrrError as exc:
-        sol, err = None, f"scenario {idx}: {exc}"
-    added = tuple(a - b for a, b in zip(oracle.memo.counts(), before))
-    return idx, sol, err, added
+def _init_worker(m):
+    global _WORKER_LPS
+    _WORKER_LPS = _Lps(m)
+
+
+def _solve_chunk(kind: str, W: Polytope, inputs: list) -> list:
+    return _WORKER_LPS.solve(kind, W, inputs)
+
+
+def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinSolution:
+    """Alternating maximization from one start: a one-start batch."""
+    with IblpOracle(m, cfg) as oracle:
+        (sol,) = oracle.alternate(W, [w0])
+    if isinstance(sol, DrrError):
+        raise sol
+    return sol
 
 
 def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
@@ -288,18 +324,20 @@ def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
     ``oracle`` carries memo and pool across the calls of one run; without
     it the call uses its own, closed on return.
     """
-    tasks = [(W, idx, w0) for idx, w0 in enumerate(scenarios.combined())]
-    if not tasks:
+    starts = scenarios.combined()
+    if not starts:
         raise ValueError("scenario set is empty")
     if oracle is not None and (oracle.m is not m or oracle.cfg is not cfg):
         raise ValueError("oracle belongs to another model or configuration")
 
     with IblpOracle(m, cfg) if oracle is None else contextlib.nullcontext(oracle) as run:
-        outcomes = run.map(tasks)
+        before = run.memo.counts()
+        outcomes = run.alternate(W, starts)
+        solves, hits, steps = (a - b for a, b in zip(run.memo.counts(), before))
 
-    failures = [err for _, _, err, _ in outcomes if err]
-    solutions = [sol for _, sol, _, _ in outcomes if sol is not None]
-    solves, hits, steps = map(sum, zip(*(added for *_, added in outcomes)))
+    failures = [f"scenario {idx}: {out}" for idx, out in enumerate(outcomes)
+                if isinstance(out, DrrError)]
+    solutions = [out for out in outcomes if not isinstance(out, DrrError)]
     if not solutions:
         raise NumericalFailure(
             "all scenarios failed: " + "; ".join(failures[:5]))
@@ -318,7 +356,7 @@ def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
             continue
         kept_vectors.append(vec)
         kept.append(s)
-    run.counts = {"scenarios_started": len(tasks),
+    run.counts = {"scenarios_started": len(starts),
                   "scenarios_failed": len(failures),
                   "scenarios_positive": len(positive),
                   "scenarios_kept": len(kept),

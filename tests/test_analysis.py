@@ -129,6 +129,46 @@ def test_high_risk_event_3d_projection_path():
     assert ev.to_mw == pytest.approx([100.0, 50.0, 50.0], abs=1e-6)
 
 
+def test_high_risk_event_certified_on_random_polytopes():
+    # The closed form: the nearest facet hyperplane's perpendicular foot.
+    rng = np.random.default_rng(2024)
+    for t in range(150):
+        d = 1 + t % 5
+        H = np.vstack([rng.normal(size=(d + 1 + rng.integers(0, 2 * d + 4), d)),
+                       np.eye(d), -np.eye(d)])
+        f = rng.uniform(0.2, 1.0, size=H.shape[0]) * np.linalg.norm(H, axis=1)
+        W = Polytope(H=H, f=f, provenance=tuple(
+            FacetProvenance("Cut", iteration=i) for i in range(H.shape[0])))
+        w_bar = rng.uniform(-0.1, 0.1, size=d)
+        ev = high_risk_event(W, w_bar, base_mva=1.0)
+        gaps = W.f - W.H @ w_bar
+        assert not ev.degenerate
+        assert W.contains(ev.to_mw, tol=1e-9)
+        assert abs(W.H[ev.facet] @ ev.to_mw - W.f[ev.facet]) < 1e-9
+        assert ev.distance_mw == pytest.approx(gaps[ev.facet], abs=1e-12)
+        assert ev.distance_mw == pytest.approx(
+            np.linalg.norm(ev.to_mw - w_bar), abs=1e-12)
+        assert gaps.min() >= ev.distance_mw - 1e-12
+
+
+def test_high_risk_event_solves_no_lp(monkeypatch):
+    import drrcalc.lp as lp_mod
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("high_risk_event solved an LP")
+
+    monkeypatch.setattr(lp_mod, "solve_lp", no_lp)
+    monkeypatch.setattr(lp_mod, "_solve_scipy", no_lp)
+    # A 5-D region whose nearest facet is a cut, not a box face.
+    H = np.vstack([np.eye(5), -np.eye(5), np.ones((1, 5))])
+    f = np.concatenate([np.ones(5), np.zeros(5), [2.0]])
+    W = Polytope(H=H, f=f, provenance=tuple(FacetProvenance("Cut", iteration=i)
+                                            for i in range(11)))
+    ev = high_risk_event(W, np.full(5, 0.3), base_mva=100.0)
+    assert ev.facet == 10
+    assert ev.distance_mw == pytest.approx(50.0 / np.sqrt(5), abs=1e-9)
+
+
 def test_export_artifacts_pjm5(tmp_path, pjm_run):
     case, cfg, res = pjm_run
     w_bar = np.array(case.forecast_mw) / case.base_mva

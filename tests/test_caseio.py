@@ -180,11 +180,13 @@ def test_config_validation_and_file(tmp_path):
         StudyConfig(ramp_fraction=1.5)
     with pytest.raises(ValueError):
         StudyConfig(eps_term=0.0)
+    with pytest.raises(ValueError):
+        StudyConfig(alt_max_rounds=0)  # no multiplier step, so F would read 0
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"seed": 5, "s1_count": 17}))
     loaded = load_config_file(p)
     assert loaded.seed == 5 and loaded.s1_count == 17
-    for unknown in ({"nope": 1}, {"lp_backend": "internal"}):
+    for unknown in ({"nope": 1}, {"lp_backend": "internal"}, {"mip_gap": 1e-6}):
         p.write_text(json.dumps(unknown))
         with pytest.raises(ValueError):
             load_config_file(p)
@@ -197,6 +199,7 @@ def test_config_echo_excludes_scheduling():
     # region.json and binding.json name the solver that produced them.
     assert echo["lp_backend"] == echo["mip_backend"] == "scipy"
     assert echo["node_limit"] == 100_000
+    assert echo["mip_gap"] == 1e-9
 
 
 def test_ieee39_forecasts(ieee39):

@@ -158,10 +158,13 @@ def test_iblp_one_pool_per_run_and_scenario_accounting(pjm5, monkeypatch):
             events.append("shutdown")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    module_state = dict(vars(iblp))
     res = run(pjm5, StudyConfig(s1_count=30, thread_count=2), method="iblp")
     assert res.iterations > 1
     assert events == ["start", "shutdown"]
-    assert iblp._ACTIVE is None
+    # The run leaves no state behind in the module.
+    assert vars(iblp).keys() == module_state.keys()
+    assert all(vars(iblp)[k] is v for k, v in module_state.items())
     facets_before = 4  # initial box of the two farms
     for rec in res.trace:
         d = rec.oracle_diag
@@ -170,6 +173,24 @@ def test_iblp_one_pool_per_run_and_scenario_accounting(pjm5, monkeypatch):
         assert d["scenarios_kept"] <= d["scenarios_positive"]
         assert d["lp_solves"] + d["memo_hits"] > 0
         facets_before = rec.facets_after
+
+
+def test_iblp_same_bytes_and_lps_for_any_worker_count(pjm5, tmp_path):
+    from drrcalc.analysis import export_artifacts
+    from drrcalc.binding import identify
+    w_bar_mw = np.array(pjm5.forecast_mw)
+    seen = {}
+    for threads in (1, 2, 3):
+        cfg = StudyConfig(s1_count=30, thread_count=threads)
+        res = run(pjm5, cfg, method="iblp")
+        report = identify(res.model, res.region, w_bar_mw / pjm5.base_mva, cfg)
+        out = tmp_path / str(threads)
+        export_artifacts(res, report, None, out, w_bar_mw=w_bar_mw)
+        seen[threads] = ((out / "region.json").read_bytes(),
+                         (out / "binding.json").read_bytes(),
+                         [(rec.oracle_diag["lp_solves"], rec.oracle_diag["memo_hits"],
+                           rec.oracle_diag["multiplier_steps"]) for rec in res.trace])
+    assert seen[1] == seen[2] == seen[3]
 
 
 def test_zero_capacity_farm_degenerate_box(twobus):

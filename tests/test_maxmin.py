@@ -6,10 +6,10 @@ import pytest
 from drrcalc.caseio import StudyConfig
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import init_w0
-from drrcalc.errors import DimensionMismatch
+from drrcalc.errors import DimensionMismatch, NumericalFailure
 from drrcalc.lp import solve_lp
-from drrcalc.maxmin_iblp import (IblpOracle, LpMemo, alternate_solve, gen_s1,
-                                 gen_s2, make_scenarios, run_iblp)
+from drrcalc.maxmin_iblp import (MULTIPLIER, WSTEP, IblpOracle, alternate_solve,
+                                 gen_s1, gen_s2, make_scenarios, run_iblp)
 from drrcalc.maxmin_milp import (build_kkt_mip, cut_vector, default_big_m,
                                  dualize, solve_maxmin_milp)
 from drrcalc.polytope import FacetProvenance, Polytope
@@ -251,69 +251,113 @@ def test_run_iblp_aggregates_failures(two, monkeypatch):
     case, m, W0, cfg = two
     import drrcalc.maxmin_iblp as mod
 
-    def boom(m_, W_, w0, cfg_):
-        from drrcalc.errors import NumericalFailure
+    def boom(lp):
         raise NumericalFailure("injected")
 
-    monkeypatch.setattr(mod, "alternate_solve", boom)
+    monkeypatch.setattr(mod, "solve_lp", boom)
     scen = make_scenarios(W0, W0, np.array([0.5]), cfg)
-    with pytest.raises(Exception, match="all scenarios failed"):
+    with pytest.raises(Exception, match="all scenarios failed: "
+                                        "scenario 0: injected; scenario 1: injected"):
         mod.run_iblp(m, W0, scen, StudyConfig(thread_count=1))
+
+
+def test_run_iblp_projection_failure_stops_only_its_scenarios(two, monkeypatch):
+    case, m, W0, cfg = two
+    import drrcalc.maxmin_iblp as mod
+    W = Polytope(H=[[1.0], [-1.0]], f=[0.9, -0.2],
+                 provenance=(FacetProvenance("Cut", iteration=1),
+                             FacetProvenance("Cut", iteration=2)))
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    scen = make_scenarios(W0, W, w_bar, cfg)
+    outside = sum(not W.contains(w, tol=1e-9) for w in scen.combined())
+    assert 0 < outside < len(scen.combined())
+    solve = mod.solve_lp
+
+    def fail_projection(lp):
+        if lp.sense == "min":  # the projection is the only minimization
+            raise NumericalFailure("injected")
+        return solve(lp)
+
+    monkeypatch.setattr(mod, "solve_lp", fail_projection)
+    with IblpOracle(m, cfg) as oracle:
+        kept = run_iblp(m, W, scen, cfg, oracle)
+    assert oracle.counts["scenarios_failed"] == outside
+    assert kept and all(s.F > cfg.eps_term for s in kept)
+    assert all(W.contains(s.w_star, tol=1e-9) for s in kept)
 
 
 # --- LP memo ---------------------------------------------------------------------
 
 
+def _cut_region():
+    return Polytope(H=[[1.0], [-1.0]], f=[0.6, -0.5],
+                    provenance=(FacetProvenance("Cut", iteration=1),
+                                FacetProvenance("Cut", iteration=2)))
+
+
+def _lookup(oracle, kind, W, inputs):
+    return oracle.memo.lookup(kind, W, inputs, oracle.solve)
+
+
 def test_memo_entries_are_shared_and_read_only(two):
     _, m, W0, cfg = two
-    memo = LpMemo()
-    memo.set_region(W0)
-    dmm = dualize(m, W0)
-    w = np.array([0.5])
-    mult = memo.multiplier_step(dmm, w)
-    assert memo.multiplier_step(dmm, w.copy()) is mult
-    na = dmm.n_alpha
-    wstep = memo.w_step(dmm, mult.x[:na], mult.x[na:])
-    assert memo.w_step(dmm, mult.x[:na].copy(), mult.x[na:].copy()) is wstep
-    assert memo.counts() == (2, 2, 2)  # solves, hits, multiplier steps
-    for sol in (mult, wstep):
-        for arr in (sol.x, sol.mu_eq, sol.mu_in, sol.nu_lb, sol.nu_ub):
+    with IblpOracle(m, cfg) as oracle:
+        w = np.array([0.5])
+        mult, again = _lookup(oracle, MULTIPLIER, W0, [w, w.copy()])
+        assert again is mult
+        (wstep,) = _lookup(oracle, WSTEP, W0, [mult.x])
+        assert _lookup(oracle, WSTEP, W0, [mult.x.copy()])[0] is wstep
+        assert oracle.memo.counts() == (2, 2, 2)  # solves, hits, multiplier steps
+        # An entry holds status, x and objective; x cannot be written.
+        for sol in (mult, wstep):
+            assert sol.mu_eq is None and sol.mu_in is None
             with pytest.raises(ValueError):
-                arr[...] = 0.0
-    # A new region drops the w-step entries but keeps the multiplier ones.
-    memo.set_region(Polytope(H=[[1.0], [-1.0]], f=[0.6, -0.5],
-                             provenance=(FacetProvenance("Cut", iteration=1),
-                                         FacetProvenance("Cut", iteration=2))))
-    assert not memo.wstep and memo.multiplier
+                sol.x[...] = 0.0
+        # A new region drops the w-step entries but keeps the multiplier ones.
+        assert _lookup(oracle, MULTIPLIER, _cut_region(), [w.copy()])[0] is mult
+        assert not oracle.memo.entries[WSTEP] and oracle.memo.entries[MULTIPLIER]
 
 
 def test_wstep_memo_is_keyed_by_the_multipliers(two):
     _, m, W0, cfg = two
-    memo = LpMemo()
-    memo.set_region(W0)
     dmm = dualize(m, W0)
     na = dmm.n_alpha
-    # Two farm outputs on the same side of the band share one multiplier vertex.
-    m1 = memo.multiplier_step(dmm, np.array([0.1]))
-    m2 = memo.multiplier_step(dmm, np.array([0.3]))
-    assert m1 is not m2 and m1.x.tobytes() == m2.x.tobytes()
-    wstep = memo.w_step(dmm, m1.x[:na], m1.x[na:])
-    assert memo.w_step(dmm, m2.x[:na], m2.x[na:]) is wstep
-    assert memo.counts() == (3, 1, 2)  # solves, hits, multiplier steps
-    # The key covers delta too: same alpha, other delta is another LP.
-    assert memo.w_step(dmm, m1.x[:na], np.zeros(dmm.n_delta)) is not wstep
-    assert memo.counts() == (4, 1, 2)
-    # A new region drops the entry; the next w-step is solved on the new region.
-    W1 = Polytope(H=[[1.0], [-1.0]], f=[0.6, -0.5],
-                  provenance=(FacetProvenance("Cut", iteration=1),
-                              FacetProvenance("Cut", iteration=2)))
-    memo.set_region(W1)
-    assert not memo.wstep
-    dmm1 = dualize(m, W1)
-    again = memo.w_step(dmm1, m2.x[:na], m2.x[na:])
-    assert memo.counts() == (5, 1, 2)
-    fresh = solve_lp(dmm1.w_lp_at(m2.x[:na], m2.x[na:]))
+    with IblpOracle(m, cfg) as oracle:
+        # Two farm outputs on the same side of the band share one multiplier vertex.
+        m1, m2 = _lookup(oracle, MULTIPLIER, W0, [np.array([0.1]), np.array([0.3])])
+        assert m1 is not m2 and m1.x.tobytes() == m2.x.tobytes()
+        wstep, shared = _lookup(oracle, WSTEP, W0, [m1.x, m2.x])
+        assert shared is wstep
+        assert oracle.memo.counts() == (3, 1, 2)  # solves, hits, multiplier steps
+        # The key covers delta too: same alpha, other delta is another LP.
+        other = np.concatenate([m1.x[:na], np.zeros(dmm.n_delta)])
+        assert _lookup(oracle, WSTEP, W0, [other])[0] is not wstep
+        assert oracle.memo.counts() == (4, 1, 2)
+        # A new region drops the entries; the next w-step is solved on it.
+        W1 = _cut_region()
+        (again,) = _lookup(oracle, WSTEP, W1, [m2.x])
+        assert len(oracle.memo.entries[WSTEP]) == 1
+        assert oracle.memo.counts() == (5, 1, 2)
+    fresh = solve_lp(dualize(m, W1).w_lp_at(m2.x[:na], m2.x[na:]))
     assert again.x.tobytes() == fresh.x.tobytes() != wstep.x.tobytes()
+
+
+def test_oracle_is_freed_without_the_cycle_collector(two):
+    # A reference cycle through the oracle would hold the memo's arrays until
+    # a full collection, so a long-lived process would grow with every run.
+    import gc
+    import weakref
+    case, m, W0, cfg = two
+    scen = make_scenarios(W0, W0, np.array(case.forecast_mw) / case.base_mva, cfg)
+    gc.disable()
+    try:
+        with IblpOracle(m, cfg) as oracle:
+            run_iblp(m, W0, scen, cfg, oracle)
+        memo = weakref.ref(oracle.memo)
+        del oracle
+        assert memo() is None
+    finally:
+        gc.enable()
 
 
 def test_iblp_memo_solves_fewer_lps_than_steps(two):
