@@ -18,7 +18,7 @@ from .analysis import (RampEvent, export_artifacts, high_risk_event,
                        vertices_2d)
 from .maxmin_iblp import ScenarioSet, alternate_solve, gen_s1, gen_s2, run_iblp
 from .maxmin_milp import (DualizedMaxMin, MaxMinSolution, build_kkt_mip,
-                          dualize, solve_maxmin_milp)
+                          solve_maxmin_milp)
 from .polytope import FacetProvenance, Polytope, remove_redundant
 
 __version__ = "0.1.0"

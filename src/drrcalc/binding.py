@@ -91,7 +91,7 @@ def terminal_points(W: Polytope, i: int, beta=None) -> tuple[np.ndarray, np.ndar
     for sense in ("max", "min"):
         lp = LinearProgram(c=beta, sense=sense, M_in=W.H, r_in=W.f,
                            M_eq=W.H[[i]], r_eq=W.f[[i]])
-        sol = solve_lp(lp)
+        sol = solve_lp(lp, duals=False)
         if sol.status != OPTIMAL:
             raise FacetInfeasible(
                 f"facet {i} admits no point; it should have been pruned")

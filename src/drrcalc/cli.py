@@ -27,7 +27,7 @@ from .caseio import (StudyConfig, apply_renewables, load_config_file,
 from .dispatch_model import build_compact, build_ptdf, feasibility_model, initial_dispatch
 from .errors import AmbiguousFacet, DrrError
 from .lp import solve_lp
-from .maxmin_milp import dualize
+from .maxmin_milp import DualizedMaxMin
 from .polytope import FacetProvenance, Polytope
 
 EXIT_OK = 0
@@ -45,8 +45,9 @@ _TERMINATION_EXIT = {
 # iblp's scenario and LP accounting, milp's node count and big-M margin.
 # The iblp ones vary with the worker count, so they stay out of region.json,
 # binding.json and trace.csv.
-_ORACLE_COUNTERS = ("scenarios_started", "scenarios_failed",
-                    "scenarios_positive", "scenarios_kept", "lp_solves",
+_ORACLE_COUNTERS = ("scenarios_started", "scenarios_projected",
+                    "scenarios_failed", "scenarios_positive",
+                    "scenarios_deduplicated", "scenarios_kept", "lp_solves",
                     "memo_hits", "multiplier_steps", "mip_nodes", "big_m_margin")
 
 
@@ -216,7 +217,7 @@ def cmd_validate(args) -> int:
                        f"violation {feas0:.2e} pu"))
 
         W0 = engine.init_w0(case)
-        dmm = dualize(m, W0)
+        dmm = DualizedMaxMin(m, W0)
         lo, hi = W0.box_bounds()
         gap = 0.0
         for _ in range(10):

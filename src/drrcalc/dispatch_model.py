@@ -173,7 +173,7 @@ def initial_dispatch(case: CaseData, cfg: StudyConfig) -> DispatchPoint:
                          np.full(net.n_l + net.n_b, np.inf)])
     lp = LinearProgram(c=c, sense="min", M_eq=M_eq, r_eq=r_eq,
                        M_in=M_in, r_in=r_in, lb=lb, ub=ub)
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, duals=False)
     if sol.status == UNBOUNDED:
         raise UnboundedCost("dispatch LP unbounded; check gencost records")
     if sol.status != OPTIMAL:

@@ -7,7 +7,8 @@ A :class:`LinearProgram` is
                  M_in @ x <= r_in
                  lb <= x <= ub      (entries may be +-inf)
 
-and a solve returns an :class:`LpSolution` with certified duals.
+and a solve returns an :class:`LpSolution` with certified duals, or with
+status, x and objective alone when the caller asks for no duals.
 
 Dual sign convention (fixed once, asserted by ``certificate_errors``):
 ``mu_eq`` is free and equals d(objective)/d(r_eq); ``mu_in`` is nonnegative
@@ -30,20 +31,31 @@ which cost more than HiGHS itself on the small LPs solved here.  Results
 are checked without a second solver by :func:`certificate_errors` and
 :func:`verify_farkas`.
 
+Each process holds one HiGHS instance, made with linprog's options on its
+first solve (a forked worker makes its own) and thrown away after any
+HiGHS error.  Every solve passes its whole model to that instance, which
+discards the previous model and basis, so each solve is cold and returns
+what a new instance would.  One process must therefore not solve from two
+threads at once.
+
+``solve_lp(lp, duals=False)`` is the primal-only readout for callers that
+use only the optimum: the same solve and the same post-solve feasibility
+check, but it returns status, x and objective and leaves the dual vectors
+``None``.  An infeasible LP still gets its Farkas ray.
+
 Loops that solve one structure many times, changing only the costs or only
 the inequality right-hand side, wrap it in an :class:`LpTemplate`.  Its
 HiGHS model (bounds, row bounds, the CSC of ``[M_in; M_eq]``) is assembled
 once; ``template.bind(c=...)`` or ``template.bind(r_in=...)`` gives a
-:class:`BoundLp` that ``solve_lp`` takes like a LinearProgram.  Each solve
-still runs a fresh, cold HiGHS instance with the same options and the same
-checks, so a bound solve returns exactly what the equivalent LinearProgram
-returns.  Every solve goes through a template: a plain LinearProgram gets
-a one-off one.
+:class:`BoundLp` that ``solve_lp`` takes like a LinearProgram.  A bound
+solve passes the same model with the same checks, so it returns exactly
+what the equivalent LinearProgram returns.  Every solve goes through a
+template: a plain LinearProgram gets a one-off one.
 """
 
 from __future__ import annotations
 
-import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,9 +220,11 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def solve_lp(lp: LinearProgram | BoundLp) -> LpSolution:
-    """Solve `lp` and return a status-correct result with certified duals."""
-    sol = _solve_scipy(lp if isinstance(lp, BoundLp) else LpTemplate(lp).bind())
+def solve_lp(lp: LinearProgram | BoundLp, *, duals: bool = True) -> LpSolution:
+    """Solve `lp` and return a status-correct result with certified duals;
+    with ``duals=False`` an optimum carries only x and objective."""
+    sol = _solve_scipy(lp if isinstance(lp, BoundLp) else LpTemplate(lp).bind(),
+                       duals=duals)
     if sol.status == INFEASIBLE:
         sol.farkas = _farkas_from_elastic(lp)
         if sol.farkas is None:
@@ -235,9 +249,8 @@ _HIGHS_STATUS = {
 _FEASIBILITY_TOL = np.sqrt(1e-9) * 10
 
 
-@functools.cache
 def _highs_options():
-    """The options linprog(method="highs") hands HiGHS, built once per process."""
+    """The options linprog(method="highs") hands HiGHS."""
     opts = _highs.HighsOptions()
     opts.presolve = "on"
     opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -245,6 +258,21 @@ def _highs_options():
     opts.log_to_console = False
     opts.output_flag = False
     return opts
+
+
+# This process's HiGHS instance, keyed by the pid that made it: a forked
+# worker inherits its parent's entry and must not use it.
+_SOLVERS: dict[int, _highs._Highs] = {}
+
+
+def _highs_solver() -> _highs._Highs:
+    """This process's HiGHS instance, made with linprog's options on first use."""
+    h = _SOLVERS.get(os.getpid())
+    if h is None:
+        h = _highs._Highs()
+        h.passOptions(_highs_options())
+        _SOLVERS[os.getpid()] = h
+    return h
 
 
 def _highs_model(A, lhs, lb, ub) -> _highs.HighsLp:
@@ -266,25 +294,34 @@ def _highs_model(A, lhs, lb, ub) -> _highs.HighsLp:
     return model
 
 
-def _solve_scipy(lp: BoundLp) -> LpSolution:
+def _solve_scipy(lp: BoundLp, duals: bool = True) -> LpSolution:
     model = lp.template.highs_model()
     sign = 1.0 if lp.sense == "min" else -1.0
-    m_in = lp.r_in.size
-    lb, ub = lp.lb, lp.ub
     rhs = np.concatenate([lp.r_in, lp.r_eq])
     model.col_cost_ = sign * lp.c
     model.row_upper_ = rhs
 
-    # A fresh, cold solver per call: a warm start may land on another
-    # optimal vertex and so change the duals that become cuts.
-    h = _highs._Highs()
-    h.passOptions(_highs_options())
-    run_ok = False
-    if h.passModel(model) == _highs.HighsStatus.kError:
-        model_status = _highs.HighsModelStatus.kModelError
-    else:
-        run_ok = h.run() != _highs.HighsStatus.kError
-        model_status = h.getModelStatus()
+    # Cold on every call: passModel drops the instance's previous model and
+    # basis.  A warm start may land on another optimal vertex and so change
+    # the duals that become cuts.
+    h = _highs_solver()
+    try:
+        run_ok = False
+        if h.passModel(model) == _highs.HighsStatus.kError:
+            model_status = _highs.HighsModelStatus.kModelError
+        else:
+            run_ok = h.run() != _highs.HighsStatus.kError
+            model_status = h.getModelStatus()
+        if not run_ok:
+            _SOLVERS.pop(os.getpid(), None)
+        return _read_solution(h, lp, rhs, model_status, run_ok, duals)
+    except BaseException:
+        _SOLVERS.pop(os.getpid(), None)
+        raise
+
+
+def _read_solution(h, lp: BoundLp, rhs, model_status, run_ok: bool,
+                   duals: bool) -> LpSolution:
     status = _HIGHS_STATUS.get(model_status)
     if status in (INFEASIBLE, UNBOUNDED):
         return LpSolution(status=status)
@@ -292,38 +329,35 @@ def _solve_scipy(lp: BoundLp) -> LpSolution:
         raise NumericalFailure(
             f"scipy/HiGHS failed: {h.modelStatusToString(model_status)}")
 
+    m_in = lp.r_in.size
     solution = h.getSolution()
     x = np.array(solution.col_value)
     fun = h.getObjectiveValue()
     row = np.array(solution.row_value)
     # linprog's _check_result: an optimum must satisfy what it claims to.
     tol = _FEASIBILITY_TOL
-    if not ((x >= lb - tol).all() and (x <= ub + tol).all()
+    if not ((x >= lp.lb - tol).all() and (x <= lp.ub + tol).all()
             and (rhs[:m_in] - row[:m_in] >= -tol).all()
             and (np.abs(rhs[m_in:] - row[m_in:]) <= tol).all()
             and not np.isnan(fun)):
         raise NumericalFailure(
             "scipy/HiGHS reported an optimum that violates the constraints "
             f"by more than {tol:.2e}")
+    obj = fun if lp.sense == "min" else -fun
+    if not duals:
+        return LpSolution(status=OPTIMAL, x=x, objective=float(obj))
 
+    # HiGHS ran in min space: same reduced-cost reading for both senses.
     y = np.array(solution.row_dual)
     # Bound marginals: the column dual goes to the bound the column sits at.
     col_status = np.array([int(s) for s in h.getBasis().col_status])
     col_dual = np.array(solution.col_dual)
     low = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
     upp = np.where(col_status == int(_highs.HighsBasisStatus.kUpper), col_dual, 0.0)
-    # HiGHS ran in min space: same reduced-cost reading for both senses.
-    mu_in = np.maximum(-y[:m_in], 0.0)
-    nu_lb = np.maximum(low, 0.0)
-    nu_ub = np.maximum(-upp, 0.0)
-    if lp.sense == "min":
-        mu_eq = y[m_in:]
-        obj = fun
-    else:
-        mu_eq = -y[m_in:]
-        obj = -fun
+    mu_eq = y[m_in:] if lp.sense == "min" else -y[m_in:]
     return LpSolution(status=OPTIMAL, x=x, objective=float(obj), mu_eq=mu_eq,
-                      mu_in=mu_in, nu_lb=nu_lb, nu_ub=nu_ub)
+                      mu_in=np.maximum(-y[:m_in], 0.0),
+                      nu_lb=np.maximum(low, 0.0), nu_ub=np.maximum(-upp, 0.0))
 
 
 # --- certificates ----------------------------------------------------------------
@@ -348,8 +382,15 @@ def elastic_lp(lp: LinearProgram | BoundLp) -> LinearProgram:
 
 def _farkas_from_elastic(lp: LinearProgram | BoundLp) -> np.ndarray | None:
     """Build an infeasibility ray from the duals of the elastic relaxation."""
-    sol = solve_lp(elastic_lp(lp))
-    if not sol.optimal or sol.objective <= 1e-9:
+    # Not solve_lp: the elastic LP is feasible and bounded by construction,
+    # so any other verdict means HiGHS rejected the model (as it does a
+    # coefficient above 1e15 or an infinite right-hand side), and so would
+    # it reject the elastic LP of this one, without end.
+    sol = _solve_scipy(LpTemplate(elastic_lp(lp)).bind())
+    if not sol.optimal:
+        raise NumericalFailure(
+            f"scipy/HiGHS rejected the model: its elastic relaxation is {sol.status}")
+    if sol.objective <= 1e-9:
         return None
     # min-sense elastic duals: d(obj)/d(r_eq) = mu_eq, d(obj)/d(r_in) = -mu_in.
     return np.concatenate([sol.mu_eq, -sol.mu_in])

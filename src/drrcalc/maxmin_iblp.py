@@ -17,9 +17,11 @@ steps repeat an LP already solved.  For each half-step the calling process
 solves only the distinct LPs missing from its one :class:`LpMemo`, then
 moves every scenario forward from the memo.  With ``thread_count`` N > 1
 it solves the first of N contiguous chunks of those LPs itself, and a pool
-of N - 1 workers, started once per run, solves the others.  Each LP is a
-fresh, cold HiGHS solve and results merge in scenario order, so the LPs
-solved, the cuts and the output are the same for any worker count.
+of N - 1 workers, started once per run, solves the others.  Every process
+solves on its own HiGHS instance, and each solve is cold (see
+:mod:`drrcalc.lp`); results merge in scenario order, so the LPs solved, the
+cuts and the output are the same for any worker count.  The memo keeps only
+status, x and objective, so these LPs are read without their duals.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
 from .errors import DrrError, NumericalFailure, ZeroNormal
 from .lp import OPTIMAL, LinearProgram, LpSolution, LpTemplate, solve_lp
-from .maxmin_milp import MaxMinSolution, cut_vector, dualize
+from .maxmin_milp import DualizedMaxMin, MaxMinSolution, cut_vector
 from .polytope import Polytope
 
 _CUT_DEDUPE_TOL = 1e-6
@@ -101,7 +103,7 @@ def _project_into(W: Polytope, w0: np.ndarray, template: LpTemplate) -> np.ndarr
     """1-norm projection of w0 onto W (an LP, deterministic); ``template``
     wraps ``_projection_lp(W)``."""
     lp = template.bind(r_in=np.concatenate([W.f, w0, -w0]))
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, duals=False)
     if sol.status != OPTIMAL:
         raise NumericalFailure("projection into the current region failed")
     return sol.x[:W.dim]
@@ -123,7 +125,7 @@ class _Lps:
         that stopped it, in input order."""
         region = (W.H.tobytes(), W.f.tobytes())
         if region != self._region:
-            self._region, self._dmm = region, dualize(self.m, W)
+            self._region, self._dmm = region, DualizedMaxMin(self.m, W)
             self._templates = {k: t for k, t in self._templates.items() if k == MULTIPLIER}
         out = []
         for v in inputs:
@@ -145,7 +147,7 @@ class _Lps:
             lp_at, cost, args = dmm.w_lp_at, dmm.w_cost, (v[:dmm.n_alpha], v[dmm.n_alpha:])
         if kind not in self._templates:
             self._templates[kind] = LpTemplate(lp_at(*args))
-        sol = solve_lp(self._templates[kind].bind(c=cost(*args)))
+        sol = solve_lp(self._templates[kind].bind(c=cost(*args)), duals=False)
         if sol.status != OPTIMAL:
             raise NumericalFailure(f"{kind} returned {sol.status}")
         return sol.status, sol.x, sol.objective
@@ -169,6 +171,7 @@ class LpMemo:
         self.solves = 0           # LPs handed to the solver, projections included
         self.hits = 0
         self.multiplier_steps = 0
+        self.projections = 0
 
     def lookup(self, kind: str, W: Polytope, inputs: list, solve) -> list:
         """The entry of every input, in input order; ``solve(kind, W, missing)``
@@ -189,10 +192,12 @@ class LpMemo:
         self.hits += len(inputs) - len(missing)
         if kind == MULTIPLIER:
             self.multiplier_steps += len(inputs)
+        elif kind == PROJECTION:
+            self.projections += len(inputs)
         return [cache[v.tobytes()] for v in inputs]
 
-    def counts(self) -> tuple[int, int, int]:
-        return self.solves, self.hits, self.multiplier_steps
+    def counts(self) -> tuple[int, int, int, int]:
+        return self.solves, self.hits, self.multiplier_steps, self.projections
 
 
 class IblpOracle:
@@ -333,7 +338,8 @@ def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
     with IblpOracle(m, cfg) if oracle is None else contextlib.nullcontext(oracle) as run:
         before = run.memo.counts()
         outcomes = run.alternate(W, starts)
-        solves, hits, steps = (a - b for a, b in zip(run.memo.counts(), before))
+        solves, hits, steps, projected = (
+            a - b for a, b in zip(run.memo.counts(), before))
 
     failures = [f"scenario {idx}: {out}" for idx, out in enumerate(outcomes)
                 if isinstance(out, DrrError)]
@@ -345,6 +351,7 @@ def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
     positive = [s for s in solutions if s.F > cfg.eps_term]
     kept: list[MaxMinSolution] = []
     kept_vectors: list[np.ndarray] = []
+    deduplicated = 0
     for s in positive:
         normal, offset = cut_vector(s, m)
         norm = np.linalg.norm(normal)
@@ -353,12 +360,15 @@ def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
             continue
         vec = np.concatenate([normal, [offset]]) / norm
         if any(np.abs(vec - v).max() < _CUT_DEDUPE_TOL for v in kept_vectors):
+            deduplicated += 1
             continue
         kept_vectors.append(vec)
         kept.append(s)
     run.counts = {"scenarios_started": len(starts),
+                  "scenarios_projected": projected,
                   "scenarios_failed": len(failures),
                   "scenarios_positive": len(positive),
+                  "scenarios_deduplicated": deduplicated,
                   "scenarios_kept": len(kept),
                   "lp_solves": solves, "memo_hits": hits,
                   "multiplier_steps": steps}

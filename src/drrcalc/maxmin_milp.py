@@ -90,10 +90,6 @@ class MaxMinSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def dualize(m: CompactPsd, W: Polytope) -> DualizedMaxMin:
-    return DualizedMaxMin(m=m, W=W)
-
-
 def cut_vector(sol: MaxMinSolution, m: CompactPsd) -> tuple[np.ndarray, float]:
     """Unnormalized cut (normal, offset): normal @ w <= offset is valid."""
     normal = -(sol.alpha @ m.A) + sol.delta @ m.E
@@ -173,7 +169,7 @@ def build_kkt_mip(dmm: DualizedMaxMin, M: float) -> MixedProgram:
 
 def solve_maxmin_milp(m: CompactPsd, W: Polytope, cfg: StudyConfig) -> MaxMinSolution:
     """Globally solve the worst-case problem over the current region."""
-    dmm = dualize(m, W)
+    dmm = DualizedMaxMin(m, W)
     M = cfg.big_m if cfg.big_m is not None else default_big_m(m, W)
     theta_max = np.inf
     for attempt in range(2):

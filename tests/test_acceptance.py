@@ -18,7 +18,7 @@ from drrcalc.caseio import (StudyConfig, apply_renewables, parse_matpower,
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import CONVERGED, init_w0, run
 from drrcalc.lp import solve_lp
-from drrcalc.maxmin_milp import dualize, solve_maxmin_milp
+from drrcalc.maxmin_milp import DualizedMaxMin, solve_maxmin_milp
 from drrcalc.polytope import chebyshev_center
 from tests.conftest import load_case
 
@@ -236,7 +236,7 @@ def test_criterion_04_strong_duality(two, pjm5m, ieee39m):
     for name, case in (("two", two), ("pjm5", pjm5m), ("ieee39", ieee39m)):
         cfg = StudyConfig()
         m = build_compact(case, initial_dispatch(case, cfg))
-        dmm = dualize(m, init_w0(case))
+        dmm = DualizedMaxMin(m, init_w0(case))
         lo, hi = init_w0(case).box_bounds()
         rng = np.random.default_rng(17)
         worst = 0.0

@@ -42,8 +42,9 @@ def test_compute_iblp_trace_rows(tmp_path):
 
 def test_manifest_oracle_counters_per_iteration(tmp_path):
     for method, keys in (
-            ("iblp", {"scenarios_started", "scenarios_failed",
-                      "scenarios_positive", "scenarios_kept", "lp_solves",
+            ("iblp", {"scenarios_started", "scenarios_projected",
+                      "scenarios_failed", "scenarios_positive",
+                      "scenarios_deduplicated", "scenarios_kept", "lp_solves",
                       "memo_hits", "multiplier_steps"}),
             ("milp", {"mip_nodes", "big_m_margin"})):
         out = tmp_path / method
@@ -55,7 +56,9 @@ def test_manifest_oracle_counters_per_iteration(tmp_path):
         assert [e["k"] for e in oracle] == list(range(1, manifest["iterations"] + 1))
         assert all(set(e) == {"k"} | keys for e in oracle)
         for name in ("region.json", "binding.json", "trace.csv"):
-            assert "lp_solves" not in (out / name).read_text()
+            text = (out / name).read_text()
+            assert not any(key in text for key in ("lp_solves", "scenarios_projected",
+                                                   "scenarios_deduplicated"))
 
 
 def test_compute_missing_case_exits_1(tmp_path, capsys):

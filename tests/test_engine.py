@@ -193,6 +193,28 @@ def test_iblp_same_bytes_and_lps_for_any_worker_count(pjm5, tmp_path):
     assert seen[1] == seen[2] == seen[3]
 
 
+def test_iblp_projected_and_deduplicated_scenarios(pjm5):
+    from drrcalc.maxmin_iblp import make_scenarios
+    from drrcalc.polytope import FacetProvenance, Polytope
+    cfg = StudyConfig(seed=0)
+    res = run(pjm5, cfg, method="iblp")
+    W0 = W = init_w0(pjm5)
+    w_bar = np.array(pjm5.forecast_mw) / pjm5.base_mva
+    for rec in res.trace:
+        d = rec.oracle_diag
+        starts = make_scenarios(W0, W, w_bar, cfg).combined()
+        assert d["scenarios_projected"] == sum(not W.contains(w, tol=1e-9)
+                                               for w in starts)
+        # Every positive scenario is kept (degenerate cuts included) or
+        # dropped as a duplicate cut.
+        assert d["scenarios_kept"] + d["scenarios_deduplicated"] == d["scenarios_positive"]
+        H, f = rec.region_after
+        W = Polytope(H=H, f=f,
+                     provenance=(FacetProvenance("Cut", iteration=rec.k),) * f.size)
+    assert sum(rec.oracle_diag["scenarios_projected"] for rec in res.trace) > 0
+    assert sum(rec.oracle_diag["scenarios_deduplicated"] for rec in res.trace) > 0
+
+
 def test_zero_capacity_farm_degenerate_box(twobus):
     # Farm pinned at 0 MW with a load the fleet can carry alone: the engine
     # verifies the degenerate box and stops at once.

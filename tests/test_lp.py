@@ -1,6 +1,7 @@
 """LP core: HiGHS against the dual contract and the linprog reference."""
 
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.optimize import linprog
 import drrcalc.lp as lp_mod
 from drrcalc.caseio import StudyConfig
 from drrcalc.engine import run
-from drrcalc.errors import DimensionMismatch
+from drrcalc.errors import DimensionMismatch, NumericalFailure
 from drrcalc.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, BoundLp, LinearProgram,
                         LpSolution, LpTemplate, certificate_errors, solve_lp,
                         verify_farkas)
@@ -245,9 +246,10 @@ def test_template_rejects_bad_binding(field, value):
 
 # --- direct HiGHS call against linprog ---------------------------------------------
 
-def _linprog_solve(lp: LinearProgram) -> LpSolution:
+def _linprog_solve(lp: LinearProgram, duals=True) -> LpSolution:
     """The HiGHS solve as ``linprog(method="highs")``: the reference that
-    the direct HiGHS call must match bit for bit."""
+    the direct HiGHS call must match bit for bit.  linprog makes a new
+    HiGHS instance per call, and this always reads the duals."""
     sign = 1.0 if lp.sense == "min" else -1.0
     bounds = list(zip(
         np.where(np.isfinite(lp.lb), lp.lb, -np.inf),
@@ -339,13 +341,30 @@ def test_direct_highs_matches_linprog_unbounded(monkeypatch):
     _check_against_linprog(lps, monkeypatch)
 
 
+# HiGHS rejects this model (a coefficient above 1e15) although it is feasible.
+_REJECTED = LinearProgram(c=[1.0, 1.0], M_in=[[1e16, 1.0]], r_in=[1.0],
+                          lb=[0.0, 0.0], ub=[1.0, 1.0])
+
+
+def test_rejected_model_raises_not_recurses(monkeypatch):
+    # The elastic relaxation of a rejected model is rejected too; the
+    # Farkas solve must not go on relaxing it.
+    for on_linprog in (False, True):
+        with monkeypatch.context() as mp:
+            if on_linprog:
+                mp.setattr(lp_mod, "_solve_scipy", _linprog_solve)
+            assert lp_mod._solve_scipy(LpTemplate(_REJECTED).bind()).status == INFEASIBLE
+            with pytest.raises(NumericalFailure, match="rejected"):
+                solve_lp(_REJECTED)
+
+
 def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
     seen = []
     direct = lp_mod._solve_scipy
 
-    def record(lp):
+    def record(lp, duals=True):
         seen.append(lp)
-        return direct(lp)
+        return direct(lp, duals=duals)
 
     with monkeypatch.context() as mp:
         mp.setattr(lp_mod, "_solve_scipy", record)
@@ -354,11 +373,109 @@ def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
     # Most are template members: the memo's multiplier, w-step and projection LPs.
     assert sum(lp.c is not lp.template.lp.c or lp.r_in is not lp.template.lp.r_in
                for lp in seen) > 20
-    # Solved again after the run, so each template's model has since been
-    # rewritten for other members of its family.
-    for lp in seen:
-        _assert_bitwise_equal(direct(lp), _linprog_solve(lp))
-        _assert_bitwise_equal(solve_lp(lp), solve_lp(_full(lp)))
+    # Solved again after the run on the process's one HiGHS instance, in
+    # shuffled order, with infeasible, unbounded and rejected LPs mixed in:
+    # each must equal linprog's solve on a new instance, ray included.
+    extra = [LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
+                           M_in=[[1.0]], r_in=[1.0], lb=[0.0]),
+             LinearProgram(c=[-1.0], lb=[0.0]),
+             _REJECTED]
+    pool = seen + 10 * extra
+    lps = [pool[i] for i in np.random.default_rng(6).permutation(len(pool))]
+    bound = [lp if isinstance(lp, BoundLp) else LpTemplate(lp).bind() for lp in lps]
+    got = [direct(lp) for lp in bound]
+    for lp, sol in zip(bound, got):
+        _assert_bitwise_equal(sol, _linprog_solve(lp))
+    assert {sol.status for sol in got} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    for lp in lps:
+        if lp is _REJECTED:
+            with pytest.raises(NumericalFailure, match="rejected"):
+                solve_lp(lp)
+            continue
+        sol = solve_lp(lp)
+        with monkeypatch.context() as mp:
+            mp.setattr(lp_mod, "_solve_scipy", _linprog_solve)
+            _assert_bitwise_equal(sol, solve_lp(lp))
+        if isinstance(lp, BoundLp):
+            _assert_bitwise_equal(sol, solve_lp(_full(lp)))
+
+
+# --- one HiGHS instance per process, and the primal-only readout ---------------------
+
+def test_back_to_back_solves_of_one_template_match_linprog():
+    # The shared instance sees the same model again and again; each solve
+    # must still be what linprog's new instance gives.
+    rng = np.random.default_rng(5151)
+    for _ in range(10):
+        template = LpTemplate(_random_lp(rng))
+        bound = [template.bind(c=rng.normal(size=template.lp.nvar)) for _ in range(5)]
+        got = [lp_mod._solve_scipy(lp) for lp in bound]
+        for lp, sol in zip(bound, got):
+            _assert_bitwise_equal(sol, _linprog_solve(lp))
+
+
+def test_primal_only_readout_matches_full_readout():
+    rng = np.random.default_rng(909)
+    lps = [_random_lp(rng) for _ in range(30)]
+    lps += [dataclasses.replace(lp, sense="max") for lp in lps[:10]]
+    lps += [LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
+                          M_in=[[1.0]], r_in=[1.0], lb=[0.0]),
+            LinearProgram(c=[-1.0], lb=[0.0])]
+    statuses = set()
+    for lp in lps:
+        full, primal = solve_lp(lp), solve_lp(lp, duals=False)
+        statuses.add(full.status)
+        assert primal.status == full.status
+        assert np.array_equal(primal.objective, full.objective, equal_nan=True)
+        for name in ("x", "farkas"):
+            a, b = getattr(primal, name), getattr(full, name)
+            assert (a is None) == (b is None)
+            assert a is None or (a.dtype == b.dtype and np.array_equal(a, b))
+        assert primal.mu_eq is primal.mu_in is primal.nu_lb is primal.nu_ub is None
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+@pytest.mark.parametrize("duals", [True, False])
+def test_tampered_optimum_raises(duals):
+    # The HiGHS model lets x reach 2 while the LP caps it at 1, so the
+    # optimum HiGHS reports violates the LP it stands for.
+    template = LpTemplate(LinearProgram(c=[1.0], sense="max", lb=[0.0], ub=[1.0]))
+    template.highs_model().col_upper_ = np.array([2.0])
+    before = lp_mod._highs_solver()
+    with pytest.raises(NumericalFailure, match="violates the constraints"):
+        solve_lp(template.bind(), duals=duals)
+    assert lp_mod._highs_solver() is not before
+
+
+def test_highs_instance_is_kept_and_replaced_after_an_error():
+    lp = LinearProgram(c=[1.0], sense="max", lb=[45.0], ub=[65.0])
+    solve_lp(lp)
+    h = lp_mod._highs_solver()
+    solve_lp(lp, duals=False)
+    solve_lp(LinearProgram(c=[-1.0], lb=[0.0]))  # unbounded is no error
+    assert lp_mod._highs_solver() is h
+    lp_mod._solve_scipy(LpTemplate(_REJECTED).bind())
+    assert lp_mod._highs_solver() is not h
+
+
+def test_forked_child_makes_its_own_highs_instance():
+    lp = _random_lp(np.random.default_rng(31))
+    ref = solve_lp(lp)
+    parent = lp_mod._highs_solver()
+
+    def child():
+        h = lp_mod._highs_solver()
+        sol = solve_lp(lp)
+        same = all(np.array_equal(getattr(sol, k), getattr(ref, k))
+                   for k in ("x", "objective", "mu_eq", "mu_in", "nu_lb", "nu_ub"))
+        ok = h is not parent and lp_mod._highs_solver() is h and same
+        raise SystemExit(0 if ok else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    assert proc.exitcode == 0
+    assert lp_mod._highs_solver() is parent
 
 
 # --- templates against the full LinearProgram ----------------------------------------

@@ -10,8 +10,8 @@ from drrcalc.errors import DimensionMismatch, NumericalFailure
 from drrcalc.lp import solve_lp
 from drrcalc.maxmin_iblp import (MULTIPLIER, WSTEP, IblpOracle, alternate_solve,
                                  gen_s1, gen_s2, make_scenarios, run_iblp)
-from drrcalc.maxmin_milp import (build_kkt_mip, cut_vector, default_big_m,
-                                 dualize, solve_maxmin_milp)
+from drrcalc.maxmin_milp import (DualizedMaxMin, build_kkt_mip, cut_vector,
+                                 default_big_m, solve_maxmin_milp)
 from drrcalc.polytope import FacetProvenance, Polytope
 
 
@@ -26,7 +26,7 @@ def two():
 
 def test_zero_multipliers_feasible(two):
     _, m, W0, _ = two
-    dmm = dualize(m, W0)
+    dmm = DualizedMaxMin(m, W0)
     M_eq, r_eq = dmm.coupling()
     zero = np.zeros(dmm.n_alpha + dmm.n_delta)
     assert np.abs(M_eq @ zero - r_eq).max(initial=0.0) == 0.0
@@ -39,7 +39,7 @@ def test_dimension_guard(two):
     bad = Polytope(H=[[1.0, 0.0]], f=[1.0],
                    provenance=(FacetProvenance("Cut", iteration=0),))
     with pytest.raises(DimensionMismatch):
-        dualize(m, bad)
+        DualizedMaxMin(m, bad)
 
 
 @pytest.mark.parametrize("fixture", ["twobus", "pjm5", "ieee39"])
@@ -47,7 +47,7 @@ def test_strong_duality_random_points(fixture, cfg, request):
     case = request.getfixturevalue(fixture)
     m = build_compact(case, initial_dispatch(case, cfg))
     W0 = init_w0(case)
-    dmm = dualize(m, W0)
+    dmm = DualizedMaxMin(m, W0)
     lo, hi = W0.box_bounds()
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -59,7 +59,7 @@ def test_strong_duality_random_points(fixture, cfg, request):
 
 def test_kkt_mip_structure(two):
     _, m, W0, _ = two
-    dmm = dualize(m, W0)
+    dmm = DualizedMaxMin(m, W0)
     mp = build_kkt_mip(dmm, M=20.0)
     assert len(mp.binary_index) == W0.n_facets
     na, nd, nw, k = dmm.n_alpha, dmm.n_delta, m.n_w, W0.n_facets
@@ -70,7 +70,7 @@ def test_kkt_rearrangement_identity(two):
     # At any MIP-feasible point, stationarity turns the bilinear objective
     # term into theta'Hw.
     _, m, W0, cfg = two
-    dmm = dualize(m, W0)
+    dmm = DualizedMaxMin(m, W0)
     sol = solve_maxmin_milp(m, W0, cfg)
     lhs = (-(sol.alpha @ m.A) + sol.delta @ m.E) @ sol.w_star
     rhs = sol.theta @ (W0.H @ sol.w_star)
@@ -251,7 +251,7 @@ def test_run_iblp_aggregates_failures(two, monkeypatch):
     case, m, W0, cfg = two
     import drrcalc.maxmin_iblp as mod
 
-    def boom(lp):
+    def boom(lp, *, duals=True):
         raise NumericalFailure("injected")
 
     monkeypatch.setattr(mod, "solve_lp", boom)
@@ -273,10 +273,10 @@ def test_run_iblp_projection_failure_stops_only_its_scenarios(two, monkeypatch):
     assert 0 < outside < len(scen.combined())
     solve = mod.solve_lp
 
-    def fail_projection(lp):
+    def fail_projection(lp, *, duals=True):
         if lp.sense == "min":  # the projection is the only minimization
             raise NumericalFailure("injected")
-        return solve(lp)
+        return solve(lp, duals=duals)
 
     monkeypatch.setattr(mod, "solve_lp", fail_projection)
     with IblpOracle(m, cfg) as oracle:
@@ -307,7 +307,8 @@ def test_memo_entries_are_shared_and_read_only(two):
         assert again is mult
         (wstep,) = _lookup(oracle, WSTEP, W0, [mult.x])
         assert _lookup(oracle, WSTEP, W0, [mult.x.copy()])[0] is wstep
-        assert oracle.memo.counts() == (2, 2, 2)  # solves, hits, multiplier steps
+        # solves, hits, multiplier steps, projections
+        assert oracle.memo.counts() == (2, 2, 2, 0)
         # An entry holds status, x and objective; x cannot be written.
         for sol in (mult, wstep):
             assert sol.mu_eq is None and sol.mu_in is None
@@ -320,7 +321,7 @@ def test_memo_entries_are_shared_and_read_only(two):
 
 def test_wstep_memo_is_keyed_by_the_multipliers(two):
     _, m, W0, cfg = two
-    dmm = dualize(m, W0)
+    dmm = DualizedMaxMin(m, W0)
     na = dmm.n_alpha
     with IblpOracle(m, cfg) as oracle:
         # Two farm outputs on the same side of the band share one multiplier vertex.
@@ -328,17 +329,18 @@ def test_wstep_memo_is_keyed_by_the_multipliers(two):
         assert m1 is not m2 and m1.x.tobytes() == m2.x.tobytes()
         wstep, shared = _lookup(oracle, WSTEP, W0, [m1.x, m2.x])
         assert shared is wstep
-        assert oracle.memo.counts() == (3, 1, 2)  # solves, hits, multiplier steps
+        # solves, hits, multiplier steps, projections
+        assert oracle.memo.counts() == (3, 1, 2, 0)
         # The key covers delta too: same alpha, other delta is another LP.
         other = np.concatenate([m1.x[:na], np.zeros(dmm.n_delta)])
         assert _lookup(oracle, WSTEP, W0, [other])[0] is not wstep
-        assert oracle.memo.counts() == (4, 1, 2)
+        assert oracle.memo.counts() == (4, 1, 2, 0)
         # A new region drops the entries; the next w-step is solved on it.
         W1 = _cut_region()
         (again,) = _lookup(oracle, WSTEP, W1, [m2.x])
         assert len(oracle.memo.entries[WSTEP]) == 1
-        assert oracle.memo.counts() == (5, 1, 2)
-    fresh = solve_lp(dualize(m, W1).w_lp_at(m2.x[:na], m2.x[na:]))
+        assert oracle.memo.counts() == (5, 1, 2, 0)
+    fresh = solve_lp(DualizedMaxMin(m, W1).w_lp_at(m2.x[:na], m2.x[na:]))
     assert again.x.tobytes() == fresh.x.tobytes() != wstep.x.tobytes()
 
 
