@@ -14,6 +14,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import statistics
 import sys
 import time
@@ -246,6 +247,7 @@ def cmd_validate(args) -> int:
 
 
 def _bench_child(case_path, rens_path, method, threads, seed, queue):
+    os.setpgrp()  # so that a timeout can kill the iblp pool workers too
     args = argparse.Namespace(case=case_path, renewables=rens_path,
                               config=None, seed=seed, threads=threads,
                               method=method)
@@ -264,10 +266,20 @@ def _bench_cell(case_path, rens_path, method, threads, seed, reps, timeout):
         proc = ctx.Process(target=_bench_child,
                            args=(case_path, rens_path, method, threads, seed, queue))
         proc.start()
-        proc.join(timeout)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
+        try:
+            proc.join(timeout)
+        finally:
+            # A timeout or an interrupt kills the child's whole process
+            # group: its pool workers would otherwise outlive it, blocked
+            # on a pipe they hold open themselves.
+            timed_out = proc.is_alive()
+            if timed_out:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:  # the child had no group yet
+                    proc.kill()
+                proc.join()
+        if timed_out:
             return None, None
         if proc.exitcode != 0 or queue.empty():
             return None, None

@@ -128,58 +128,42 @@ def run(case: CaseData, cfg: StudyConfig, method: str = "milp") -> DrrResult:
             if oracle is not None:
                 diag.update(oracle.counts)
             w_star = worst.w_star.copy() if worst is not None else None
+            cuts_added, stop = 0, None
             if F_k <= cfg.eps_term:
-                trace.append(IterationRecord(k=k, F=F_k, cuts_added=0,
-                                             oracle_ms=oracle_ms,
-                                             facets_after=W.n_facets,
-                                             region_after=(W.H.copy(), W.f.copy()),
-                                             oracle_diag=diag, w_star=w_star))
-                termination = CONVERGED
-                break
+                stop = CONVERGED
+            else:
+                batch = sorted([s for s in sols if s.F > cfg.eps_term],
+                               key=lambda s: -s.F)[:cfg.cut_batch_cap]
+                rows, offsets, tags = [], [], []
+                for s in batch:
+                    try:
+                        cut = make_cut(s, m)
+                    except DegenerateCut:
+                        # Zero direction with positive violation: the dual
+                        # value is F for every w, so no point is dispatchable.
+                        stop = EMPTY_REGION
+                        break
+                    rows.append(cut.normal)
+                    offsets.append(cut.offset)
+                    tags.append(FacetProvenance("Cut", iteration=k,
+                                                scenario=s.diagnostics.get("scenario")))
+                    all_cuts.append(cut)
+                if stop is None:
+                    W = W.with_rows(np.array(rows), np.array(offsets), tags)
+                    cuts_added = len(rows)
+                    try:
+                        W = remove_redundant(W)
+                    except EmptyRegionError:
+                        stop = EMPTY_REGION
 
-            batch = sorted([s for s in sols if s.F > cfg.eps_term],
-                           key=lambda s: -s.F)[:cfg.cut_batch_cap]
-            rows, offsets, tags = [], [], []
-            empty_certificate = False
-            for s in batch:
-                try:
-                    cut = make_cut(s, m)
-                except DegenerateCut:
-                    # Zero direction with positive violation: the dual value is
-                    # F for every w, so no point is dispatchable.
-                    empty_certificate = True
-                    break
-                rows.append(cut.normal)
-                offsets.append(cut.offset)
-                tags.append(FacetProvenance("Cut", iteration=k,
-                                            scenario=s.diagnostics.get("scenario")))
-                all_cuts.append(cut)
-
-            if empty_certificate:
-                trace.append(IterationRecord(k=k, F=F_k, cuts_added=0,
-                                             oracle_ms=oracle_ms,
-                                             facets_after=W.n_facets,
-                                             region_after=(W.H.copy(), W.f.copy()),
-                                             oracle_diag=diag, w_star=w_star))
-                termination = EMPTY_REGION
-                break
-
-            W = W.with_rows(np.array(rows), np.array(offsets), tags)
-            try:
-                W = remove_redundant(W)
-            except EmptyRegionError:
-                trace.append(IterationRecord(k=k, F=F_k, cuts_added=len(rows),
-                                             oracle_ms=oracle_ms,
-                                             facets_after=W.n_facets,
-                                             region_after=(W.H.copy(), W.f.copy()),
-                                             oracle_diag=diag, w_star=w_star))
-                termination = EMPTY_REGION
-                break
-            trace.append(IterationRecord(k=k, F=F_k, cuts_added=len(rows),
+            trace.append(IterationRecord(k=k, F=F_k, cuts_added=cuts_added,
                                          oracle_ms=oracle_ms,
                                          facets_after=W.n_facets,
                                          region_after=(W.H.copy(), W.f.copy()),
                                          oracle_diag=diag, w_star=w_star))
+            if stop is not None:
+                termination = stop
+                break
 
     return DrrResult(region=W, trace=trace, termination=termination,
                      method=method, seed=cfg.seed,

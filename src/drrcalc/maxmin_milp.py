@@ -56,7 +56,8 @@ class DualizedMaxMin:
         """Objective of ``multiplier_lp_at(w)``, the only part that moves with w."""
         m = self.m
         w = np.asarray(w, dtype=float)
-        return np.concatenate([m.b - m.A @ w, m.E @ w - m.d])
+        # 0.0 - d rather than -d: a zero entry stays +0.0, not -0.0.
+        return np.concatenate([m.b - m.A @ w, 0.0 - m.d])
 
     def multiplier_lp_at(self, w: np.ndarray) -> LinearProgram:
         """LP over (alpha, delta) at fixed w; optimum equals the violation."""
@@ -67,9 +68,10 @@ class DualizedMaxMin:
                              M_eq=M_eq, r_eq=r_eq, lb=lb, ub=ub)
 
     def w_cost(self, alpha: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Objective of ``w_lp_at(alpha, delta)``, the only part that moves."""
-        m = self.m
-        return -(alpha @ m.A) + delta @ m.E
+        """Objective of ``w_lp_at(alpha, delta)``, the only part that moves.
+        delta has no term: w enters only the balance rows."""
+        # 0.0 - x rather than -x: a zero entry stays +0.0, not -0.0.
+        return 0.0 - alpha @ self.m.A
 
     def w_lp_at(self, alpha: np.ndarray, delta: np.ndarray) -> LinearProgram:
         """LP over w at fixed multipliers, constrained to the current region."""
@@ -92,7 +94,8 @@ class MaxMinSolution:
 
 def cut_vector(sol: MaxMinSolution, m: CompactPsd) -> tuple[np.ndarray, float]:
     """Unnormalized cut (normal, offset): normal @ w <= offset is valid."""
-    normal = -(sol.alpha @ m.A) + sol.delta @ m.E
+    # 0.0 - x rather than -x: a zero entry stays +0.0, not -0.0.
+    normal = 0.0 - sol.alpha @ m.A
     offset = -(sol.alpha @ m.b - sol.delta @ m.d)
     return normal, float(offset)
 
@@ -140,9 +143,8 @@ def build_kkt_mip(dmm: DualizedMaxMin, M: float) -> MixedProgram:
     coup, _ = dmm.coupling()
     M_eq = np.zeros((coup.shape[0] + nw, nvar))
     M_eq[:coup.shape[0], :na + nd] = coup
-    # Stationarity of the w subproblem: A'a - E'd + H't = 0.
+    # Stationarity of the w subproblem: A'a + H't = 0.
     M_eq[coup.shape[0]:, sl["a"]] = m.A.T
-    M_eq[coup.shape[0]:, sl["d"]] = -m.E.T
     M_eq[coup.shape[0]:, sl["t"]] = W.H.T
     r_eq = np.zeros(M_eq.shape[0])
 
@@ -210,8 +212,7 @@ def _solve_once(dmm: DualizedMaxMin, M: float, cfg: StudyConfig):
     diag = {
         "big_m": M,
         "big_m_margin": 1.0 - stress / M,
-        "kkt_residual": float(np.abs(m.A.T @ alpha - m.E.T @ delta
-                                     + W.H.T @ theta).max(initial=0.0)),
+        "kkt_residual": float(np.abs(m.A.T @ alpha + W.H.T @ theta).max(initial=0.0)),
         "complementarity_residual": float(np.abs(theta * slack).max(initial=0.0)),
         "mip_nodes": res.nodes,
     }

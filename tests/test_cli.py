@@ -2,7 +2,10 @@
 
 import json
 import os
+import select
+import time
 
+from drrcalc import cli
 from drrcalc.cli import main
 from tests.conftest import CASE_DIR
 
@@ -147,6 +150,38 @@ def test_bench_shape_and_timeout(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert ",-,-" in out
+
+
+def test_bench_timeout_kills_the_child_and_its_workers(monkeypatch):
+    # A timed-out bench child takes its own children with it.  The fake
+    # run forks a grandchild, as the iblp pool does, that holds the write
+    # end of a pipe: the read end reaches EOF only once every copy of the
+    # write end is closed.
+    r, w = os.pipe()
+
+    def fake_run(case, cfg, method="milp"):
+        if os.fork() == 0:
+            os.write(w, b"x")
+            time.sleep(60)
+            os._exit(0)
+        time.sleep(60)
+
+    monkeypatch.setattr(cli.engine, "run", fake_run)
+    try:
+        assert cli._bench_cell(TWO, TWO_R, "iblp", 2, 0, 1, 1) == (None, None)
+        os.close(w)
+        got = b""
+        deadline = time.monotonic() + 10
+        while True:
+            ready, _, _ = select.select([r], [], [], max(0.0, deadline - time.monotonic()))
+            assert ready, "a process of the timed-out bench cell still holds the pipe"
+            chunk = os.read(r, 64)
+            if not chunk:
+                break
+            got += chunk
+        assert got == b"x"   # the grandchild did start
+    finally:
+        os.close(r)
 
 
 def test_env_thread_default(tmp_path, monkeypatch):

@@ -42,7 +42,7 @@ def test_make_cut_separates_worst_point(twobus, cfg):
     assert np.linalg.norm(cut.normal) == pytest.approx(1.0)
     assert cut.violation_at(sol.w_star) > 1e-9
     # Pre-normalization, the violation at w* equals the oracle objective.
-    raw_violation = (-(sol.alpha @ m.A) + sol.delta @ m.E) @ sol.w_star \
+    raw_violation = -(sol.alpha @ m.A) @ sol.w_star \
         + (sol.alpha @ m.b - sol.delta @ m.d)
     assert raw_violation == pytest.approx(sol.F, abs=1e-8)
 

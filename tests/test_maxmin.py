@@ -72,7 +72,7 @@ def test_kkt_rearrangement_identity(two):
     _, m, W0, cfg = two
     dmm = DualizedMaxMin(m, W0)
     sol = solve_maxmin_milp(m, W0, cfg)
-    lhs = (-(sol.alpha @ m.A) + sol.delta @ m.E) @ sol.w_star
+    lhs = -(sol.alpha @ m.A) @ sol.w_star
     rhs = sol.theta @ (W0.H @ sol.w_star)
     assert lhs == pytest.approx(rhs, abs=1e-7)
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drrcalc.binding import _HARD_EQUALITIES
 from drrcalc.caseio import StudyConfig, apply_renewables, parse_matpower
 from drrcalc.dispatch_model import (DispatchPoint, build_compact,
                                     build_ptdf, feasibility_model,
@@ -112,7 +113,6 @@ def test_twobus_compact_dimensions(twobus, cfg):
     assert (m.n_w, m.n_p, m.n_l, m.n_v) == (1, 2, 1, 2)
     assert m.b.size == 4          # 2 balance + flow definition + angle pin
     assert m.d.size == 6          # 2 flow + 4 gen bounds
-    assert np.all(m.E == 0.0)
     kinds = [r.kind for r in m.in_rows]
     assert kinds.count("FlowUpper") == 1 and kinds.count("GenLower") == 2
     assert len(m.in_rows) == len(set(r.label for r in m.in_rows))
@@ -180,6 +180,59 @@ def test_feasibility_duals_bounded(pjm5, cfg):
         r = feasibility_model(m, w)
         assert np.all(r.alpha <= 1 + 1e-8) and np.all(r.alpha >= -1 - 1e-8)
         assert np.all(r.delta >= -1e-10) and np.all(r.delta <= 1 + 1e-8)
+
+
+def _linprog_feasibility(m, w, weights):
+    """Weighted slacked model assembled from the blocks and solved by
+    linprog: (objective or inf, inequality slacks or None)."""
+    from scipy.optimize import linprog
+    eq_w = np.array([weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.eq_rows])
+    in_w = np.array([weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.in_rows])
+    m_eq, m_in = m.b.size, m.d.size
+    X_eq = np.hstack([m.B, m.C, m.D])
+    nx = X_eq.shape[1]
+    # x, then per equality row a surplus and a deficit, per inequality a deficit
+    A_eq = np.hstack([X_eq, np.eye(m_eq), -np.eye(m_eq), np.zeros((m_eq, m_in))])
+    A_ub = np.hstack([m.F, m.G, m.J, np.zeros((m_in, 2 * m_eq)), -np.eye(m_in)])
+    slack_w = np.concatenate([eq_w, eq_w, in_w])
+    hard = np.isinf(slack_w)
+    c = np.concatenate([np.zeros(nx), np.where(hard, 0.0, slack_w)])
+    bounds = [(None, None)] * nx + [(0.0, 0.0 if h else None) for h in hard]
+    res = linprog(c, A_ub=A_ub, b_ub=m.d, A_eq=A_eq, b_eq=m.b - m.A @ w,
+                  bounds=bounds, method="highs")
+    if res.status == 2:
+        return math.inf, None
+    assert res.status == 0
+    return res.fun, res.x[nx + 2 * m_eq:]
+
+
+@pytest.mark.parametrize("fixture", ["pjm5", "ieee39"])
+def test_feasibility_model_matches_linprog_reference(fixture, cfg, request):
+    case = request.getfixturevalue(fixture)
+    m = build_compact(case, initial_dispatch(case, cfg))
+    rng = np.random.default_rng(7)
+    ws = [rng.uniform(0.0, 1.5 * m.farm_capacity_pu) for _ in range(10)]
+    # Harden the inequality row that the hard-equality probes lean on most.
+    lean = sum(_linprog_feasibility(m, w, _HARD_EQUALITIES)[1] for w in ws)
+    assert lean.max() > 1e-6
+    hard_row = m.in_rows[int(np.argmax(lean))].label
+    weightings = [{}, dict(_HARD_EQUALITIES),
+                  {**_HARD_EQUALITIES, hard_row: math.inf}]
+    kind_of = {r.label: r.kind for r in m.eq_rows + m.in_rows}
+    infeasible = 0
+    for weights in weightings:
+        for w in ws:
+            ref, _ = _linprog_feasibility(m, w, weights)
+            got = feasibility_model(m, w, weights=weights or None)
+            if math.isinf(ref):
+                infeasible += 1
+                assert not got.feasible and math.isinf(got.objective)
+            else:
+                assert got.feasible
+                assert got.objective == pytest.approx(ref, rel=1e-7, abs=1e-8)
+                assert not [label for label in got.slacks if math.isinf(
+                    weights.get(label, weights.get(kind_of[label], 1.0)))]
+    assert infeasible < len(ws)   # the hardened row leaves probes to compare
 
 
 def test_feasibility_homogeneity(twobus, cfg):
