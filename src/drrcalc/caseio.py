@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import (DisconnectedNetwork, DuplicateDesignation,
-                     InconsistentDimensions, MalformedCase, MissingTable,
-                     UnknownGenerator)
+                     InconsistentDimensions, InvalidSetting, MalformedCase,
+                     MissingTable, UnknownGenerator)
 
 # Column counts we rely on (MATPOWER case format v2).
 _BUS_COLS = 13
@@ -85,9 +85,6 @@ class RawCase:
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
     gencost: tuple[CostRecord, ...]
-
-    def bus_ids(self) -> set[int]:
-        return {b.id for b in self.buses}
 
 
 @dataclass(frozen=True)
@@ -154,15 +151,15 @@ class StudyConfig:
         for name in ("eps_term", "eps_alt", "eps_slack", "eps_dual",
                      "perturb_lambda"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise InvalidSetting(f"{name} must be positive")
         if not 0 < self.ramp_fraction <= 1:
-            raise ValueError("ramp_fraction must be in (0, 1]")
+            raise InvalidSetting("ramp_fraction must be in (0, 1]")
         if not 0 < self.reserve_factor <= 1:
-            raise ValueError("reserve_factor must be in (0, 1]")
+            raise InvalidSetting("reserve_factor must be in (0, 1]")
         if self.s1_count < 1:
-            raise ValueError("s1_count must be at least 1")
+            raise InvalidSetting("s1_count must be at least 1")
         if self.alt_max_rounds < 1:
-            raise ValueError("alt_max_rounds must be at least 1")
+            raise InvalidSetting("alt_max_rounds must be at least 1")
 
     def algorithmic_echo(self) -> dict:
         """Config fields that determine results (scheduling knobs excluded),
@@ -409,25 +406,19 @@ def apply_renewables(raw: RawCase, specs: list[RenewableSpec]) -> CaseData:
                      if i not in seen and raw.generators[i - 1].status != 0)
     forecast = tuple(s.forecast_mw for s in specs)
 
-    pruned = _drop_out_of_service(raw, keep=set(flexible) | set(renewable))
+    # Generators keep their 1-based positions (CaseData indexes by row), so
+    # out-of-service units are retained in the tuple but never referenced.
+    pruned = replace(raw, branches=tuple(b for b in raw.branches if b.status != 0))
     _require_connected(pruned)
     return CaseData(raw=pruned, flexible=flexible, renewable=renewable,
                     forecast_mw=forecast)
 
 
-def _drop_out_of_service(raw: RawCase, keep: set[int]) -> RawCase:
-    branches = tuple(b for b in raw.branches if b.status != 0)
-    # Generators keep their 1-based positions (CaseData indexes by row), so
-    # out-of-service units are retained in the tuple but never referenced.
-    return replace(raw, branches=branches)
-
-
 def _require_connected(raw: RawCase) -> None:
+    """Raise unless the branches of ``raw``, all in service, connect every bus."""
     ids = [b.id for b in raw.buses]
     adj: dict[int, list[int]] = {i: [] for i in ids}
     for br in raw.branches:
-        if br.status == 0:
-            continue
         adj[br.from_bus].append(br.to_bus)
         adj[br.to_bus].append(br.from_bus)
     if not ids:
@@ -460,18 +451,19 @@ def load_renewables_file(path: str | Path) -> list[RenewableSpec]:
 
 
 def load_config_file(path: str | Path) -> StudyConfig:
-    path = Path(path)
+    path, parse = Path(path), json.loads
     if path.suffix == ".toml":
         try:
-            import tomllib
+            from tomllib import loads as parse
         except ImportError as exc:
-            raise ValueError(
+            raise InvalidSetting(
                 "TOML config needs Python 3.11+; use JSON instead") from exc
-        data = tomllib.loads(path.read_text())
-    else:
-        data = json.loads(path.read_text())
+    try:
+        data = parse(path.read_text())
+    except ValueError as exc:  # JSONDecodeError and TOMLDecodeError are ValueErrors
+        raise InvalidSetting(f"{path}: {exc}") from exc
     known = set(StudyConfig.__dataclass_fields__)
     unknown = set(data) - known
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise InvalidSetting(f"unknown config keys: {sorted(unknown)}")
     return StudyConfig(**data)

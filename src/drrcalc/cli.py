@@ -26,7 +26,7 @@ from . import analysis, binding, engine
 from .caseio import (StudyConfig, apply_renewables, load_config_file,
                      load_renewables_file, parse_matpower_file)
 from .dispatch_model import build_compact, build_ptdf, feasibility_model, initial_dispatch
-from .errors import AmbiguousFacet, DrrError
+from .errors import AmbiguousFacet, DrrError, InvalidSetting
 from .lp import solve_lp
 from .maxmin_milp import DualizedMaxMin
 from .polytope import FacetProvenance, Polytope
@@ -60,11 +60,13 @@ def _resolve_config(args) -> StudyConfig:
     cfg = load_config_file(args.config) if args.config else StudyConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("DRR_THREADS")
-        if env is not None:
+    threads, env = args.threads, os.environ.get("DRR_THREADS")
+    if threads is None and env is not None:
+        try:
             threads = int(env)
+        except ValueError:
+            raise InvalidSetting(
+                f"DRR_THREADS must be an integer, got {env!r}") from None
     if threads is None:
         method = getattr(args, "method", "milp")
         threads = os.cpu_count() or 1 if method == "iblp" else 1
@@ -162,10 +164,9 @@ def cmd_binding(args) -> int:
     try:
         cfg = _resolve_config(args)
         case = _load_case(args)
-        dp = initial_dispatch(case, cfg)
-        m = build_compact(case, dp)
         if args.region:
             W = _region_from_json(Path(args.region), case.base_mva)
+            m = build_compact(case, initial_dispatch(case, cfg))
         else:
             result = engine.run(case, cfg, method=args.method)
             W = result.region

@@ -49,6 +49,10 @@ class NoRenewables(DrrError):
     pass
 
 
+class InvalidSetting(DrrError, ValueError):
+    """A study setting (config file, environment) is out of range or malformed."""
+
+
 # --- model building / dispatch ----------------------------------------------
 
 class SingularNetwork(DrrError):

@@ -12,8 +12,10 @@ onto every current facet.
 
 The scenarios of a batch move in lockstep: starts outside W are projected
 first, then each round is one multiplier half-step and one w-step
-half-step.  Starts converge onto the same few region vertices, so most
-steps repeat an LP already solved.  For each half-step the calling process
+half-step.  Each LP depends on one vector of farm space: w, the w-step
+cost ``-alpha' A`` (delta has no part in it) or the start w0.  Starts
+converge onto the same few region vertices, so most steps repeat an LP
+already solved.  For each half-step the calling process
 solves only the distinct LPs missing from its one :class:`LpMemo`, then
 moves every scenario forward from the memo.  With ``thread_count`` N > 1
 it solves the first of N contiguous chunks of those LPs itself, and a pool
@@ -41,8 +43,8 @@ from .polytope import Polytope
 
 _CUT_DEDUPE_TOL = 1e-6
 
-# The alternation's LP kinds, solved for w, the multipliers (alpha, delta)
-# and the start w0; a kind's name begins the error text of its failures.
+# The alternation's LP kinds, solved for w, the w-step cost and the start
+# w0; a kind's name begins the error text of its failures.
 MULTIPLIER = "multiplier step"
 WSTEP = "w step"
 PROJECTION = "projection"
@@ -127,27 +129,25 @@ class _Lps:
         if region != self._region:
             self._region, self._dmm = region, DualizedMaxMin(self.m, W)
             self._templates = {k: t for k, t in self._templates.items() if k == MULTIPLIER}
+        if kind not in self._templates:
+            dmm = self._dmm
+            self._templates[kind] = LpTemplate(
+                dmm.multiplier_lp_at(np.zeros(dmm.m.n_w)) if kind == MULTIPLIER
+                else dmm.w_lp_at(np.zeros(dmm.n_alpha)) if kind == WSTEP
+                else _projection_lp(W))
         out = []
         for v in inputs:
             try:
-                out.append(self._solve_one(kind, W, v))
+                out.append(self._solve_one(kind, W, self._templates[kind], v))
             except DrrError as exc:
                 out.append(exc)
         return out
 
-    def _solve_one(self, kind: str, W: Polytope, v: np.ndarray) -> tuple:
-        dmm = self._dmm
+    def _solve_one(self, kind: str, W: Polytope, template: LpTemplate, v) -> tuple:
         if kind == PROJECTION:
-            if kind not in self._templates:
-                self._templates[kind] = LpTemplate(_projection_lp(W))
-            return OPTIMAL, _project_into(W, v, self._templates[kind]), np.nan
-        if kind == MULTIPLIER:
-            lp_at, cost, args = dmm.multiplier_lp_at, dmm.multiplier_cost, (v,)
-        else:
-            lp_at, cost, args = dmm.w_lp_at, dmm.w_cost, (v[:dmm.n_alpha], v[dmm.n_alpha:])
-        if kind not in self._templates:
-            self._templates[kind] = LpTemplate(lp_at(*args))
-        sol = solve_lp(self._templates[kind].bind(c=cost(*args)), duals=False)
+            return OPTIMAL, _project_into(W, v, template), np.nan
+        c = self._dmm.multiplier_cost(v) if kind == MULTIPLIER else v
+        sol = solve_lp(template.bind(c=c), duals=False)
         if sol.status != OPTIMAL:
             raise NumericalFailure(f"{kind} returned {sol.status}")
         return sol.status, sol.x, sol.objective
@@ -157,12 +157,12 @@ class LpMemo:
     """Outcomes of the alternation's LPs, keyed by the bytes of their input.
 
     The multiplier LP depends only on the model and w, so its entries hold
-    for the whole run.  The w-step LP depends only on the multipliers
-    (alpha, delta) and the region, the projection only on w0 and the
-    region; their entries are dropped whenever the region changes.  An
-    entry is an :class:`LpSolution` holding status, x (read-only) and
-    objective, or the DrrError that stopped its solve, so a hit cannot
-    change any result.
+    for the whole run.  The w-step LP depends only on its cost and the
+    region, the projection only on w0 and the region; their entries are
+    dropped whenever the region changes.  An entry is an
+    :class:`LpSolution` holding status, x (read-only) and objective, or
+    the DrrError that stopped its solve, so a hit cannot change any
+    result.
     """
 
     def __init__(self):
@@ -250,6 +250,7 @@ class IblpOracle:
         start, in start order, its solution or the DrrError that stopped it."""
         cfg, m = self.cfg, self.m
         na = m.b.size
+        w_cost = DualizedMaxMin(m, W).w_cost
 
         def lookup(kind, inputs):
             return self.memo.lookup(kind, W, inputs, self.solve)
@@ -286,7 +287,8 @@ class IblpOracle:
                     F_prev[i] = F
                     going.append(i)
             active = []
-            for i, sol in zip(going, lookup(WSTEP, [mult[i].x for i in going])):
+            costs = [w_cost(mult[i].x[:na]) for i in going]
+            for i, sol in zip(going, lookup(WSTEP, costs)):
                 if isinstance(sol, DrrError):
                     out[i] = sol
                     continue

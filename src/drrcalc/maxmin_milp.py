@@ -67,16 +67,16 @@ class DualizedMaxMin:
         return LinearProgram(c=self.multiplier_cost(w), sense="max",
                              M_eq=M_eq, r_eq=r_eq, lb=lb, ub=ub)
 
-    def w_cost(self, alpha: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Objective of ``w_lp_at(alpha, delta)``, the only part that moves.
-        delta has no term: w enters only the balance rows."""
+    def w_cost(self, alpha: np.ndarray) -> np.ndarray:
+        """Objective of ``w_lp_at(alpha)``, the only part that moves.  w
+        enters only the balance rows, so delta has no term."""
         # 0.0 - x rather than -x: a zero entry stays +0.0, not -0.0.
         return 0.0 - alpha @ self.m.A
 
-    def w_lp_at(self, alpha: np.ndarray, delta: np.ndarray) -> LinearProgram:
+    def w_lp_at(self, alpha: np.ndarray) -> LinearProgram:
         """LP over w at fixed multipliers, constrained to the current region."""
         m = self.m
-        return LinearProgram(c=self.w_cost(alpha, delta), sense="max",
+        return LinearProgram(c=self.w_cost(alpha), sense="max",
                              M_in=self.W.H, r_in=self.W.f,
                              lb=np.zeros(m.n_w), ub=m.farm_capacity_pu)
 

@@ -5,6 +5,8 @@ import os
 import select
 import time
 
+import pytest
+
 from drrcalc import cli
 from drrcalc.cli import main
 from tests.conftest import CASE_DIR
@@ -102,6 +104,21 @@ def test_binding_from_region_json(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "binding.json").exists()
 
 
+def test_binding_without_region_builds_the_model_once(tmp_path, monkeypatch):
+    from drrcalc import dispatch_model
+    built = []
+
+    def counting(case, dp):
+        built.append(case)
+        return dispatch_model.build_compact(case, dp)
+
+    monkeypatch.setattr(cli, "build_compact", counting)
+    monkeypatch.setattr(cli.engine, "build_compact", counting)
+    assert main(["binding", "--case", TWO, "--renewables", TWO_R,
+                 "--out", str(tmp_path)]) == 0
+    assert len(built) == 1
+
+
 def test_validate_passes_and_probes(capsys):
     code = main(["validate", "--case", TWO, "--renewables", TWO_R,
                  "--w", "70"])
@@ -191,6 +208,39 @@ def test_env_thread_default(tmp_path, monkeypatch):
     assert code == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["config"]["thread_count"] == 2
+
+
+def test_bad_env_threads_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DRR_THREADS", "abc")
+    code = main(["compute", "--case", TWO, "--renewables", TWO_R,
+                 "--method", "iblp", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: DRR_THREADS must be an integer, got 'abc'\n"
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1
+
+
+@pytest.mark.parametrize("command", ["compute", "binding", "validate"])
+def test_bad_config_value_is_an_error_not_a_traceback(command, tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"eps_term": -1}))
+    argv = [command, "--case", TWO, "--renewables", TWO_R, "--config", str(cfgp)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: eps_term must be positive\n"
+    if command == "compute":
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["exit_status"] == 1
+
+
+def test_unparsable_config_file_is_an_error(tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text("{eps_term: 1e-6}")
+    assert main(["validate", "--case", TWO, "--renewables", TWO_R,
+                 "--config", str(cfgp)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfgp}: ")
 
 
 def test_iteration_cap_exit_code(tmp_path):

@@ -301,12 +301,14 @@ def _lookup(oracle, kind, W, inputs):
 
 def test_memo_entries_are_shared_and_read_only(two):
     _, m, W0, cfg = two
+    dmm = DualizedMaxMin(m, W0)
     with IblpOracle(m, cfg) as oracle:
         w = np.array([0.5])
         mult, again = _lookup(oracle, MULTIPLIER, W0, [w, w.copy()])
         assert again is mult
-        (wstep,) = _lookup(oracle, WSTEP, W0, [mult.x])
-        assert _lookup(oracle, WSTEP, W0, [mult.x.copy()])[0] is wstep
+        cost = dmm.w_cost(mult.x[:dmm.n_alpha])
+        (wstep,) = _lookup(oracle, WSTEP, W0, [cost])
+        assert _lookup(oracle, WSTEP, W0, [cost.copy()])[0] is wstep
         # solves, hits, multiplier steps, projections
         assert oracle.memo.counts() == (2, 2, 2, 0)
         # An entry holds status, x and objective; x cannot be written.
@@ -319,7 +321,7 @@ def test_memo_entries_are_shared_and_read_only(two):
         assert not oracle.memo.entries[WSTEP] and oracle.memo.entries[MULTIPLIER]
 
 
-def test_wstep_memo_is_keyed_by_the_multipliers(two):
+def test_wstep_memo_is_keyed_by_its_cost(two):
     _, m, W0, cfg = two
     dmm = DualizedMaxMin(m, W0)
     na = dmm.n_alpha
@@ -327,21 +329,44 @@ def test_wstep_memo_is_keyed_by_the_multipliers(two):
         # Two farm outputs on the same side of the band share one multiplier vertex.
         m1, m2 = _lookup(oracle, MULTIPLIER, W0, [np.array([0.1]), np.array([0.3])])
         assert m1 is not m2 and m1.x.tobytes() == m2.x.tobytes()
-        wstep, shared = _lookup(oracle, WSTEP, W0, [m1.x, m2.x])
+        cost = dmm.w_cost(m2.x[:na])
+        assert cost.shape == (m.n_w,)
+        wstep, shared = _lookup(oracle, WSTEP, W0, [dmm.w_cost(m1.x[:na]), cost])
         assert shared is wstep
         # solves, hits, multiplier steps, projections
         assert oracle.memo.counts() == (3, 1, 2, 0)
-        # The key covers delta too: same alpha, other delta is another LP.
+        # delta has no part in the cost: same alpha, other delta is the same LP.
         other = np.concatenate([m1.x[:na], np.zeros(dmm.n_delta)])
-        assert _lookup(oracle, WSTEP, W0, [other])[0] is not wstep
-        assert oracle.memo.counts() == (4, 1, 2, 0)
+        assert other.tobytes() != m1.x.tobytes()
+        assert _lookup(oracle, WSTEP, W0, [dmm.w_cost(other[:na])])[0] is wstep
+        assert oracle.memo.counts() == (3, 2, 2, 0)
         # A new region drops the entries; the next w-step is solved on it.
         W1 = _cut_region()
-        (again,) = _lookup(oracle, WSTEP, W1, [m2.x])
+        (again,) = _lookup(oracle, WSTEP, W1, [cost])
         assert len(oracle.memo.entries[WSTEP]) == 1
-        assert oracle.memo.counts() == (5, 1, 2, 0)
-    fresh = solve_lp(DualizedMaxMin(m, W1).w_lp_at(m2.x[:na], m2.x[na:]))
+        assert oracle.memo.counts() == (4, 2, 2, 0)
+    fresh = solve_lp(DualizedMaxMin(m, W1).w_lp_at(m2.x[:na]))
     assert again.x.tobytes() == fresh.x.tobytes() != wstep.x.tobytes()
+
+
+def test_iblp_run_solves_each_wstep_lp_once(pjm5, monkeypatch):
+    # A w-step LP is its region and its cost; one run solves each such LP
+    # once.  It is the only LP of the run that maximizes over farm space.
+    import drrcalc.maxmin_iblp as mod
+    from drrcalc.engine import run
+    cfg = StudyConfig(seed=0, thread_count=1)
+    n_w = len(pjm5.renewable)
+    wsteps = []
+
+    def recording(lp, **kwargs):
+        if lp.sense == "max" and lp.c.size == n_w:
+            wsteps.append((lp.M_in.tobytes(), lp.r_in.tobytes(), lp.c.tobytes()))
+        return solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(mod, "solve_lp", recording)
+    res = run(pjm5, cfg, method="iblp")
+    assert len(wsteps) == len(set(wsteps)) == 13
+    assert sum(rec.oracle_diag["lp_solves"] for rec in res.trace) == 203
 
 
 def test_oracle_is_freed_without_the_cycle_collector(two):
