@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import (DisconnectedNetwork, DuplicateDesignation,
@@ -123,6 +124,14 @@ class CaseData:
         return tuple(br for br in self.raw.branches if br.status != 0)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # Every LP and MIP is solved by the HiGHS build that scipy ships.  HiGHS
 # runs its MIPs with a relative gap of 0; "mip_gap" keeps the value earlier
 # releases wrote, so region.json and binding.json keep their bytes.
@@ -148,9 +157,19 @@ class StudyConfig:
     node_limit: int = 100_000
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise InvalidSetting(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_number(value):
+                raise InvalidSetting(f"{f.name} must be a number, got {value!r}")
+        if self.big_m is not None and not (_is_number(self.big_m)
+                                           and 0 < self.big_m < math.inf):
+            raise InvalidSetting(
+                f"big_m must be a positive number, got {self.big_m!r}")
         for name in ("eps_term", "eps_alt", "eps_slack", "eps_dual",
                      "perturb_lambda"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise InvalidSetting(f"{name} must be positive")
         if not 0 < self.ramp_fraction <= 1:
             raise InvalidSetting("ramp_fraction must be in (0, 1]")
@@ -160,6 +179,11 @@ class StudyConfig:
             raise InvalidSetting("s1_count must be at least 1")
         if self.alt_max_rounds < 1:
             raise InvalidSetting("alt_max_rounds must be at least 1")
+        if self.cut_batch_cap < 1:
+            raise InvalidSetting("cut_batch_cap must be at least 1")
+        # HiGHS's mip_max_nodes is a 32-bit int.
+        if not 0 <= self.node_limit <= 2**31 - 1:
+            raise InvalidSetting("node_limit must be in [0, 2147483647]")
 
     def algorithmic_echo(self) -> dict:
         """Config fields that determine results (scheduling knobs excluded),
@@ -440,12 +464,28 @@ def _require_connected(raw: RawCase) -> None:
 
 
 def load_renewables_file(path: str | Path) -> list[RenewableSpec]:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise MalformedCase(f"{path}: renewables sidecar is not JSON: {exc}") from exc
     if not isinstance(data, list):
         raise MalformedCase("renewables sidecar must be a JSON array")
     specs = []
-    for entry in data:
-        specs.append(RenewableSpec(gen_index=int(entry["gen_index"]),
+    for k, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise MalformedCase(f"renewables entry {k} must be a JSON object, "
+                                f"got {entry!r}")
+        for name in ("gen_index", "forecast_mw"):
+            if name not in entry:
+                raise MalformedCase(f"renewables entry {k} has no {name}")
+            if not _is_number(entry[name]):
+                raise MalformedCase(f"renewables entry {k}: {name} must be a "
+                                    f"number, got {entry[name]!r}")
+        gen_index = entry["gen_index"]
+        if not (math.isfinite(gen_index) and gen_index == int(gen_index)):
+            raise MalformedCase(f"renewables entry {k}: gen_index must be a "
+                                f"whole number, got {gen_index!r}")
+        specs.append(RenewableSpec(gen_index=int(gen_index),
                                    forecast_mw=float(entry["forecast_mw"])))
     return specs
 

@@ -31,6 +31,21 @@ which cost more than HiGHS itself on the small LPs solved here.  Results
 are checked without a second solver by :func:`certificate_errors` and
 :func:`verify_farkas`.
 
+The bindings are loaded from their file under scipy's install directory,
+not imported: importing ``scipy.optimize._highspy._core`` runs
+``scipy/optimize/__init__`` first, which pulls in scipy.linalg,
+scipy.sparse, linprog and the rest, and costs about 0.3 s and 40 MB of
+every drrcalc process, none of it used.  If ``scipy.optimize`` is already
+loaded, its ``_core`` is used, so one process never holds two copies of
+the extension.  The other way round (drrcalc first), scipy's own imports
+of ``_core`` find this copy, but the attribute path
+``scipy.optimize._highspy._core`` is not set, as Python sets it only for
+a submodule it loads itself.  No other scipy subpackage is imported at module level
+anywhere in drrcalc: one that a feature needs (``scipy.spatial``, say) is
+imported in the function that uses it.  ``tests/test_imports.py`` checks
+in a fresh interpreter that a run loads neither scipy.optimize nor
+scipy.sparse nor scipy.linalg.
+
 Each process holds one HiGHS instance, made with linprog's options on its
 first solve (a forked worker makes its own) and thrown away after any
 HiGHS error.  Every solve passes its whole model to that instance, which
@@ -55,13 +70,45 @@ template: a plain LinearProgram gets a one-off one.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize._highspy._core as _highs
+import scipy
 
 from .errors import DimensionMismatch, NumericalFailure
+
+
+def _load_highs_core():
+    """scipy's HiGHS bindings, loaded from their file so that
+    ``scipy/optimize/__init__`` never runs; a copy already loaded (by a
+    caller that imported ``scipy.optimize`` first) is the one used."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"drrcalc needs scipy >= 1.15, whose {name} it "
+                          f"calls; scipy {scipy.__version__} has no such "
+                          f"extension in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered under its dotted name before exec_module, as an import
+    # would; the pybind11 submodules it makes (cb, simplex_constants)
+    # register beneath that name.
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs_core()
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"

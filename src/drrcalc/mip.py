@@ -2,8 +2,18 @@
 
 A :class:`MixedProgram` is a :class:`LinearProgram` with some columns
 restricted to {0, 1}.  :func:`solve_mip` hands the whole program to the
-HiGHS branch-and-cut solver through ``scipy.optimize.milp``; a program
-without binaries is an LP and goes to :func:`solve_lp`.
+HiGHS branch-and-cut solver; a program without binaries is an LP and goes
+to :func:`solve_lp`.
+
+The MIP is solved through the same scipy-shipped HiGHS bindings as the
+LPs (``lp._highs``, loaded by path so that ``scipy.optimize`` is never
+imported), and HiGHS is given exactly what ``scipy.optimize.milp`` gives
+it for the same program: a new HiGHS instance per MIP; the options
+``log_to_console=False``, ``mip_max_nodes`` and ``mip_rel_gap=0`` and no
+other; the equality rows before the inequality rows, in the CSC that
+:func:`lp._highs_model` builds; and the integrality of every column.  So
+x, the node count and the dual bound are milp's bit for bit, and
+region.json keeps its bytes.
 """
 
 from __future__ import annotations
@@ -11,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import DimensionMismatch, NodeLimitExceeded, NumericalFailure
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, _highs,
+                 _highs_model, solve_lp)
 
 DEFAULT_NODE_LIMIT = 100_000
 
@@ -59,35 +69,48 @@ def solve_mip(mp: MixedProgram, node_limit: int = DEFAULT_NODE_LIMIT) -> MipSolu
         return MipSolution(status=sol.status, x=sol.x, objective=sol.objective,
                            binary_values=np.zeros(0), nodes=0,
                            bound=sol.objective)
-    return _solve_scipy_milp(mp, node_limit)
+    return _solve_highs_mip(mp, node_limit)
 
 
-def _solve_scipy_milp(mp, node_limit):
+def _solve_highs_mip(mp: MixedProgram, node_limit: int) -> MipSolution:
     lp = mp.lp
     sign = 1.0 if lp.sense == "min" else -1.0
-    constraints = []
-    if lp.r_eq.size:
-        constraints.append(LinearConstraint(lp.M_eq, lp.r_eq, lp.r_eq))
-    if lp.r_in.size:
-        constraints.append(LinearConstraint(lp.M_in, -np.inf, lp.r_in))
-    integrality = np.zeros(lp.nvar)
-    integrality[mp.binary_index] = 1
-    res = milp(c=sign * lp.c, constraints=constraints, integrality=integrality,
-               bounds=Bounds(lp.lb, lp.ub),
-               options={"mip_rel_gap": 0.0, "node_limit": node_limit})
-    if res.status == 2:
+    # milp's row order: r_eq <= M_eq x <= r_eq first, then M_in x <= r_in.
+    model = _highs_model(np.vstack([lp.M_eq, lp.M_in]),
+                         np.concatenate([lp.r_eq, np.full(lp.r_in.size, -np.inf)]),
+                         lp.lb, lp.ub)
+    model.col_cost_ = sign * lp.c
+    model.row_upper_ = np.concatenate([lp.r_eq, lp.r_in])
+    binary = set(mp.binary_index)
+    model.integrality_ = [_highs.HighsVarType.kInteger if j in binary
+                          else _highs.HighsVarType.kContinuous
+                          for j in range(lp.nvar)]
+    # Exactly the options milp sets; every other option is HiGHS's default.
+    opts = _highs.HighsOptions()
+    opts.log_to_console = False
+    opts.mip_max_nodes = node_limit
+    opts.mip_rel_gap = 0.0
+
+    h = _highs._Highs()
+    if (h.passOptions(opts) == _highs.HighsStatus.kError
+            or h.passModel(model) == _highs.HighsStatus.kError
+            or h.run() == _highs.HighsStatus.kError):
+        raise NumericalFailure(
+            f"HiGHS MILP failed: {h.modelStatusToString(h.getModelStatus())}")
+    status = h.getModelStatus()
+    if status == _highs.HighsModelStatus.kInfeasible:
         return MipSolution(status=INFEASIBLE)
-    if res.status == 3:
+    if status == _highs.HighsModelStatus.kUnbounded:
         return MipSolution(status=UNBOUNDED)
-    # HiGHS reports its node limit as a solution limit, which milp does not
-    # map to a status of its own.
-    if res.status == 4 and "Solution limit reached" in res.message:
+    # HiGHS reports its node limit as a solution limit.
+    if status == _highs.HighsModelStatus.kSolutionLimit:
         raise NodeLimitExceeded(node_limit)
-    if res.status != 0 or res.x is None:
-        raise NumericalFailure(f"HiGHS MILP failed: {res.message}")
-    x = np.asarray(res.x, dtype=float)
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise NumericalFailure(
+            f"HiGHS MILP failed: {h.modelStatusToString(status)}")
+    x = np.array(h.getSolution().col_value)
+    info = h.getInfo()
     xb = np.array([round(x[j]) for j in mp.binary_index], dtype=float)
-    obj = float(lp.c @ x)
-    bound = sign * res.mip_dual_bound if res.mip_dual_bound is not None else obj
-    return MipSolution(status=OPTIMAL, x=x, objective=obj, binary_values=xb,
-                       nodes=int(res.mip_node_count or 0), bound=float(bound))
+    return MipSolution(status=OPTIMAL, x=x, objective=float(lp.c @ x),
+                       binary_values=xb, nodes=int(info.mip_node_count),
+                       bound=float(sign * info.mip_dual_bound))

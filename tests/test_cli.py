@@ -221,18 +221,65 @@ def test_bad_env_threads_is_an_error_not_a_traceback(tmp_path, monkeypatch, caps
     assert manifest["exit_status"] == 1
 
 
-@pytest.mark.parametrize("command", ["compute", "binding", "validate"])
-def test_bad_config_value_is_an_error_not_a_traceback(command, tmp_path, capsys):
+# Wrong types, and values that would otherwise fail deep inside a run (a
+# negative big_m, a zero cut_batch_cap): validate, the command that only
+# loads the config and the case, is enough to reach them.
+_BAD_SETTINGS = [
+    ("int-str", {"s1_count": "a"}, "s1_count must be an integer, got 'a'"),
+    ("int-float", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ("int-bool", {"node_limit": True}, "node_limit must be an integer, got True"),
+    ("float-str", {"eps_term": "1e-6"}, "eps_term must be a number, got '1e-6'"),
+    ("float-null", {"reserve_factor": None},
+     "reserve_factor must be a number, got None"),
+    ("big_m-negative", {"big_m": -1}, "big_m must be a positive number, got -1"),
+    ("big_m-str", {"big_m": "10"}, "big_m must be a positive number, got '10'"),
+    ("cut_batch_cap-0", {"cut_batch_cap": 0}, "cut_batch_cap must be at least 1"),
+    ("node_limit-negative", {"node_limit": -1},
+     "node_limit must be in [0, 2147483647]"),
+]
+
+
+@pytest.mark.parametrize("command, settings, message", [
+    *[pytest.param(command, {"eps_term": -1}, "eps_term must be positive",
+                   id=command) for command in ("compute", "binding", "validate")],
+    *[pytest.param("validate", settings, message, id=f"validate-{case}")
+      for case, settings, message in _BAD_SETTINGS],
+])
+def test_bad_config_value_is_an_error_not_a_traceback(command, settings, message,
+                                                      tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
-    cfgp.write_text(json.dumps({"eps_term": -1}))
+    cfgp.write_text(json.dumps(settings))
     argv = [command, "--case", TWO, "--renewables", TWO_R, "--config", str(cfgp)]
     if command != "validate":
         argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: eps_term must be positive\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     if command == "compute":
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["exit_status"] == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[{gen_index: 2}]", "renewables sidecar is not JSON"),
+    ('[[2, 50.0]]', "renewables entry 0 must be a JSON object, got [2, 50.0]"),
+    ('[{"gen_index": 2}]', "renewables entry 0 has no forecast_mw"),
+    ('[{"gen_index": 2, "forecast_mw": "50"}]',
+     "renewables entry 0: forecast_mw must be a number, got '50'"),
+    ('[{"gen_index": null, "forecast_mw": 50.0}]',
+     "renewables entry 0: gen_index must be a number, got None"),
+    ('[{"gen_index": 2.5, "forecast_mw": 50.0}]',
+     "renewables entry 0: gen_index must be a whole number, got 2.5"),
+    ('[{"gen_index": Infinity, "forecast_mw": 50.0}]',
+     "renewables entry 0: gen_index must be a whole number, got inf"),
+], ids=["not-json", "not-object", "missing", "string", "null", "fraction",
+        "infinite"])
+def test_malformed_renewables_file_is_an_error(text, message, tmp_path, capsys):
+    rens = tmp_path / "rens.json"
+    rens.write_text(text)
+    assert main(["validate", "--case", TWO, "--renewables", str(rens)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_unparsable_config_file_is_an_error(tmp_path, capsys):

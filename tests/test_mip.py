@@ -8,7 +8,7 @@ import pytest
 from drrcalc.caseio import StudyConfig
 from drrcalc.errors import DimensionMismatch, NodeLimitExceeded
 from drrcalc.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
-from drrcalc.mip import MixedProgram, solve_mip
+from drrcalc.mip import DEFAULT_NODE_LIMIT, MixedProgram, solve_mip
 
 
 @pytest.fixture(params=["scipy"])
@@ -92,3 +92,79 @@ def test_random_knapsacks_match_brute_force():
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(best, abs=1e-7)
         assert sol.binary_values @ w <= cap + 1e-9
+
+
+def _milp_reference(mp: MixedProgram, node_limit: int):
+    """(x, nodes, dual bound) from ``scipy.optimize.milp`` for ``mp``, with
+    a relative gap of 0 and the node limit, equality rows first."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = mp.lp
+    sign = 1.0 if lp.sense == "min" else -1.0
+    constraints = []
+    if lp.r_eq.size:
+        constraints.append(LinearConstraint(lp.M_eq, lp.r_eq, lp.r_eq))
+    if lp.r_in.size:
+        constraints.append(LinearConstraint(lp.M_in, -np.inf, lp.r_in))
+    integrality = np.zeros(lp.nvar)
+    integrality[mp.binary_index] = 1
+    res = milp(c=sign * lp.c, constraints=constraints, integrality=integrality,
+               bounds=Bounds(lp.lb, lp.ub),
+               options={"mip_rel_gap": 0.0, "node_limit": node_limit})
+    assert res.status == 0, res.message
+    return np.asarray(res.x, dtype=float), res.mip_node_count, sign * res.mip_dual_bound
+
+
+def _kkt_mips(case, cfg, monkeypatch):
+    """Every (MixedProgram, node_limit) a milp run of ``case`` solves."""
+    from drrcalc import engine, maxmin_milp
+
+    seen = []
+    direct = maxmin_milp.solve_mip
+
+    def record(mp, node_limit=DEFAULT_NODE_LIMIT):
+        seen.append((mp, node_limit))
+        return direct(mp, node_limit=node_limit)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(maxmin_milp, "solve_mip", record)
+        engine.run(case, cfg, method="milp")
+    return seen
+
+
+def _assert_matches_milp(mp: MixedProgram, node_limit: int) -> None:
+    got = solve_mip(mp, node_limit=node_limit)
+    x, nodes, bound = _milp_reference(mp, node_limit)
+    assert got.status == OPTIMAL
+    assert got.x.tobytes() == x.tobytes()
+    assert got.objective == float(mp.lp.c @ x)
+    assert got.nodes == nodes
+    assert np.float64(got.bound).tobytes() == np.float64(bound).tobytes()
+
+
+@pytest.mark.parametrize("case, iters", [("pjm5", 200), ("ieee39", 2)],
+                         ids=["pjm5-run", "ieee39-first-two"])
+def test_kkt_mips_match_scipy_milp_bit_for_bit(case, iters, request, monkeypatch):
+    """The direct HiGHS MIP solve hands HiGHS what milp hands it: every KKT
+    MIP of a PJM-5 run and of the first two IEEE-39 iterations gives the
+    same x, objective, node count and dual bound, bit for bit."""
+    mips = _kkt_mips(request.getfixturevalue(case),
+                     StudyConfig(max_outer_iters=iters), monkeypatch)
+    assert mips
+    for mp, node_limit in mips:
+        _assert_matches_milp(mp, node_limit)
+
+
+def test_gap_sensitive_knapsack_matches_scipy_milp_bit_for_bit():
+    # HiGHS's default relative gap (1e-4) stops this one at the root, with
+    # a dual bound of 23,055 over the optimum of 23,054; a gap of 0 takes 26
+    # nodes to close it.  The KKT MIPs above close the same way under either
+    # gap, so this is the case that holds the direct solve to milp's
+    # mip_rel_gap.
+    rng = np.random.default_rng(15)
+    w = rng.integers(1000, 2000, size=30).astype(float)
+    v = w + rng.integers(0, 5, size=30)
+    lp = LinearProgram(c=v, sense="max", M_in=[w], r_in=[np.floor(w.sum() / 2)],
+                       lb=np.zeros(30), ub=np.ones(30))
+    _assert_matches_milp(MixedProgram(lp=lp, binary_index=list(range(30))),
+                         DEFAULT_NODE_LIMIT)
