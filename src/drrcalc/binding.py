@@ -20,7 +20,7 @@ import numpy as np
 
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd, feasibility_model
-from .errors import AmbiguousFacet, FacetInfeasible
+from .errors import AmbiguousFacet, DimensionMismatch, FacetInfeasible
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .polytope import Polytope
 
@@ -112,6 +112,10 @@ def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
              allow_unresolved: bool = False) -> BindingReport:
     """Per-facet binding constraints of a converged region (units: MW)."""
     w_bar = np.asarray(w_bar, dtype=float)
+    if W.dim != m.n_w or w_bar.size != m.n_w:
+        raise DimensionMismatch(
+            f"region of dimension {W.dim} and forecast of {w_bar.size} "
+            f"entries for a model with {m.n_w} farms")
     slack_weights = dict(_HARD_EQUALITIES)
     if weights:
         slack_weights.update(weights)

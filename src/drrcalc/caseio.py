@@ -117,12 +117,6 @@ class CaseData:
     def cost(self, index_1b: int) -> CostRecord:
         return self.raw.gencost[index_1b - 1]
 
-    def in_service_buses(self) -> tuple[Bus, ...]:
-        return self.raw.buses
-
-    def in_service_branches(self) -> tuple[Branch, ...]:
-        return tuple(br for br in self.raw.branches if br.status != 0)
-
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)

@@ -26,7 +26,7 @@ from . import analysis, binding, engine
 from .caseio import (StudyConfig, apply_renewables, load_config_file,
                      load_renewables_file, parse_matpower_file)
 from .dispatch_model import build_compact, build_ptdf, feasibility_model, initial_dispatch
-from .errors import AmbiguousFacet, DrrError, InvalidSetting
+from .errors import AmbiguousFacet, DrrError, InvalidSetting, MalformedCase
 from .lp import solve_lp
 from .maxmin_milp import DualizedMaxMin
 from .polytope import FacetProvenance, Polytope
@@ -143,9 +143,6 @@ def cmd_compute(args) -> int:
               f"artifacts in {out}")
         manifest["exit_status"] = _TERMINATION_EXIT[result.termination]
         return manifest["exit_status"]
-    except DrrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     finally:
         manifest["phase_seconds"]["total"] = time.perf_counter() - t_all
         (out / "manifest.json").write_text(
@@ -153,98 +150,97 @@ def cmd_compute(args) -> int:
 
 
 def _region_from_json(path: Path, base_mva: float) -> Polytope:
-    data = json.loads(path.read_text())
-    H = np.array(data["H"], dtype=float)
-    f = np.array(data["f_mw"], dtype=float) / base_mva
-    tags = tuple(FacetProvenance(**p) for p in data["provenance"])
-    return Polytope(H=H, f=f, provenance=tags)
+    try:
+        data = json.loads(path.read_text())
+        H = np.array(data["H"], dtype=float)
+        f = np.array(data["f_mw"], dtype=float) / base_mva
+        tags = tuple(FacetProvenance(**p) for p in data["provenance"])
+        return Polytope(H=H, f=f, provenance=tags)
+    # JSONDecodeError is a ValueError; a missing key, a key of another
+    # type or an unknown provenance field is a KeyError or TypeError.
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedCase(
+            f"{path}: not a region.json: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_binding(args) -> int:
+    cfg = _resolve_config(args)
+    case = _load_case(args)
+    if args.region:
+        W = _region_from_json(Path(args.region), case.base_mva)
+        m = build_compact(case, initial_dispatch(case, cfg))
+    else:
+        result = engine.run(case, cfg, method=args.method)
+        W = result.region
+        m = result.model
+    w_bar_pu = np.array(case.forecast_mw) / case.base_mva
     try:
-        cfg = _resolve_config(args)
-        case = _load_case(args)
-        if args.region:
-            W = _region_from_json(Path(args.region), case.base_mva)
-            m = build_compact(case, initial_dispatch(case, cfg))
-        else:
-            result = engine.run(case, cfg, method=args.method)
-            W = result.region
-            m = result.model
-        w_bar_pu = np.array(case.forecast_mw) / case.base_mva
         report = binding.identify(m, W, w_bar_pu, cfg,
                                   allow_unresolved=args.allow_ambiguous)
-        print(report.table())
-        outdir = Path(args.out) if args.out else Path.cwd()
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "binding.json").write_text(
-            json.dumps(analysis._jsonable(report.to_json()),
-                       indent=1, sort_keys=True) + "\n")
-        return EXIT_OK
     except AmbiguousFacet as exc:
         print(f"error: {exc} (pass --allow-ambiguous to report anyway)",
               file=sys.stderr)
         return EXIT_ERROR
-    except DrrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    print(report.table())
+    outdir = Path(args.out) if args.out else Path.cwd()
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "binding.json").write_text(
+        json.dumps(analysis._jsonable(report.to_json()),
+                   indent=1, sort_keys=True) + "\n")
+    return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    try:
-        cfg = _resolve_config(args)
-        case = _load_case(args)
-        checks: list[tuple[str, bool, str]] = []
+    cfg = _resolve_config(args)
+    case = _load_case(args)
+    checks: list[tuple[str, bool, str]] = []
 
-        dp = initial_dispatch(case, cfg)
-        m = build_compact(case, dp)
-        ptdf = build_ptdf(case)
-        n_b, n_l = m.n_v, m.n_l
-        Cbal, Dflow = m.C[:n_b, :], m.D[n_b:n_b + n_l, :]
-        Bb = Cbal @ Dflow
-        rng = np.random.default_rng(cfg.seed)
-        worst = 0.0
-        for _ in range(10):
-            inj = rng.normal(size=n_b)
-            inj -= inj.mean()
-            theta = np.linalg.pinv(Bb) @ inj
-            worst = max(worst, float(np.abs(-(Dflow @ theta)
-                                            - ptdf.matrix @ inj).max(initial=0.0)))
-        checks.append(("ptdf_angle_equivalence", worst <= 1e-9,
-                       f"max flow deviation {worst:.2e} pu"))
+    dp = initial_dispatch(case, cfg)
+    m = build_compact(case, dp)
+    ptdf = build_ptdf(case)
+    n_b, n_l = m.n_v, m.n_l
+    Cbal, Dflow = m.C[:n_b, :], m.D[n_b:n_b + n_l, :]
+    Bb = Cbal @ Dflow
+    rng = np.random.default_rng(cfg.seed)
+    worst = 0.0
+    for _ in range(10):
+        inj = rng.normal(size=n_b)
+        inj -= inj.mean()
+        theta = np.linalg.pinv(Bb) @ inj
+        worst = max(worst, float(np.abs(-(Dflow @ theta)
+                                        - ptdf.matrix @ inj).max(initial=0.0)))
+    checks.append(("ptdf_angle_equivalence", worst <= 1e-9,
+                   f"max flow deviation {worst:.2e} pu"))
 
-        w_bar = np.array(case.forecast_mw) / case.base_mva
-        feas0 = feasibility_model(m, w_bar).objective
-        checks.append(("forecast_dispatchable", feas0 <= cfg.eps_slack,
-                       f"violation {feas0:.2e} pu"))
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    feas0 = feasibility_model(m, w_bar).objective
+    checks.append(("forecast_dispatchable", feas0 <= cfg.eps_slack,
+                   f"violation {feas0:.2e} pu"))
 
-        W0 = engine.init_w0(case)
-        dmm = DualizedMaxMin(m, W0)
-        lo, hi = W0.box_bounds()
-        gap = 0.0
-        for _ in range(10):
-            w = rng.uniform(lo, hi)
-            dual = solve_lp(dmm.multiplier_lp_at(w)).objective
-            feas = feasibility_model(m, w).objective
-            gap = max(gap, abs(dual - feas))
-        checks.append(("strong_duality", gap <= cfg.eps_dual,
-                       f"max gap {gap:.2e} pu"))
+    W0 = engine.init_w0(case)
+    dmm = DualizedMaxMin(m, W0)
+    lo, hi = W0.box_bounds()
+    gap = 0.0
+    for _ in range(10):
+        w = rng.uniform(lo, hi)
+        dual = solve_lp(dmm.multiplier_lp_at(w)).objective
+        feas = feasibility_model(m, w).objective
+        gap = max(gap, abs(dual - feas))
+    checks.append(("strong_duality", gap <= cfg.eps_dual,
+                   f"max gap {gap:.2e} pu"))
 
-        if args.w is not None:
-            w = np.array([float(v) for v in args.w.split(",")]) / case.base_mva
-            res = feasibility_model(m, w)
-            print(f"w = {args.w} MW: violation {res.objective_mw:.6f} MW")
-            for label, slack in sorted(res.slacks.items()):
-                print(f"  {label}: {slack * case.base_mva:.6f} MW")
+    if args.w is not None:
+        w = np.array([float(v) for v in args.w.split(",")]) / case.base_mva
+        res = feasibility_model(m, w)
+        print(f"w = {args.w} MW: violation {res.objective_mw:.6f} MW")
+        for label, slack in sorted(res.slacks.items()):
+            print(f"  {label}: {slack * case.base_mva:.6f} MW")
 
-        ok = True
-        for name, passed, detail in checks:
-            print(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
-            ok &= passed
-        return EXIT_OK if ok else EXIT_ERROR
-    except DrrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    ok = True
+    for name, passed, detail in checks:
+        print(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
+        ok &= passed
+    return EXIT_OK if ok else EXIT_ERROR
 
 
 def _bench_child(case_path, rens_path, method, threads, seed, queue):
@@ -368,7 +364,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except DrrError as exc:  # pragma: no cover - subcommands catch their own
+    except DrrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

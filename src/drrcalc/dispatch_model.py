@@ -19,7 +19,7 @@ All arithmetic is per-unit on the case base; MW appears at the interfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,8 +48,6 @@ class DispatchPoint:
     p_star: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    ramp_up: np.ndarray
-    ramp_dn: np.ndarray
 
     def __post_init__(self):
         if not (np.all(self.lo <= self.p_star + 1e-7)
@@ -81,7 +79,8 @@ class CompactPsd:
     in_rows: list[ConstraintDescriptor]
     base_mva: float
     farm_capacity_pu: np.ndarray   # per-farm installed capacity, renewable order
-    # elastic_lp of the (p, l, v) rows; feasibility_model swaps in c, ub, r_eq
+    # elastic_lp of the (p, l, v) rows.  feasibility_model swaps in c, ub
+    # and r_eq with with_vectors, so its HiGHS model is assembled once.
     slacked: LinearProgram = field(repr=False)
 
     @property
@@ -122,9 +121,10 @@ class FeasibilityResult:
 class _Net:
     def __init__(self, case: CaseData):
         self.base = case.base_mva
-        self.buses = case.in_service_buses()
+        # apply_renewables has dropped the out-of-service branches.
+        self.buses = case.raw.buses
         self.bus_pos = {b.id: i for i, b in enumerate(self.buses)}
-        self.branches = case.in_service_branches()
+        self.branches = case.raw.branches
         self.ref_pos = next(i for i, b in enumerate(self.buses) if b.type == 3)
         for br in self.branches:
             if br.reactance_pu == 0.0:
@@ -253,8 +253,7 @@ def initial_dispatch(case: CaseData, cfg: StudyConfig) -> DispatchPoint:
     ramp = cfg.ramp_fraction * p_max
     lo = np.maximum(p_star - ramp, p_min)
     hi = np.minimum(p_star + ramp, p_max)
-    return DispatchPoint(p_star=p_star, lo=lo, hi=hi, ramp_up=ramp.copy(),
-                         ramp_dn=ramp.copy())
+    return DispatchPoint(p_star=p_star, lo=lo, hi=hi)
 
 
 def _aggregate_shortfall(lp: LinearProgram) -> float:
@@ -343,8 +342,9 @@ def feasibility_model(m: CompactPsd, w,
     nx = m.n_p + m.n_l + m.n_v
     cost = np.concatenate([np.zeros(nx), eq_w, eq_w, in_w])
     hard = np.isinf(cost)
-    lp = replace(m.slacked, c=np.where(hard, m.slacked.c, cost),
-                 ub=np.where(hard, 0.0, m.slacked.ub), r_eq=m.b - m.A @ w)
+    lp = m.slacked.with_vectors(c=np.where(hard, m.slacked.c, cost),
+                                ub=np.where(hard, 0.0, m.slacked.ub),
+                                r_eq=m.b - m.A @ w)
     sol = solve_lp(lp)
     if not sol.optimal:
         # Only reachable when `weights` hardened rows; the fully slacked

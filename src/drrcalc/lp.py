@@ -58,14 +58,16 @@ use only the optimum: the same solve and the same post-solve feasibility
 check, but it returns status, x and objective and leaves the dual vectors
 ``None``.  An infeasible LP still gets its Farkas ray.
 
-Loops that solve one structure many times, changing only the costs or only
-the inequality right-hand side, wrap it in an :class:`LpTemplate`.  Its
-HiGHS model (bounds, row bounds, the CSC of ``[M_in; M_eq]``) is assembled
-once; ``template.bind(c=...)`` or ``template.bind(r_in=...)`` gives a
-:class:`BoundLp` that ``solve_lp`` takes like a LinearProgram.  A bound
-solve passes the same model with the same checks, so it returns exactly
-what the equivalent LinearProgram returns.  Every solve goes through a
-template: a plain LinearProgram gets a one-off one.
+Loops that solve one structure many times swap vectors into one
+LinearProgram: ``lp.with_vectors(c=..., r_eq=..., r_in=..., ub=...)``
+checks the new vectors as the constructor does and returns a copy that
+shares the matrices and the HiGHS model.  That model holds only the
+dimensions and the CSC of ``[M_in; M_eq]``; it is assembled on the first
+solve of any copy, and every solve sets all five of its vectors (costs,
+column bounds, row lower and upper bounds) from its own LP.  So a solve
+returns what a new LinearProgram with the same fields returns, whichever
+copy was solved before it.  The model does not pickle: an unpickled LP
+assembles its own.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
@@ -134,6 +136,19 @@ def _check_not_nan(name: str, arr: np.ndarray) -> None:
         raise DimensionMismatch(f"NaN coefficients in {name}")
 
 
+class _SharedModel:
+    """Holder of the HiGHS model that an LP shares with its
+    ``with_vectors`` copies.  A HiGHS model does not pickle, so the holder
+    pickles empty and the unpickled LP assembles its own model."""
+    __slots__ = ("model",)
+
+    def __init__(self):
+        self.model: _highs.HighsLp | None = None
+
+    def __reduce__(self):
+        return _SharedModel, ()
+
+
 @dataclass
 class LinearProgram:
     c: np.ndarray
@@ -144,6 +159,8 @@ class LinearProgram:
     r_in: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
+    _shared: _SharedModel = field(default_factory=_SharedModel, init=False,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -160,6 +177,13 @@ class LinearProgram:
                    else np.asarray(self.ub, dtype=float).copy())
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
+        self._check("c", "r_eq", "r_in", "lb", "ub")
+        for name, arr in (("M_eq", self.M_eq), ("M_in", self.M_in)):
+            _check_finite(name, arr)
+
+    def _check(self, *names: str) -> None:
+        """Check every shape, and the entries of the vectors ``names``."""
+        n = self.c.size
         if self.M_eq.shape != (self.r_eq.size, n) or self.M_in.shape != (self.r_in.size, n):
             raise DimensionMismatch(
                 f"constraint blocks inconsistent with {n} variables: "
@@ -167,88 +191,35 @@ class LinearProgram:
             )
         if self.lb.size != n or self.ub.size != n:
             raise DimensionMismatch("bound vectors must match the variable count")
-        for name, arr in (("c", self.c), ("M_eq", self.M_eq), ("M_in", self.M_in)):
-            _check_finite(name, arr)
-        for name, arr in (("r_eq", self.r_eq), ("r_in", self.r_in)):
-            _check_not_nan(name, arr)
-        for name, arr in (("lb", self.lb), ("ub", self.ub)):
-            _check_not_nan(name, arr)
-        if (self.lb > self.ub).any():
-            raise DimensionMismatch("lower bound above upper bound")
-        # HiGHS reads either as no bound at all, so an empty box would
-        # solve as Unbounded.
-        if (self.lb == np.inf).any() or (self.ub == -np.inf).any():
-            raise DimensionMismatch("lower bound of +inf or upper bound of -inf")
+        for name in names:
+            (_check_finite if name == "c" else _check_not_nan)(name, getattr(self, name))
+        if "lb" in names or "ub" in names:
+            if (self.lb > self.ub).any():
+                raise DimensionMismatch("lower bound above upper bound")
+            # HiGHS reads either as no bound at all, so an empty box would
+            # solve as Unbounded.
+            if (self.lb == np.inf).any() or (self.ub == -np.inf).any():
+                raise DimensionMismatch("lower bound of +inf or upper bound of -inf")
+
+    def with_vectors(self, *, c=None, r_eq=None, r_in=None, ub=None) -> LinearProgram:
+        """This LP with the given vectors replaced, checked as the
+        constructor checks them; the copy shares the matrices, the other
+        vectors and the HiGHS model."""
+        # A shallow copy, made directly: copy.copy takes the generic
+        # __reduce_ex__ path, several times slower on this hot path.
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__)
+        new = {name: value for name, value in
+               (("c", c), ("r_eq", r_eq), ("r_in", r_in), ("ub", ub))
+               if value is not None}
+        for name, value in new.items():
+            setattr(lp, name, np.array(value, dtype=float, ndmin=1))
+        lp._check(*new)
+        return lp
 
     @property
     def nvar(self) -> int:
         return self.c.size
-
-
-class LpTemplate:
-    """A LinearProgram whose HiGHS model is assembled once.
-
-    :meth:`bind` swaps in new costs or a new inequality right-hand side;
-    everything else is the template LP's.  The model is assembled on the
-    first solve and rewritten in place (costs and row bounds) before
-    every solve, so one template must not be solved from two threads at
-    once.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        self._model: _highs.HighsLp | None = None
-
-    def bind(self, c=None, r_in=None) -> BoundLp:
-        """The template LP with ``c`` and/or ``r_in`` replaced; the new
-        vectors are checked as LinearProgram checks them."""
-        lp = self.lp
-        if c is None:
-            c = lp.c
-        else:
-            c = np.asarray(c, dtype=float)
-            if c.shape != lp.c.shape:
-                raise DimensionMismatch("cost vector must match the variable count")
-            _check_finite("c", c)
-        if r_in is None:
-            r_in = lp.r_in
-        else:
-            r_in = np.atleast_1d(np.asarray(r_in, dtype=float))
-            if r_in.shape != lp.r_in.shape:
-                raise DimensionMismatch("r_in must match the inequality rows")
-            _check_not_nan("r_in", r_in)
-        return BoundLp(self, c, r_in)
-
-    def highs_model(self) -> _highs.HighsLp:
-        """The shared HiGHS model; the caller sets costs and row upper bounds."""
-        if self._model is None:
-            lp = self.lp
-            # Inequality rows first, then equality rows as lhs == rhs, as
-            # linprog does; costs and row upper bounds are set per solve.
-            lhs = np.concatenate([np.full(lp.r_in.size, -np.inf), lp.r_eq])
-            self._model = _highs_model(np.vstack([lp.M_in, lp.M_eq]), lhs,
-                                       lp.lb, lp.ub)
-        return self._model
-
-
-@dataclass(frozen=True, eq=False)
-class BoundLp:
-    """An LpTemplate's program with its own ``c`` and ``r_in``.
-
-    It has the fields of a LinearProgram, so everything that reads one
-    (the solver, the certificates, the elastic Farkas solve) reads this.
-    """
-    template: LpTemplate
-    c: np.ndarray
-    r_in: np.ndarray
-
-    sense = property(lambda self: self.template.lp.sense)
-    M_eq = property(lambda self: self.template.lp.M_eq)
-    r_eq = property(lambda self: self.template.lp.r_eq)
-    M_in = property(lambda self: self.template.lp.M_in)
-    lb = property(lambda self: self.template.lp.lb)
-    ub = property(lambda self: self.template.lp.ub)
-    nvar = property(lambda self: self.c.size)
 
 
 @dataclass
@@ -267,11 +238,10 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def solve_lp(lp: LinearProgram | BoundLp, *, duals: bool = True) -> LpSolution:
+def solve_lp(lp: LinearProgram, *, duals: bool = True) -> LpSolution:
     """Solve `lp` and return a status-correct result with certified duals;
     with ``duals=False`` an optimum carries only x and objective."""
-    sol = _solve_scipy(lp if isinstance(lp, BoundLp) else LpTemplate(lp).bind(),
-                       duals=duals)
+    sol = _solve_scipy(lp, duals=duals)
     if sol.status == INFEASIBLE:
         sol.farkas = _farkas_from_elastic(lp)
         if sol.farkas is None:
@@ -322,13 +292,11 @@ def _highs_solver() -> _highs._Highs:
     return h
 
 
-def _highs_model(A, lhs, lb, ub) -> _highs.HighsLp:
-    """Column-wise HiGHS model of lhs <= A@x, lb <= x <= ub; costs and row
-    upper bounds are left for the caller to set."""
+def _highs_model(A) -> _highs.HighsLp:
+    """Column-wise HiGHS model of the matrix A alone: the caller sets the
+    costs, the column bounds and the row bounds."""
     model = _highs.HighsLp()
     model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
-    model.col_lower_, model.col_upper_ = lb, ub
-    model.row_lower_ = lhs
     # CSC of A: nonzeros of A.T in row-major order are A's in column order.
     At = A.T
     nz = At != 0.0
@@ -341,12 +309,22 @@ def _highs_model(A, lhs, lb, ub) -> _highs.HighsLp:
     return model
 
 
-def _solve_scipy(lp: BoundLp, duals: bool = True) -> LpSolution:
-    model = lp.template.highs_model()
+def _solve_scipy(lp: LinearProgram, duals: bool = True) -> LpSolution:
+    shared = lp._shared
+    if shared.model is None:
+        # Inequality rows first, then equality rows as lhs == rhs, as
+        # linprog does.
+        shared.model = _highs_model(np.vstack([lp.M_in, lp.M_eq]))
+    model = shared.model
     sign = 1.0 if lp.sense == "min" else -1.0
     rhs = np.concatenate([lp.r_in, lp.r_eq])
+    lhs = rhs.copy()
+    lhs[:lp.r_in.size] = -np.inf
+    # Every vector, every solve: the model may last have served a copy
+    # of this LP with other vectors.
     model.col_cost_ = sign * lp.c
-    model.row_upper_ = rhs
+    model.col_lower_, model.col_upper_ = lp.lb, lp.ub
+    model.row_lower_, model.row_upper_ = lhs, rhs
 
     # Cold on every call: passModel drops the instance's previous model and
     # basis.  A warm start may land on another optimal vertex and so change
@@ -367,7 +345,7 @@ def _solve_scipy(lp: BoundLp, duals: bool = True) -> LpSolution:
         raise
 
 
-def _read_solution(h, lp: BoundLp, rhs, model_status, run_ok: bool,
+def _read_solution(h, lp: LinearProgram, rhs, model_status, run_ok: bool,
                    duals: bool) -> LpSolution:
     status = _HIGHS_STATUS.get(model_status)
     if status in (INFEASIBLE, UNBOUNDED):
@@ -409,7 +387,7 @@ def _read_solution(h, lp: BoundLp, rhs, model_status, run_ok: bool,
 
 # --- certificates ----------------------------------------------------------------
 
-def elastic_lp(lp: LinearProgram | BoundLp) -> LinearProgram:
+def elastic_lp(lp: LinearProgram) -> LinearProgram:
     """Elastic relaxation of ``lp``: minimize the total violation of its rows.
 
     Each equality row gets a surplus and a deficit column, each inequality
@@ -427,13 +405,13 @@ def elastic_lp(lp: LinearProgram | BoundLp) -> LinearProgram:
                          M_in=M_in, r_in=lp.r_in, lb=lb, ub=ub)
 
 
-def _farkas_from_elastic(lp: LinearProgram | BoundLp) -> np.ndarray | None:
+def _farkas_from_elastic(lp: LinearProgram) -> np.ndarray | None:
     """Build an infeasibility ray from the duals of the elastic relaxation."""
     # Not solve_lp: the elastic LP is feasible and bounded by construction,
     # so any other verdict means HiGHS rejected the model (as it does a
     # coefficient above 1e15 or an infinite right-hand side), and so would
     # it reject the elastic LP of this one, without end.
-    sol = _solve_scipy(LpTemplate(elastic_lp(lp)).bind())
+    sol = _solve_scipy(elastic_lp(lp))
     if not sol.optimal:
         raise NumericalFailure(
             f"scipy/HiGHS rejected the model: its elastic relaxation is {sol.status}")

@@ -13,17 +13,21 @@ onto every current facet.
 The scenarios of a batch move in lockstep: starts outside W are projected
 first, then each round is one multiplier half-step and one w-step
 half-step.  Each LP depends on one vector of farm space: w, the w-step
-cost ``-alpha' A`` (delta has no part in it) or the start w0.  Starts
-converge onto the same few region vertices, so most steps repeat an LP
-already solved.  For each half-step the calling process
-solves only the distinct LPs missing from its one :class:`LpMemo`, then
-moves every scenario forward from the memo.  With ``thread_count`` N > 1
-it solves the first of N contiguous chunks of those LPs itself, and a pool
-of N - 1 workers, started once per run, solves the others.  Every process
-solves on its own HiGHS instance, and each solve is cold (see
-:mod:`drrcalc.lp`); results merge in scenario order, so the LPs solved, the
-cuts and the output are the same for any worker count.  The memo keeps only
-status, x and objective, so these LPs are read without their duals.
+cost ``-alpha' A`` (delta has no part in it) or the start w0.  Each kind
+is one :class:`~drrcalc.lp.LinearProgram`, and a solve swaps in the costs
+or right-hand side that its vector gives with ``with_vectors``, so a
+process assembles a kind's HiGHS model once per region (the multiplier
+LP's once per run).  Starts converge onto the same few region vertices,
+so most steps repeat an LP already solved.  For each half-step the
+calling process solves only the distinct LPs missing from its one
+:class:`LpMemo`, then moves every scenario forward from the memo.  With
+``thread_count`` N > 1 it solves the first of N contiguous chunks of
+those LPs itself, and a pool of N - 1 workers, started once per run,
+solves the others.  Every process solves on its own HiGHS instance, and
+each solve is cold (see :mod:`drrcalc.lp`); results merge in scenario
+order, so the LPs solved, the cuts and the output are the same for any
+worker count.  The memo keeps only status, x and objective, so these LPs
+are read without their duals.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
 from .errors import DrrError, NumericalFailure, ZeroNormal
-from .lp import OPTIMAL, LinearProgram, LpSolution, LpTemplate, solve_lp
+from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
 from .maxmin_milp import DualizedMaxMin, MaxMinSolution, cut_vector
 from .polytope import Polytope
 
@@ -88,7 +92,7 @@ def make_scenarios(W0: Polytope, W: Polytope, w_bar, cfg: StudyConfig) -> Scenar
 
 
 def _projection_lp(W: Polytope) -> LinearProgram:
-    """1-norm projection onto W as an LP over (w, t); bind
+    """1-norm projection onto W as an LP over (w, t); swap in
     ``r_in = (f, w0, -w0)`` to project the point w0."""
     n = W.dim
     c = np.concatenate([np.zeros(n), np.ones(n)])
@@ -101,26 +105,27 @@ def _projection_lp(W: Polytope) -> LinearProgram:
     return LinearProgram(c=c, sense="min", M_in=M_in, r_in=r_in)
 
 
-def _project_into(W: Polytope, w0: np.ndarray, template: LpTemplate) -> np.ndarray:
-    """1-norm projection of w0 onto W (an LP, deterministic); ``template``
-    wraps ``_projection_lp(W)``."""
-    lp = template.bind(r_in=np.concatenate([W.f, w0, -w0]))
-    sol = solve_lp(lp, duals=False)
+def _project_into(W: Polytope, w0: np.ndarray, lp: LinearProgram) -> np.ndarray:
+    """1-norm projection of w0 onto W (an LP, deterministic); ``lp`` is
+    ``_projection_lp(W)``, whose HiGHS model every projection shares."""
+    sol = solve_lp(lp.with_vectors(r_in=np.concatenate([W.f, w0, -w0])),
+                   duals=False)
     if sol.status != OPTIMAL:
         raise NumericalFailure("projection into the current region failed")
     return sol.x[:W.dim]
 
 
 class _Lps:
-    """The alternation's LPs on one model, in one process: the multiplier
-    template (that LP does not depend on the region) and the w-step and
-    projection templates of the current region."""
+    """The alternation's LPs on one model, in one process: one LP per
+    kind, of which each solve takes a ``with_vectors`` copy.  The
+    multiplier LP does not depend on the region and lasts the run; the
+    w-step and projection LPs are those of the current region."""
 
     def __init__(self, m: CompactPsd):
         self.m = m
         self._region: tuple[bytes, bytes] | None = None
         self._dmm = None
-        self._templates: dict[str, LpTemplate] = {}
+        self._lps: dict[str, LinearProgram] = {}
 
     def solve(self, kind: str, W: Polytope, inputs: list) -> list:
         """``(status, x, objective)`` of each input's LP, or the DrrError
@@ -128,26 +133,26 @@ class _Lps:
         region = (W.H.tobytes(), W.f.tobytes())
         if region != self._region:
             self._region, self._dmm = region, DualizedMaxMin(self.m, W)
-            self._templates = {k: t for k, t in self._templates.items() if k == MULTIPLIER}
-        if kind not in self._templates:
+            self._lps = {k: lp for k, lp in self._lps.items() if k == MULTIPLIER}
+        if kind not in self._lps:
             dmm = self._dmm
-            self._templates[kind] = LpTemplate(
+            self._lps[kind] = (
                 dmm.multiplier_lp_at(np.zeros(dmm.m.n_w)) if kind == MULTIPLIER
                 else dmm.w_lp_at(np.zeros(dmm.n_alpha)) if kind == WSTEP
                 else _projection_lp(W))
         out = []
         for v in inputs:
             try:
-                out.append(self._solve_one(kind, W, self._templates[kind], v))
+                out.append(self._solve_one(kind, W, self._lps[kind], v))
             except DrrError as exc:
                 out.append(exc)
         return out
 
-    def _solve_one(self, kind: str, W: Polytope, template: LpTemplate, v) -> tuple:
+    def _solve_one(self, kind: str, W: Polytope, lp: LinearProgram, v) -> tuple:
         if kind == PROJECTION:
-            return OPTIMAL, _project_into(W, v, template), np.nan
+            return OPTIMAL, _project_into(W, v, lp), np.nan
         c = self._dmm.multiplier_cost(v) if kind == MULTIPLIER else v
-        sol = solve_lp(template.bind(c=c), duals=False)
+        sol = solve_lp(lp.with_vectors(c=c), duals=False)
         if sol.status != OPTIMAL:
             raise NumericalFailure(f"{kind} returned {sol.status}")
         return sol.status, sol.x, sol.objective

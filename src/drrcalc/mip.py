@@ -11,9 +11,10 @@ imported), and HiGHS is given exactly what ``scipy.optimize.milp`` gives
 it for the same program: a new HiGHS instance per MIP; the options
 ``log_to_console=False``, ``mip_max_nodes`` and ``mip_rel_gap=0`` and no
 other; the equality rows before the inequality rows, in the CSC that
-:func:`lp._highs_model` builds; and the integrality of every column.  So
-x, the node count and the dual bound are milp's bit for bit, and
-region.json keeps its bytes.
+:func:`lp._highs_model` builds, with the costs and bounds set as an LP
+solve sets them; and the integrality of every column.  So x, the node
+count and the dual bound are milp's bit for bit, and region.json keeps
+its bytes.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ def _solve_highs_mip(mp: MixedProgram, node_limit: int) -> MipSolution:
     lp = mp.lp
     sign = 1.0 if lp.sense == "min" else -1.0
     # milp's row order: r_eq <= M_eq x <= r_eq first, then M_in x <= r_in.
-    model = _highs_model(np.vstack([lp.M_eq, lp.M_in]),
-                         np.concatenate([lp.r_eq, np.full(lp.r_in.size, -np.inf)]),
-                         lp.lb, lp.ub)
+    model = _highs_model(np.vstack([lp.M_eq, lp.M_in]))
     model.col_cost_ = sign * lp.c
+    model.col_lower_, model.col_upper_ = lp.lb, lp.ub
+    model.row_lower_ = np.concatenate([lp.r_eq, np.full(lp.r_in.size, -np.inf)])
     model.row_upper_ = np.concatenate([lp.r_eq, lp.r_in])
     binary = set(mp.binary_index)
     model.integrality_ = [_highs.HighsVarType.kInteger if j in binary

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+import drrcalc.binding as binding_mod
+import drrcalc.lp as lp_mod
 from drrcalc.binding import (ORIGIN_BOX, ORIGIN_PHYSICAL, identify,
                              probe_point, terminal_points)
 from drrcalc.caseio import StudyConfig
-from drrcalc.dispatch_model import feasibility_model
+from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import run
-from drrcalc.errors import AmbiguousFacet, FacetInfeasible
+from drrcalc.errors import AmbiguousFacet, DimensionMismatch, FacetInfeasible
 from drrcalc.polytope import FacetProvenance, Polytope
 
 
@@ -115,6 +117,46 @@ def test_pjm5_box_facets_identified(pjm_result):
         assert e.bindings
         for b in e.bindings:
             assert b.kind in ("FlowUpper", "FlowLower", "GenUpper", "GenLower")
+
+
+def test_identify_assembles_the_slacked_model_once(pjm_result, monkeypatch):
+    # Every feasibility solve of one identify call is a with_vectors copy
+    # of the model's slacked LP, so its HiGHS model is assembled once.
+    case, cfg, res = pjm_result
+    m = build_compact(case, initial_dispatch(case, cfg))
+    slacked_cols = m.slacked.nvar
+    assembled, feasibility_solves = [], []
+    build, feasibility = lp_mod._highs_model, binding_mod.feasibility_model
+
+    def count_build(A, *args):
+        assembled.append(A.shape[1] == slacked_cols)
+        return build(A, *args)
+
+    def count_feasibility(*args, **kwargs):
+        feasibility_solves.append(1)
+        return feasibility(*args, **kwargs)
+
+    monkeypatch.setattr(lp_mod, "_highs_model", count_build)
+    monkeypatch.setattr(binding_mod, "feasibility_model", count_feasibility)
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    identify(m, res.region, w_bar, cfg)
+    assert len(feasibility_solves) > 2
+    assert sum(assembled) == 1
+
+
+@pytest.mark.parametrize("region_dim, forecast_size", [(1, 2), (2, 1)])
+def test_identify_rejects_a_region_or_forecast_of_another_dimension(
+        pjm_result, region_dim, forecast_size):
+    # PJM-5 has 2 farms; a 1-D region or forecast must not be broadcast
+    # into a report.
+    case, cfg, res = pjm_result
+    W = Polytope(H=np.vstack([np.eye(region_dim), -np.eye(region_dim)]),
+                 f=np.concatenate([np.ones(region_dim), np.zeros(region_dim)]),
+                 provenance=tuple(FacetProvenance("Cut", iteration=i)
+                                  for i in range(2 * region_dim)))
+    w_bar = np.full(forecast_size, 0.5)
+    with pytest.raises(DimensionMismatch):
+        identify(res.model, W, w_bar, cfg)
 
 
 def test_lambda_halving_stability(two_result, pjm_result):

@@ -167,7 +167,7 @@ def test_out_of_service_branch_dropped():
     raw = parse_matpower(text)
     assert len(raw.branches) == 2
     case = apply_renewables(raw, [])
-    assert len(case.in_service_branches()) == 1
+    assert [br.status for br in case.raw.branches] == [1]
 
 
 def test_config_validation_and_file(tmp_path):

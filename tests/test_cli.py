@@ -104,6 +104,37 @@ def test_binding_from_region_json(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "binding.json").exists()
 
 
+_BOX_2D = {"H": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+           "f_mw": [100.0, 100.0, 0.0, 0.0],
+           "provenance": [{"kind": "InitialBox", "farm": farm, "bound": bound}
+                          for bound in ("upper", "lower") for farm in (0, 1)]}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{H: [[1.0, 0.0]]}", "not a region.json: JSONDecodeError"),
+    (json.dumps({k: v for k, v in _BOX_2D.items() if k != "provenance"}),
+     "not a region.json: KeyError: 'provenance'"),
+    (json.dumps({**_BOX_2D, "f_mw": [100.0, 100.0, 0.0]}),
+     "not a region.json: ValueError: facet count mismatch"),
+    (json.dumps({**_BOX_2D, "provenance": [{"kind": "Cut", "colour": 1}] * 4}),
+     "not a region.json: TypeError"),
+    (json.dumps([_BOX_2D]), "not a region.json: TypeError"),
+    (json.dumps({"H": [[1.0], [-1.0]], "f_mw": [100.0, 0.0],
+                 "provenance": _BOX_2D["provenance"][::2]}),
+     "region of dimension 1 and forecast of 2 entries for a model with 2 farms"),
+], ids=["not-json", "no-provenance", "lengths", "provenance-key", "array",
+        "wrong-dimension"])
+def test_malformed_region_file_is_an_error(text, message, tmp_path, capsys):
+    region = tmp_path / "region.json"
+    region.write_text(text)
+    assert main(["binding", "--case", PJM, "--renewables", PJM_R,
+                 "--region", str(region), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o" / "binding.json").exists()
+
+
 def test_binding_without_region_builds_the_model_once(tmp_path, monkeypatch):
     from drrcalc import dispatch_model
     built = []

@@ -2,6 +2,9 @@
 
 import dataclasses
 import multiprocessing
+import os
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +14,8 @@ import drrcalc.lp as lp_mod
 from drrcalc.caseio import StudyConfig
 from drrcalc.engine import run
 from drrcalc.errors import DimensionMismatch, NumericalFailure
-from drrcalc.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, BoundLp, LinearProgram,
-                        LpSolution, LpTemplate, certificate_errors, solve_lp,
-                        verify_farkas)
+from drrcalc.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution,
+                        certificate_errors, solve_lp, verify_farkas)
 
 
 @pytest.fixture(params=["scipy"])
@@ -236,12 +238,24 @@ def test_rejects_upper_bound_of_minus_inf():
     ("c", [1.0]),
     ("r_in", [np.nan]),
     ("r_in", [0.2, 0.2]),
+    ("r_eq", [np.nan]),
+    ("r_eq", [1.0, 1.0]),
+    ("ub", [1.0, np.nan]),
+    ("ub", [1.0]),
+    ("ub", [1.0, -1.0]),
 ])
 def test_template_rejects_bad_binding(field, value):
-    template = LpTemplate(LinearProgram(**_VALID))
-    template.bind(c=[2.0, 1.0], r_in=[np.inf])
+    # with_vectors checks the vectors it swaps in as the constructor does.
+    lp = LinearProgram(**_VALID)
+    lp.with_vectors(c=[2.0, 1.0], r_eq=[0.5], r_in=[np.inf], ub=[np.inf, 1.0])
     with pytest.raises(DimensionMismatch):
-        template.bind(**{field: value})
+        lp.with_vectors(**{field: value})
+
+
+def test_with_vectors_rejects_upper_bound_of_minus_inf():
+    lp = LinearProgram(c=[1.0], sense="max")
+    with pytest.raises(DimensionMismatch):
+        lp.with_vectors(ub=[-np.inf])
 
 
 # --- direct HiGHS call against linprog ---------------------------------------------
@@ -289,9 +303,9 @@ def _assert_bitwise_equal(got: LpSolution, ref: LpSolution):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
-def _full(lp: BoundLp) -> LinearProgram:
-    """The plain LinearProgram that a template member stands for."""
-    return dataclasses.replace(lp.template.lp, c=lp.c, r_in=lp.r_in)
+def _full(lp: LinearProgram) -> LinearProgram:
+    """``lp`` as a new LinearProgram, with a HiGHS model of its own."""
+    return dataclasses.replace(lp)
 
 
 def _check_against_linprog(lps, monkeypatch):
@@ -353,7 +367,7 @@ def test_rejected_model_raises_not_recurses(monkeypatch):
         with monkeypatch.context() as mp:
             if on_linprog:
                 mp.setattr(lp_mod, "_solve_scipy", _linprog_solve)
-            assert lp_mod._solve_scipy(LpTemplate(_REJECTED).bind()).status == INFEASIBLE
+            assert lp_mod._solve_scipy(_REJECTED).status == INFEASIBLE
             with pytest.raises(NumericalFailure, match="rejected"):
                 solve_lp(_REJECTED)
 
@@ -370,9 +384,10 @@ def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
         mp.setattr(lp_mod, "_solve_scipy", record)
         run(twobus, StudyConfig(), method="iblp")
     assert len(seen) > 50
-    # Most are template members: the memo's multiplier, w-step and projection LPs.
-    assert sum(lp.c is not lp.template.lp.c or lp.r_in is not lp.template.lp.r_in
-               for lp in seen) > 20
+    # Most share a HiGHS model: the memo's multiplier, w-step and
+    # projection LPs are with_vectors copies of one LP per kind.
+    shared = Counter(id(lp._shared) for lp in seen)
+    assert sum(n for n in shared.values() if n > 1) > 20
     # Solved again after the run on the process's one HiGHS instance, in
     # shuffled order, with infeasible, unbounded and rejected LPs mixed in:
     # each must equal linprog's solve on a new instance, ray included.
@@ -382,9 +397,8 @@ def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
              _REJECTED]
     pool = seen + 10 * extra
     lps = [pool[i] for i in np.random.default_rng(6).permutation(len(pool))]
-    bound = [lp if isinstance(lp, BoundLp) else LpTemplate(lp).bind() for lp in lps]
-    got = [direct(lp) for lp in bound]
-    for lp, sol in zip(bound, got):
+    got = [direct(lp) for lp in lps]
+    for lp, sol in zip(lps, got):
         _assert_bitwise_equal(sol, _linprog_solve(lp))
     assert {sol.status for sol in got} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     for lp in lps:
@@ -396,8 +410,7 @@ def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(lp_mod, "_solve_scipy", _linprog_solve)
             _assert_bitwise_equal(sol, solve_lp(lp))
-        if isinstance(lp, BoundLp):
-            _assert_bitwise_equal(sol, solve_lp(_full(lp)))
+        _assert_bitwise_equal(sol, solve_lp(_full(lp)))
 
 
 # --- one HiGHS instance per process, and the primal-only readout ---------------------
@@ -407,11 +420,11 @@ def test_back_to_back_solves_of_one_template_match_linprog():
     # must still be what linprog's new instance gives.
     rng = np.random.default_rng(5151)
     for _ in range(10):
-        template = LpTemplate(_random_lp(rng))
-        bound = [template.bind(c=rng.normal(size=template.lp.nvar)) for _ in range(5)]
-        got = [lp_mod._solve_scipy(lp) for lp in bound]
-        for lp, sol in zip(bound, got):
-            _assert_bitwise_equal(sol, _linprog_solve(lp))
+        lp = _random_lp(rng)
+        copies = [lp.with_vectors(c=rng.normal(size=lp.nvar)) for _ in range(5)]
+        got = [lp_mod._solve_scipy(copy) for copy in copies]
+        for copy, sol in zip(copies, got):
+            _assert_bitwise_equal(sol, _linprog_solve(copy))
 
 
 def test_primal_only_readout_matches_full_readout():
@@ -435,16 +448,33 @@ def test_primal_only_readout_matches_full_readout():
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
+class _ShiftedOptimum:
+    """A HiGHS instance that reports every optimum with x moved by +1."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __getattr__(self, name):
+        return getattr(self.h, name)
+
+    def getSolution(self):
+        solution = self.h.getSolution()
+        solution.col_value = [v + 1.0 for v in solution.col_value]
+        return solution
+
+
 @pytest.mark.parametrize("duals", [True, False])
-def test_tampered_optimum_raises(duals):
-    # The HiGHS model lets x reach 2 while the LP caps it at 1, so the
-    # optimum HiGHS reports violates the LP it stands for.
-    template = LpTemplate(LinearProgram(c=[1.0], sense="max", lb=[0.0], ub=[1.0]))
-    template.highs_model().col_upper_ = np.array([2.0])
-    before = lp_mod._highs_solver()
+def test_tampered_optimum_raises(duals, monkeypatch):
+    # HiGHS reports x = 2 for an LP that caps x at 1, so the optimum it
+    # reports violates the LP it stands for.
+    lp = LinearProgram(c=[1.0], sense="max", lb=[0.0], ub=[1.0])
+    tampered = _ShiftedOptimum(lp_mod._highs_solver())
+    monkeypatch.setitem(lp_mod._SOLVERS, os.getpid(), tampered)
     with pytest.raises(NumericalFailure, match="violates the constraints"):
-        solve_lp(template.bind(), duals=duals)
-    assert lp_mod._highs_solver() is not before
+        solve_lp(lp, duals=duals)
+    replaced = lp_mod._highs_solver()
+    assert replaced is not tampered and replaced is not tampered.h
+    assert solve_lp(lp, duals=duals).x[0] == 1.0
 
 
 def test_highs_instance_is_kept_and_replaced_after_an_error():
@@ -454,7 +484,7 @@ def test_highs_instance_is_kept_and_replaced_after_an_error():
     solve_lp(lp, duals=False)
     solve_lp(LinearProgram(c=[-1.0], lb=[0.0]))  # unbounded is no error
     assert lp_mod._highs_solver() is h
-    lp_mod._solve_scipy(LpTemplate(_REJECTED).bind())
+    lp_mod._solve_scipy(_REJECTED)
     assert lp_mod._highs_solver() is not h
 
 
@@ -478,38 +508,81 @@ def test_forked_child_makes_its_own_highs_instance():
     assert lp_mod._highs_solver() is parent
 
 
-# --- templates against the full LinearProgram ----------------------------------------
+# --- with_vectors copies against the full LinearProgram -----------------------------
+#
+# A copy shares its LP's HiGHS model; _full(copy) is the same program
+# with a model of its own, the reference a copy must match bit for bit.
 
 def test_template_matches_full_lp_swapped_costs(solve):
     rng = np.random.default_rng(4242)
     for _ in range(10):
-        template = LpTemplate(_random_lp(rng))
+        lp = _random_lp(rng)
         for _ in range(5):
-            bound = template.bind(c=rng.normal(size=template.lp.nvar))
-            _assert_bitwise_equal(solve(bound), solve(_full(bound)))
+            copy = lp.with_vectors(c=rng.normal(size=lp.nvar))
+            _assert_bitwise_equal(solve(copy), solve(_full(copy)))
 
 
 def test_template_matches_full_lp_swapped_rhs(solve):
     rng = np.random.default_rng(4343)
     for _ in range(10):
         lp = _random_lp(rng)
-        template = LpTemplate(lp)
         for _ in range(5):
             r_in = lp.r_in + rng.uniform(-0.5, 1.0, size=lp.r_in.size)
-            bound = template.bind(r_in=r_in)
-            _assert_bitwise_equal(solve(bound), solve(_full(bound)))
+            copy = lp.with_vectors(r_in=r_in)
+            _assert_bitwise_equal(solve(copy), solve(_full(copy)))
 
 
 def test_template_infeasible_binding_gets_a_farkas_ray(solve):
     # x == 5 and x <= r: feasible at r = 6, infeasible at r = 1.
-    template = LpTemplate(LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
-                                        M_in=[[1.0]], r_in=[6.0], lb=[0.0]))
-    assert solve(template.bind()).status == OPTIMAL
-    bound = template.bind(r_in=[1.0])
-    sol = solve(bound)
+    lp = LinearProgram(c=[1.0], M_eq=[[1.0]], r_eq=[5.0],
+                       M_in=[[1.0]], r_in=[6.0], lb=[0.0])
+    assert solve(lp).status == OPTIMAL
+    copy = lp.with_vectors(r_in=[1.0])
+    sol = solve(copy)
     assert sol.status == INFEASIBLE
-    assert verify_farkas(bound, sol.farkas) > 0
-    _assert_bitwise_equal(sol, solve(_full(bound)))
-    # The template itself is untouched by the infeasible solve.
-    _assert_bitwise_equal(solve(template.bind()),
-                          solve(template.lp))
+    assert verify_farkas(copy, sol.farkas) > 0
+    _assert_bitwise_equal(sol, solve(_full(copy)))
+    # The LP itself is untouched by its copy's infeasible solve.
+    assert lp.r_in.tolist() == [6.0]
+    _assert_bitwise_equal(solve(lp), solve(_full(lp)))
+
+
+def test_each_solve_sets_every_vector_of_the_shared_model():
+    # Copies that swap each vector in turn, solved in shuffled order on
+    # one shared model: every solve must equal that of its own full LP,
+    # so nothing an earlier copy set can leak into a later solve.
+    rng = np.random.default_rng(6262)
+    for _ in range(5):
+        lp = _random_lp(rng)
+        copies = [lp]
+        for _ in range(3):
+            copies += [
+                lp.with_vectors(c=rng.normal(size=lp.nvar)),
+                lp.with_vectors(r_eq=lp.r_eq + rng.uniform(-0.1, 0.1, lp.r_eq.size)),
+                lp.with_vectors(r_in=lp.r_in + rng.uniform(-0.5, 1.0, lp.r_in.size)),
+                lp.with_vectors(ub=lp.ub + rng.uniform(0.0, 1.0, lp.nvar)),
+                lp.with_vectors(c=rng.normal(size=lp.nvar),
+                                ub=np.where((rng.random(lp.nvar) < 0.3)
+                                            & np.isfinite(lp.lb), lp.lb, lp.ub),
+                                r_eq=lp.r_eq * 1.01),
+            ]
+        assert all(copy._shared is lp._shared for copy in copies)
+        for i in rng.permutation(len(copies)):
+            copy = copies[i]
+            _assert_bitwise_equal(solve_lp(copy), solve_lp(_full(copy)))
+
+
+def test_solved_lp_and_its_copy_pickle():
+    # A HiGHS model does not pickle; a solved LP and a with_vectors copy
+    # (as a pool start method may pickle them) still do, and unpickled
+    # they solve bit for bit as before.
+    rng = np.random.default_rng(7373)
+    lp = _random_lp(rng)
+    copy = lp.with_vectors(c=rng.normal(size=lp.nvar))
+    for original in (lp, copy):
+        ref = solve_lp(original)
+        clone = pickle.loads(pickle.dumps(original))
+        assert clone._shared is not original._shared
+        _assert_bitwise_equal(solve_lp(clone), ref)
+        _assert_bitwise_equal(solve_lp(clone, duals=False),
+                              solve_lp(original, duals=False))

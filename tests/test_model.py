@@ -68,7 +68,7 @@ def test_pjm5_initial_dispatch_matches_oracle(pjm5, cfg):
     # Independent oracle: PTDF formulation over p only, raw scipy solve.
     from scipy.optimize import linprog
     base = pjm5.base_mva
-    branches = pjm5.in_service_branches()
+    branches = pjm5.raw.branches
     nb, nl, ng = 5, len(branches), 5
     Bbus = np.zeros((nb, nb))
     Bf = np.zeros((nl, nb))
@@ -85,7 +85,7 @@ def test_pjm5_initial_dispatch_matches_oracle(pjm5, cfg):
     inc = np.zeros((nb, ng))
     for k, g in enumerate(gens):
         inc[g.bus - 1, k] = 1.0
-    load = np.array([b.load_mw for b in pjm5.in_service_buses()]) / base
+    load = np.array([b.load_mw for b in pjm5.raw.buses]) / base
     winj = np.zeros(nb)
     for k, gi in enumerate(pjm5.renewable):
         winj[pjm5.gen(gi).bus - 1] += pjm5.forecast_mw[k] / base
@@ -252,8 +252,7 @@ def test_feasibility_homogeneity(twobus, cfg):
     scaled_case = replace(twobus, raw=scaled_raw,
                           forecast_mw=tuple(f * gamma for f in twobus.forecast_mw))
     scaled_dp = DispatchPoint(p_star=dp.p_star * gamma, lo=dp.lo * gamma,
-                              hi=dp.hi * gamma, ramp_up=dp.ramp_up * gamma,
-                              ramp_dn=dp.ramp_dn * gamma)
+                              hi=dp.hi * gamma)
     sm = build_compact(scaled_case, scaled_dp)
     for w in (0.70, 0.44, 1.0, 0.0):
         ref = feasibility_model(m, [w]).objective
