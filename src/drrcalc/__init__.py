@@ -16,7 +16,7 @@ from .engine import DrrResult, init_w0, make_cut, run
 from .binding import BindingReport, identify, probe_point, terminal_points
 from .analysis import (RampEvent, export_artifacts, high_risk_event,
                        vertices_2d)
-from .maxmin_iblp import ScenarioSet, alternate_solve, gen_s1, gen_s2, run_iblp
+from .maxmin_iblp import IblpOracle, ScenarioSet, gen_s1, gen_s2, run_iblp
 from .maxmin_milp import (DualizedMaxMin, MaxMinSolution, build_kkt_mip,
                           solve_maxmin_milp)
 from .polytope import FacetProvenance, Polytope, remove_redundant

@@ -162,7 +162,9 @@ def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
 
 
 def _matches_box(W: Polytope, i: int, m: CompactPsd) -> bool:
-    """Fallback when provenance is missing: is facet i an axis bound?"""
+    """Is facet i a box bound (a farm at zero or at capacity)?  Asked of a
+    Cut facet whose probe stays feasible: if so its origin is the box,
+    otherwise it is unresolved."""
     row = W.H[i]
     j = int(np.argmax(np.abs(row)))
     if abs(abs(row[j]) - 1.0) > 1e-9:

@@ -484,7 +484,8 @@ def load_renewables_file(path: str | Path) -> list[RenewableSpec]:
     return specs
 
 
-def load_config_file(path: str | Path) -> StudyConfig:
+def load_config_file(path: str | Path, base: StudyConfig | None = None) -> StudyConfig:
+    """``base`` (default: ``StudyConfig()``) with the file's settings over it."""
     path, parse = Path(path), json.loads
     if path.suffix == ".toml":
         try:
@@ -496,8 +497,11 @@ def load_config_file(path: str | Path) -> StudyConfig:
         data = parse(path.read_text())
     except ValueError as exc:  # JSONDecodeError and TOMLDecodeError are ValueErrors
         raise InvalidSetting(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidSetting(
+            f"{path}: top level must be an object, got {type(data).__name__}")
     known = set(StudyConfig.__dataclass_fields__)
     unknown = set(data) - known
     if unknown:
         raise InvalidSetting(f"unknown config keys: {sorted(unknown)}")
-    return StudyConfig(**data)
+    return replace(base or StudyConfig(), **data)

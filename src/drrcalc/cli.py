@@ -57,7 +57,12 @@ def _sha256(path: Path) -> str:
 
 
 def _resolve_config(args) -> StudyConfig:
-    cfg = load_config_file(args.config) if args.config else StudyConfig()
+    """Settings by precedence: the flags, ``DRR_THREADS`` (threads only),
+    the config file, the defaults (threads: the cores for iblp, 1 for milp)."""
+    method = getattr(args, "method", "milp")
+    cfg = StudyConfig(thread_count=os.cpu_count() or 1 if method == "iblp" else 1)
+    if args.config:
+        cfg = load_config_file(args.config, cfg)
     if args.seed is not None:
         cfg.seed = args.seed
     threads, env = args.threads, os.environ.get("DRR_THREADS")
@@ -67,10 +72,9 @@ def _resolve_config(args) -> StudyConfig:
         except ValueError:
             raise InvalidSetting(
                 f"DRR_THREADS must be an integer, got {env!r}") from None
-    if threads is None:
-        method = getattr(args, "method", "milp")
-        threads = os.cpu_count() or 1 if method == "iblp" else 1
-    cfg.thread_count = max(1, threads)
+    if threads is not None:
+        cfg.thread_count = threads
+    cfg.thread_count = max(1, cfg.thread_count)
     return cfg
 
 
@@ -287,6 +291,8 @@ def _bench_cell(case_path, rens_path, method, threads, seed, reps, timeout):
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise InvalidSetting(f"--reps must be at least 1, got {args.reps}")
     rows = ["case,method,threads,median_seconds,iterations"]
     mt_threads = args.threads or os.cpu_count() or 1
     for spec in args.cases:
@@ -322,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None,
                        help="processes solving iblp LPs, this one included (default: "
-                            "cores for iblp, 1 for milp; env DRR_THREADS overrides)")
+                            "env DRR_THREADS, else the config file, else cores "
+                            "for iblp, 1 for milp)")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("compute", help="run the full region workflow")

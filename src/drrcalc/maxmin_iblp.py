@@ -18,22 +18,22 @@ is one :class:`~drrcalc.lp.LinearProgram`, and a solve swaps in the costs
 or right-hand side that its vector gives with ``with_vectors``, so a
 process assembles a kind's HiGHS model once per region (the multiplier
 LP's once per run).  Starts converge onto the same few region vertices,
-so most steps repeat an LP already solved.  For each half-step the
-calling process solves only the distinct LPs missing from its one
-:class:`LpMemo`, then moves every scenario forward from the memo.  With
-``thread_count`` N > 1 it solves the first of N contiguous chunks of
-those LPs itself, and a pool of N - 1 workers, started once per run,
-solves the others.  Every process solves on its own HiGHS instance, and
-each solve is cold (see :mod:`drrcalc.lp`); results merge in scenario
-order, so the LPs solved, the cuts and the output are the same for any
-worker count.  The memo keeps only status, x and objective, so these LPs
-are read without their duals.
+so most steps repeat an LP already solved.  Each half-step is one
+:meth:`IblpOracle.lookup`, which solves only the distinct LPs missing from
+the oracle's memo, then every scenario moves forward from the memo.  With
+``thread_count`` N > 1 the calling process solves the first of N
+contiguous chunks of those LPs itself, and a pool of N - 1 workers,
+started once per run, solves the others.  Every process solves on its own
+HiGHS instance, and each solve is cold (see :mod:`drrcalc.lp`); results
+merge in scenario order, so the LPs solved, the cuts and the output are
+the same for any worker count.  The memo keeps only status, x and
+objective, so these LPs are read without their duals.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +46,15 @@ from .maxmin_milp import DualizedMaxMin, MaxMinSolution, cut_vector
 from .polytope import Polytope
 
 _CUT_DEDUPE_TOL = 1e-6
+_totals = operator.attrgetter("solves", "hits", "multiplier_steps", "projections")
 
 # The alternation's LP kinds, solved for w, the w-step cost and the start
-# w0; a kind's name begins the error text of its failures.
+# w0; a kind's name begins the error text of its failures.  The LPs and memo
+# entries of _REGION_KINDS last one region; the multiplier ones last the run.
 MULTIPLIER = "multiplier step"
 WSTEP = "w step"
 PROJECTION = "projection"
+_REGION_KINDS = (WSTEP, PROJECTION)
 
 
 @dataclass(frozen=True)
@@ -116,10 +119,9 @@ def _project_into(W: Polytope, w0: np.ndarray, lp: LinearProgram) -> np.ndarray:
 
 
 class _Lps:
-    """The alternation's LPs on one model, in one process: one LP per
-    kind, of which each solve takes a ``with_vectors`` copy.  The
-    multiplier LP does not depend on the region and lasts the run; the
-    w-step and projection LPs are those of the current region."""
+    """The alternation's LPs on one model, in one process: one LP per kind,
+    of which each solve takes a ``with_vectors`` copy, kept as long as
+    ``_REGION_KINDS`` says."""
 
     def __init__(self, m: CompactPsd):
         self.m = m
@@ -133,7 +135,8 @@ class _Lps:
         region = (W.H.tobytes(), W.f.tobytes())
         if region != self._region:
             self._region, self._dmm = region, DualizedMaxMin(self.m, W)
-            self._lps = {k: lp for k, lp in self._lps.items() if k == MULTIPLIER}
+            self._lps = {k: lp for k, lp in self._lps.items()
+                         if k not in _REGION_KINDS}
         if kind not in self._lps:
             dmm = self._dmm
             self._lps[kind] = (
@@ -158,68 +161,31 @@ class _Lps:
         return sol.status, sol.x, sol.objective
 
 
-class LpMemo:
-    """Outcomes of the alternation's LPs, keyed by the bytes of their input.
-
-    The multiplier LP depends only on the model and w, so its entries hold
-    for the whole run.  The w-step LP depends only on its cost and the
-    region, the projection only on w0 and the region; their entries are
-    dropped whenever the region changes.  An entry is an
-    :class:`LpSolution` holding status, x (read-only) and objective, or
-    the DrrError that stopped its solve, so a hit cannot change any
-    result.
-    """
-
-    def __init__(self):
-        self.entries: dict[str, dict] = {MULTIPLIER: {}, WSTEP: {}, PROJECTION: {}}
-        self._region: tuple[bytes, bytes] | None = None
-        self.solves = 0           # LPs handed to the solver, projections included
-        self.hits = 0
-        self.multiplier_steps = 0
-        self.projections = 0
-
-    def lookup(self, kind: str, W: Polytope, inputs: list, solve) -> list:
-        """The entry of every input, in input order; ``solve(kind, W, missing)``
-        gives the outcomes of the distinct inputs not held yet."""
-        region = (W.H.tobytes(), W.f.tobytes())
-        if region != self._region:
-            self.entries[WSTEP].clear()
-            self.entries[PROJECTION].clear()
-            self._region = region
-        cache = self.entries[kind]
-        missing = {v.tobytes(): v for v in inputs if v.tobytes() not in cache}
-        for key, out in zip(missing, solve(kind, W, list(missing.values())) if missing else ()):
-            if not isinstance(out, DrrError):
-                out = LpSolution(*out)
-                out.x.flags.writeable = False
-            cache[key] = out
-        self.solves += len(missing)
-        self.hits += len(inputs) - len(missing)
-        if kind == MULTIPLIER:
-            self.multiplier_steps += len(inputs)
-        elif kind == PROJECTION:
-            self.projections += len(inputs)
-        return [cache[v.tobytes()] for v in inputs]
-
-    def counts(self) -> tuple[int, int, int, int]:
-        return self.solves, self.hits, self.multiplier_steps, self.projections
-
-
 class IblpOracle:
-    """The iblp oracle of one region computation.
+    """The iblp oracle of one region computation; :meth:`lookup` is its
+    one way to an LP outcome.
 
-    It holds the run's :class:`LpMemo`, the calling process's own LPs and,
-    when ``cfg.thread_count > 1``, the run's one pool of
-    ``thread_count - 1`` worker processes: started by the first half-step
-    with LPs to share, shut down by :meth:`close`.  ``counts`` is the
-    scenario accounting of the last batch.
+    ``entries`` is the memo: per kind, keyed by the bytes of its input,
+    each LP's :class:`LpSolution` (status, read-only x, objective) or the
+    DrrError that stopped it, so a hit cannot change any result.  Those of
+    ``_REGION_KINDS`` are dropped whenever the region changes.  With
+    ``cfg.thread_count > 1`` the oracle holds the run's one pool of
+    ``thread_count - 1`` workers: started by the first lookup with LPs to
+    share, shut down by :meth:`close`.  ``solves``, ``hits``,
+    ``multiplier_steps`` and ``projections`` count over the run;
+    ``counts`` is the scenario accounting of the last batch.
     """
 
     def __init__(self, m: CompactPsd, cfg: StudyConfig):
         self.m = m
         self.cfg = cfg
-        self.memo = LpMemo()
+        self.entries: dict[str, dict] = {MULTIPLIER: {}, WSTEP: {}, PROJECTION: {}}
+        self.solves = 0           # LPs handed to the solver, projections included
+        self.hits = 0
+        self.multiplier_steps = 0
+        self.projections = 0
         self.counts: dict[str, int] = {}
+        self._region: tuple[bytes, bytes] | None = None
         self._lps = _Lps(m)
         self._pool = None
 
@@ -234,21 +200,43 @@ class IblpOracle:
             self._pool.shutdown()
             self._pool = None
 
-    def solve(self, kind: str, W: Polytope, inputs: list) -> list:
-        """Outcomes of ``_Lps.solve`` over ``inputs``: this process solves the
-        first of ``thread_count`` contiguous chunks, the pool the others."""
-        size = -(-len(inputs) // max(1, self.cfg.thread_count))
-        chunks = [inputs[i:i + size] for i in range(0, len(inputs), size)]
-        if len(chunks) > 1 and self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.cfg.thread_count - 1,
-                initializer=_init_worker, initargs=(self.m,))
-        futures = [self._pool.submit(_solve_chunk, kind, W, chunk)
-                   for chunk in chunks[1:]]
-        out = self._lps.solve(kind, W, chunks[0])
-        for fut in futures:
-            out.extend(fut.result())
-        return out
+    def lookup(self, kind: str, W: Polytope, inputs: list) -> list:
+        """The entry of every input, in input order.  The distinct inputs
+        not held yet are solved in ``thread_count`` contiguous chunks: this
+        process solves the first, the pool the others."""
+        region = (W.H.tobytes(), W.f.tobytes())
+        if region != self._region:
+            for k in _REGION_KINDS:
+                self.entries[k].clear()
+            self._region = region
+        cache = self.entries[kind]
+        keys = [v.tobytes() for v in inputs]
+        missing = {key: v for key, v in zip(keys, inputs) if key not in cache}
+        if missing:
+            todo = list(missing.values())
+            size = -(-len(todo) // max(1, self.cfg.thread_count))
+            chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
+            if len(chunks) > 1 and self._pool is None:
+                self._pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self.cfg.thread_count - 1,
+                    initializer=_init_worker, initargs=(self.m,))
+            futures = [self._pool.submit(_solve_chunk, kind, W, chunk)
+                       for chunk in chunks[1:]]
+            outs = self._lps.solve(kind, W, chunks[0])
+            for fut in futures:
+                outs.extend(fut.result())
+            for key, out in zip(missing, outs):
+                if not isinstance(out, DrrError):
+                    out = LpSolution(*out)
+                    out.x.flags.writeable = False
+                cache[key] = out
+        self.solves += len(missing)
+        self.hits += len(inputs) - len(missing)
+        if kind == MULTIPLIER:
+            self.multiplier_steps += len(inputs)
+        elif kind == PROJECTION:
+            self.projections += len(inputs)
+        return [cache[key] for key in keys]
 
     def alternate(self, W: Polytope, starts: list) -> list:
         """Alternating maximization from every start, all in lockstep: per
@@ -257,13 +245,10 @@ class IblpOracle:
         na = m.b.size
         w_cost = DualizedMaxMin(m, W).w_cost
 
-        def lookup(kind, inputs):
-            return self.memo.lookup(kind, W, inputs, self.solve)
-
         w = [np.asarray(w0, dtype=float) for w0 in starts]
         out: list = [None] * len(w)
         outside = [i for i, wi in enumerate(w) if not W.contains(wi, tol=1e-9)]
-        for i, proj in zip(outside, lookup(PROJECTION, [w[i] for i in outside])):
+        for i, proj in zip(outside, self.lookup(PROJECTION, W, [w[i] for i in outside])):
             if isinstance(proj, DrrError):
                 out[i] = proj
             else:
@@ -275,7 +260,7 @@ class IblpOracle:
         F_prev = [-np.inf] * len(w)
         for rounds in range(1, cfg.alt_max_rounds + 1):
             going = []
-            for i, sol in zip(active, lookup(MULTIPLIER, [w[i] for i in active])):
+            for i, sol in zip(active, self.lookup(MULTIPLIER, W, [w[i] for i in active])):
                 if isinstance(sol, DrrError):
                     out[i] = sol
                     continue
@@ -293,7 +278,7 @@ class IblpOracle:
                     going.append(i)
             active = []
             costs = [w_cost(mult[i].x[:na]) for i in going]
-            for i, sol in zip(going, lookup(WSTEP, costs)):
+            for i, sol in zip(going, self.lookup(WSTEP, W, costs)):
                 if isinstance(sol, DrrError):
                     out[i] = sol
                     continue
@@ -317,36 +302,24 @@ def _solve_chunk(kind: str, W: Polytope, inputs: list) -> list:
     return _WORKER_LPS.solve(kind, W, inputs)
 
 
-def alternate_solve(m: CompactPsd, W: Polytope, w0, cfg: StudyConfig) -> MaxMinSolution:
-    """Alternating maximization from one start: a one-start batch."""
-    with IblpOracle(m, cfg) as oracle:
-        (sol,) = oracle.alternate(W, [w0])
-    if isinstance(sol, DrrError):
-        raise sol
-    return sol
-
-
 def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
-             cfg: StudyConfig, oracle: IblpOracle | None = None
-             ) -> list[MaxMinSolution]:
+             cfg: StudyConfig, oracle: IblpOracle) -> list[MaxMinSolution]:
     """Alternate-solve every scenario; keep deduplicated positive violations.
 
     Failures are collected per scenario and only raised when no scenario
     succeeds.  The result order follows scenario order for any thread count.
-    ``oracle`` carries memo and pool across the calls of one run; without
-    it the call uses its own, closed on return.
+    ``oracle`` is the run's, which carries memo and pool across its calls.
     """
     starts = scenarios.combined()
     if not starts:
         raise ValueError("scenario set is empty")
-    if oracle is not None and (oracle.m is not m or oracle.cfg is not cfg):
+    if oracle.m is not m or oracle.cfg is not cfg:
         raise ValueError("oracle belongs to another model or configuration")
 
-    with IblpOracle(m, cfg) if oracle is None else contextlib.nullcontext(oracle) as run:
-        before = run.memo.counts()
-        outcomes = run.alternate(W, starts)
-        solves, hits, steps, projected = (
-            a - b for a, b in zip(run.memo.counts(), before))
+    before = _totals(oracle)
+    outcomes = oracle.alternate(W, starts)
+    solves, hits, steps, projected = (
+        a - b for a, b in zip(_totals(oracle), before))
 
     failures = [f"scenario {idx}: {out}" for idx, out in enumerate(outcomes)
                 if isinstance(out, DrrError)]
@@ -371,7 +344,7 @@ def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
             continue
         kept_vectors.append(vec)
         kept.append(s)
-    run.counts = {"scenarios_started": len(starts),
+    oracle.counts = {"scenarios_started": len(starts),
                   "scenarios_projected": projected,
                   "scenarios_failed": len(failures),
                   "scenarios_positive": len(positive),

@@ -241,6 +241,24 @@ def test_env_thread_default(tmp_path, monkeypatch):
     assert manifest["config"]["thread_count"] == 2
 
 
+def test_config_file_thread_count_is_kept(tmp_path, monkeypatch):
+    # Precedence: --threads, DRR_THREADS, the config file, the default.
+    monkeypatch.delenv("DRR_THREADS", raising=False)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"thread_count": 3}))
+    code = main(["compute", "--case", TWO, "--renewables", TWO_R,
+                 "--method", "milp", "--config", str(cfgp),
+                 "--out", str(tmp_path / "o")])
+    assert code == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"]["thread_count"] == 3
+
+
+def test_bench_rejects_zero_reps(capsys):
+    assert main(["bench", "--cases", f"{TWO}:{TWO_R}", "--reps", "0"]) == 1
+    assert capsys.readouterr().err == "error: --reps must be at least 1, got 0\n"
+
+
 def test_bad_env_threads_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DRR_THREADS", "abc")
     code = main(["compute", "--case", TWO, "--renewables", TWO_R,
@@ -319,6 +337,18 @@ def test_unparsable_config_file_is_an_error(tmp_path, capsys):
     assert main(["validate", "--case", TWO, "--renewables", TWO_R,
                  "--config", str(cfgp)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {cfgp}: ")
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("5", "int"), ("null", "NoneType"), ("[1]", "list"), ('"abc"', "str"),
+], ids=["number", "null", "list", "string"])
+def test_config_file_must_hold_an_object(text, kind, tmp_path, capsys):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(text)
+    assert main(["validate", "--case", TWO, "--renewables", TWO_R,
+                 "--config", str(cfgp)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfgp}: top level must be an object, got {kind}\n")
 
 
 def test_iteration_cap_exit_code(tmp_path):

@@ -8,8 +8,8 @@ from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dis
 from drrcalc.engine import init_w0
 from drrcalc.errors import DimensionMismatch, NumericalFailure
 from drrcalc.lp import solve_lp
-from drrcalc.maxmin_iblp import (MULTIPLIER, WSTEP, IblpOracle, alternate_solve,
-                                 gen_s1, gen_s2, make_scenarios, run_iblp)
+from drrcalc.maxmin_iblp import (MULTIPLIER, WSTEP, IblpOracle, gen_s1, gen_s2,
+                                 make_scenarios, run_iblp)
 from drrcalc.maxmin_milp import (DualizedMaxMin, build_kkt_mip, cut_vector,
                                  default_big_m, solve_maxmin_milp)
 from drrcalc.polytope import FacetProvenance, Polytope
@@ -194,14 +194,16 @@ def test_alternate_interior_start_converges_to_zero(two):
     done = Polytope(H=[[1.0], [-1.0]], f=[0.60, -0.50],
                     provenance=(FacetProvenance("Cut", iteration=1),
                                 FacetProvenance("Cut", iteration=2)))
-    sol = alternate_solve(m, done, np.array([0.55]), cfg)
+    with IblpOracle(m, cfg) as oracle:
+        (sol,) = oracle.alternate(done, [np.array([0.55])])
     assert sol.F == pytest.approx(0.0, abs=1e-9)
     assert sol.diagnostics["rounds"] <= 2
 
 
 def test_alternate_matches_duality_at_fixed_w(two):
     _, m, W0, cfg = two
-    sol = alternate_solve(m, W0, np.array([1.0]), cfg)
+    with IblpOracle(m, cfg) as oracle:
+        (sol,) = oracle.alternate(W0, [np.array([1.0])])
     assert sol.F >= feasibility_model(m, [1.0]).objective - 1e-9
     assert sol.F == pytest.approx(
         feasibility_model(m, sol.w_star).objective, abs=1e-6)
@@ -212,16 +214,23 @@ def test_alternate_sequence_nondecreasing(pjm5, cfg):
     W0 = init_w0(pjm5)
     lo, hi = W0.box_bounds()
     rng = np.random.default_rng(5)
-    for _ in range(5):
-        sol = alternate_solve(m, W0, rng.uniform(lo, hi), cfg)
+    with IblpOracle(m, cfg) as oracle:
+        sols = oracle.alternate(W0, [rng.uniform(lo, hi) for _ in range(5)])
+    for sol in sols:
         seq = sol.diagnostics["sequence"]
         assert all(b >= a - 1e-9 for a, b in zip(seq, seq[1:]))
+
+
+def _run_iblp(m, W, scenarios, cfg):
+    """One batch on an oracle of its own, built as ``engine.run`` builds it."""
+    with IblpOracle(m, cfg) as oracle:
+        return run_iblp(m, W, scenarios, cfg, oracle)
 
 
 def test_run_iblp_filters_and_dedupes(two):
     case, m, W0, cfg = two
     w_bar = np.array(case.forecast_mw) / case.base_mva
-    sols = run_iblp(m, W0, make_scenarios(W0, W0, w_bar, cfg), cfg)
+    sols = _run_iblp(m, W0, make_scenarios(W0, W0, w_bar, cfg), cfg)
     assert all(s.F > cfg.eps_term for s in sols)
     # 1-D problem: at most the two distinct worst-case directions remain.
     assert 1 <= len(sols) <= 2
@@ -238,8 +247,8 @@ def test_run_iblp_thread_count_invariance(two):
     case, m, W0, cfg = two
     w_bar = np.array(case.forecast_mw) / case.base_mva
     scen = make_scenarios(W0, W0, w_bar, cfg)
-    serial = run_iblp(m, W0, scen, StudyConfig(thread_count=1))
-    parallel = run_iblp(m, W0, scen, StudyConfig(thread_count=4))
+    serial = _run_iblp(m, W0, scen, StudyConfig(thread_count=1))
+    parallel = _run_iblp(m, W0, scen, StudyConfig(thread_count=4))
     assert len(serial) == len(parallel)
     for a, b in zip(serial, parallel):
         assert a.F == b.F
@@ -258,7 +267,7 @@ def test_run_iblp_aggregates_failures(two, monkeypatch):
     scen = make_scenarios(W0, W0, np.array([0.5]), cfg)
     with pytest.raises(Exception, match="all scenarios failed: "
                                         "scenario 0: injected; scenario 1: injected"):
-        mod.run_iblp(m, W0, scen, StudyConfig(thread_count=1))
+        _run_iblp(m, W0, scen, StudyConfig(thread_count=1))
 
 
 def test_run_iblp_projection_failure_stops_only_its_scenarios(two, monkeypatch):
@@ -295,8 +304,8 @@ def _cut_region():
                                 FacetProvenance("Cut", iteration=2)))
 
 
-def _lookup(oracle, kind, W, inputs):
-    return oracle.memo.lookup(kind, W, inputs, oracle.solve)
+def _totals(oracle):
+    return oracle.solves, oracle.hits, oracle.multiplier_steps, oracle.projections
 
 
 def test_memo_entries_are_shared_and_read_only(two):
@@ -304,21 +313,39 @@ def test_memo_entries_are_shared_and_read_only(two):
     dmm = DualizedMaxMin(m, W0)
     with IblpOracle(m, cfg) as oracle:
         w = np.array([0.5])
-        mult, again = _lookup(oracle, MULTIPLIER, W0, [w, w.copy()])
+        mult, again = oracle.lookup(MULTIPLIER, W0, [w, w.copy()])
         assert again is mult
         cost = dmm.w_cost(mult.x[:dmm.n_alpha])
-        (wstep,) = _lookup(oracle, WSTEP, W0, [cost])
-        assert _lookup(oracle, WSTEP, W0, [cost.copy()])[0] is wstep
+        (wstep,) = oracle.lookup(WSTEP, W0, [cost])
+        assert oracle.lookup(WSTEP, W0, [cost.copy()])[0] is wstep
         # solves, hits, multiplier steps, projections
-        assert oracle.memo.counts() == (2, 2, 2, 0)
+        assert _totals(oracle) == (2, 2, 2, 0)
         # An entry holds status, x and objective; x cannot be written.
         for sol in (mult, wstep):
             assert sol.mu_eq is None and sol.mu_in is None
             with pytest.raises(ValueError):
                 sol.x[...] = 0.0
         # A new region drops the w-step entries but keeps the multiplier ones.
-        assert _lookup(oracle, MULTIPLIER, _cut_region(), [w.copy()])[0] is mult
-        assert not oracle.memo.entries[WSTEP] and oracle.memo.entries[MULTIPLIER]
+        assert oracle.lookup(MULTIPLIER, _cut_region(), [w.copy()])[0] is mult
+        assert not oracle.entries[WSTEP] and oracle.entries[MULTIPLIER]
+
+
+def test_lookup_of_held_inputs_solves_nothing(two, monkeypatch):
+    # Every input held: no LP to solve or share, so no chunk and no pool.
+    import concurrent.futures
+    _, m, W0, _ = two
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a lookup started the pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with IblpOracle(m, StudyConfig(thread_count=2)) as oracle:
+        w = np.array([0.5])
+        (mult,) = oracle.lookup(MULTIPLIER, W0, [w])
+        held = oracle.lookup(MULTIPLIER, W0, [w.copy(), w.copy()])
+        assert all(sol is mult for sol in held)
+        # solves, hits, multiplier steps, projections
+        assert _totals(oracle) == (1, 2, 3, 0)
 
 
 def test_wstep_memo_is_keyed_by_its_cost(two):
@@ -327,24 +354,24 @@ def test_wstep_memo_is_keyed_by_its_cost(two):
     na = dmm.n_alpha
     with IblpOracle(m, cfg) as oracle:
         # Two farm outputs on the same side of the band share one multiplier vertex.
-        m1, m2 = _lookup(oracle, MULTIPLIER, W0, [np.array([0.1]), np.array([0.3])])
+        m1, m2 = oracle.lookup(MULTIPLIER, W0, [np.array([0.1]), np.array([0.3])])
         assert m1 is not m2 and m1.x.tobytes() == m2.x.tobytes()
         cost = dmm.w_cost(m2.x[:na])
         assert cost.shape == (m.n_w,)
-        wstep, shared = _lookup(oracle, WSTEP, W0, [dmm.w_cost(m1.x[:na]), cost])
+        wstep, shared = oracle.lookup(WSTEP, W0, [dmm.w_cost(m1.x[:na]), cost])
         assert shared is wstep
         # solves, hits, multiplier steps, projections
-        assert oracle.memo.counts() == (3, 1, 2, 0)
+        assert _totals(oracle) == (3, 1, 2, 0)
         # delta has no part in the cost: same alpha, other delta is the same LP.
         other = np.concatenate([m1.x[:na], np.zeros(dmm.n_delta)])
         assert other.tobytes() != m1.x.tobytes()
-        assert _lookup(oracle, WSTEP, W0, [dmm.w_cost(other[:na])])[0] is wstep
-        assert oracle.memo.counts() == (3, 2, 2, 0)
+        assert oracle.lookup(WSTEP, W0, [dmm.w_cost(other[:na])])[0] is wstep
+        assert _totals(oracle) == (3, 2, 2, 0)
         # A new region drops the entries; the next w-step is solved on it.
         W1 = _cut_region()
-        (again,) = _lookup(oracle, WSTEP, W1, [cost])
-        assert len(oracle.memo.entries[WSTEP]) == 1
-        assert oracle.memo.counts() == (4, 2, 2, 0)
+        (again,) = oracle.lookup(WSTEP, W1, [cost])
+        assert len(oracle.entries[WSTEP]) == 1
+        assert _totals(oracle) == (4, 2, 2, 0)
     fresh = solve_lp(DualizedMaxMin(m, W1).w_lp_at(m2.x[:na]))
     assert again.x.tobytes() == fresh.x.tobytes() != wstep.x.tobytes()
 
@@ -380,9 +407,9 @@ def test_oracle_is_freed_without_the_cycle_collector(two):
     try:
         with IblpOracle(m, cfg) as oracle:
             run_iblp(m, W0, scen, cfg, oracle)
-        memo = weakref.ref(oracle.memo)
+        ref = weakref.ref(oracle)
         del oracle
-        assert memo() is None
+        assert ref() is None
     finally:
         gc.enable()
 
@@ -394,11 +421,12 @@ def test_iblp_memo_solves_fewer_lps_than_steps(two):
     with IblpOracle(m, cfg) as oracle:
         kept = run_iblp(m, W0, scen, cfg, oracle)
         counts = oracle.counts
+        # The same batch again is all memo hits, with the same cuts.
+        again = run_iblp(m, W0, scen, cfg, oracle)
+        assert oracle.counts["lp_solves"] == 0
     assert counts["lp_solves"] < counts["multiplier_steps"]
     assert counts["memo_hits"] > 0
     assert counts["scenarios_started"] == len(scen.combined())
     assert counts["scenarios_failed"] == 0
     assert counts["scenarios_kept"] == len(kept) <= counts["scenarios_positive"]
-    # Same cuts as a call without the run's oracle.
-    alone = run_iblp(m, W0, scen, cfg)
-    assert [s.F for s in alone] == [s.F for s in kept]
+    assert [s.F for s in again] == [s.F for s in kept]
