@@ -248,7 +248,7 @@ def cmd_validate(args) -> int:
 
 
 def _bench_child(case_path, rens_path, method, threads, seed, queue):
-    os.setpgrp()  # so that a timeout can kill the iblp pool workers too
+    os.setpgrp()  # so that a timeout also kills any process the run forks
     args = argparse.Namespace(case=case_path, renewables=rens_path,
                               config=None, seed=seed, threads=threads,
                               method=method)
@@ -271,8 +271,8 @@ def _bench_cell(case_path, rens_path, method, threads, seed, reps, timeout):
             proc.join(timeout)
         finally:
             # A timeout or an interrupt kills the child's whole process
-            # group: its pool workers would otherwise outlive it, blocked
-            # on a pipe they hold open themselves.
+            # group: a process it forked would otherwise outlive it,
+            # blocked on a pipe it holds open itself.
             timed_out = proc.is_alive()
             if timed_out:
                 try:
@@ -327,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file of study settings")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None,
-                       help="processes solving iblp LPs, this one included (default: "
-                            "env DRR_THREADS, else the config file, else cores "
-                            "for iblp, 1 for milp)")
+                       help="threads solving iblp LPs, this one included, at most "
+                            "one per core (default: env DRR_THREADS, else the "
+                            "config file, else cores for iblp, 1 for milp)")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("compute", help="run the full region workflow")

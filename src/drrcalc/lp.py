@@ -46,12 +46,12 @@ imported in the function that uses it.  ``tests/test_imports.py`` checks
 in a fresh interpreter that a run loads neither scipy.optimize nor
 scipy.sparse nor scipy.linalg.
 
-Each process holds one HiGHS instance, made with linprog's options on its
-first solve (a forked worker makes its own) and thrown away after any
+Each thread holds one HiGHS instance, made with linprog's options on its
+first solve (a forked child makes its own) and thrown away after any
 HiGHS error.  Every solve passes its whole model to that instance, which
 discards the previous model and basis, so each solve is cold and returns
-what a new instance would.  One process must therefore not solve from two
-threads at once.
+what a new instance would.  HiGHS releases the GIL while it runs, so
+threads solve in parallel, each on its own instance.
 
 ``solve_lp(lp, duals=False)`` is the primal-only readout for callers that
 use only the optimum: the same solve and the same post-solve feasibility
@@ -62,12 +62,13 @@ Loops that solve one structure many times swap vectors into one
 LinearProgram: ``lp.with_vectors(c=..., r_eq=..., r_in=..., ub=...)``
 checks the new vectors as the constructor does and returns a copy that
 shares the matrices and the HiGHS model.  That model holds only the
-dimensions and the CSC of ``[M_in; M_eq]``; it is assembled on the first
-solve of any copy, and every solve sets all five of its vectors (costs,
-column bounds, row lower and upper bounds) from its own LP.  So a solve
-returns what a new LinearProgram with the same fields returns, whichever
-copy was solved before it.  The model does not pickle: an unpickled LP
-assembles its own.
+read-only CSC arrays of ``[M_in; M_eq]``; they are assembled on the first
+solve of any copy, and every solve hands HiGHS those arrays with all five
+vectors (costs, column bounds, row lower and upper bounds) of its own LP
+in one ``passModel`` call.  So a solve returns what a new LinearProgram
+with the same fields returns, whichever copy was solved before it, and
+threads may solve copies of one LP at once.  The model pickles empty: an
+unpickled LP assembles its own.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,12 +140,12 @@ def _check_not_nan(name: str, arr: np.ndarray) -> None:
 
 class _SharedModel:
     """Holder of the HiGHS model that an LP shares with its
-    ``with_vectors`` copies.  A HiGHS model does not pickle, so the holder
-    pickles empty and the unpickled LP assembles its own model."""
-    __slots__ = ("model",)
+    ``with_vectors`` copies: the ``passModel`` arrays of its matrix.  The
+    holder pickles empty and the unpickled LP assembles its own model."""
+    __slots__ = ("csc",)
 
     def __init__(self):
-        self.model: _highs.HighsLp | None = None
+        self.csc: tuple[np.ndarray, ...] | None = None
 
     def __reduce__(self):
         return _SharedModel, ()
@@ -277,71 +279,65 @@ def _highs_options():
     return opts
 
 
-# This process's HiGHS instance, keyed by the pid that made it: a forked
-# worker inherits its parent's entry and must not use it.
-_SOLVERS: dict[int, _highs._Highs] = {}
+# This thread's HiGHS instance and the pid that made it: a forked child
+# inherits its parent's entry and must not use it.
+_SOLVERS = threading.local()
 
 
 def _highs_solver() -> _highs._Highs:
-    """This process's HiGHS instance, made with linprog's options on first use."""
-    h = _SOLVERS.get(os.getpid())
-    if h is None:
-        h = _highs._Highs()
-        h.passOptions(_highs_options())
-        _SOLVERS[os.getpid()] = h
-    return h
+    """This thread's HiGHS instance, made with linprog's options on first use."""
+    if getattr(_SOLVERS, "pid", None) != os.getpid():
+        _SOLVERS.highs = _highs._Highs()
+        _SOLVERS.highs.passOptions(_highs_options())
+        _SOLVERS.pid = os.getpid()
+    return _SOLVERS.highs
 
 
-def _highs_model(A) -> _highs.HighsLp:
-    """Column-wise HiGHS model of the matrix A alone: the caller sets the
-    costs, the column bounds and the row bounds."""
-    model = _highs.HighsLp()
-    model.num_col_, model.num_row_ = A.shape[1], A.shape[0]
-    # CSC of A: nonzeros of A.T in row-major order are A's in column order.
+def _csc(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrix A as ``passModel`` takes it, column-wise: the start of
+    each column (no trailing nonzero count), then the row index and value
+    of each nonzero."""
+    # Nonzeros of A.T in row-major order are A's in column order.
     At = A.T
     nz = At != 0.0
-    mat = model.a_matrix_
-    mat.num_col_, mat.num_row_ = A.shape[1], A.shape[0]
-    mat.format_ = _highs.MatrixFormat.kColwise
-    mat.start_ = np.concatenate(([0], np.cumsum(nz.sum(axis=1)))).astype(np.int32)
-    mat.index_ = np.nonzero(nz)[1].astype(np.int32)
-    mat.value_ = At[nz]
-    return model
+    start = np.concatenate(([0], np.cumsum(nz.sum(axis=1))[:-1])).astype(np.int32)
+    return start, np.nonzero(nz)[1].astype(np.int32), At[nz]
 
 
 def _solve_scipy(lp: LinearProgram, duals: bool = True) -> LpSolution:
     shared = lp._shared
-    if shared.model is None:
+    if shared.csc is None:
         # Inequality rows first, then equality rows as lhs == rhs, as
-        # linprog does.
-        shared.model = _highs_model(np.vstack([lp.M_in, lp.M_eq]))
-    model = shared.model
+        # linprog does.  passModel rejects an empty integrality vector:
+        # every column is continuous (0).
+        shared.csc = (*_csc(np.vstack([lp.M_in, lp.M_eq])),
+                      np.zeros(lp.nvar, np.int32))
+    start, index, value, integrality = shared.csc
     sign = 1.0 if lp.sense == "min" else -1.0
     rhs = np.concatenate([lp.r_in, lp.r_eq])
     lhs = rhs.copy()
     lhs[:lp.r_in.size] = -np.inf
-    # Every vector, every solve: the model may last have served a copy
-    # of this LP with other vectors.
-    model.col_cost_ = sign * lp.c
-    model.col_lower_, model.col_upper_ = lp.lb, lp.ub
-    model.row_lower_, model.row_upper_ = lhs, rhs
 
-    # Cold on every call: passModel drops the instance's previous model and
-    # basis.  A warm start may land on another optimal vertex and so change
-    # the duals that become cuts.
+    # Every vector, every solve, and cold on every call: passModel drops
+    # the instance's previous model and basis.  A warm start may land on
+    # another optimal vertex and so change the duals that become cuts.
     h = _highs_solver()
     try:
         run_ok = False
-        if h.passModel(model) == _highs.HighsStatus.kError:
+        if h.passModel(lp.nvar, rhs.size, index.size,
+                       _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
+                       0.0, sign * lp.c, lp.lb, lp.ub, lhs, rhs, start,
+                       index, value, integrality) == _highs.HighsStatus.kError:
+            # run() would solve the instance's previous model again.
             model_status = _highs.HighsModelStatus.kModelError
         else:
             run_ok = h.run() != _highs.HighsStatus.kError
             model_status = h.getModelStatus()
         if not run_ok:
-            _SOLVERS.pop(os.getpid(), None)
+            vars(_SOLVERS).clear()
         return _read_solution(h, lp, rhs, model_status, run_ok, duals)
     except BaseException:
-        _SOLVERS.pop(os.getpid(), None)
+        vars(_SOLVERS).clear()
         raise
 
 

@@ -16,24 +16,27 @@ half-step.  Each LP depends on one vector of farm space: w, the w-step
 cost ``-alpha' A`` (delta has no part in it) or the start w0.  Each kind
 is one :class:`~drrcalc.lp.LinearProgram`, and a solve swaps in the costs
 or right-hand side that its vector gives with ``with_vectors``, so a
-process assembles a kind's HiGHS model once per region (the multiplier
-LP's once per run).  Starts converge onto the same few region vertices,
-so most steps repeat an LP already solved.  Each half-step is one
+kind's HiGHS model is assembled once per region (the multiplier LP's once
+per run).  Starts converge onto the same few region vertices, so most
+steps repeat an LP already solved.  Each half-step is one
 :meth:`IblpOracle.lookup`, which solves only the distinct LPs missing from
 the oracle's memo, then every scenario moves forward from the memo.  With
-``thread_count`` N > 1 the calling process solves the first of N
-contiguous chunks of those LPs itself, and a pool of N - 1 workers,
-started once per run, solves the others.  Every process solves on its own
-HiGHS instance, and each solve is cold (see :mod:`drrcalc.lp`); results
-merge in scenario order, so the LPs solved, the cuts and the output are
-the same for any worker count.  The memo keeps only status, x and
-objective, so these LPs are read without their duals.
+N workers (``thread_count``, at most one per core) the calling thread
+solves the first of N contiguous chunks of those LPs itself, and a pool
+of N - 1 threads, started once per run, solves the others.  HiGHS
+releases the GIL while it solves, so the chunks solve in parallel, each
+thread on its own HiGHS instance and each solve cold (see
+:mod:`drrcalc.lp`); results merge in scenario order, so the LPs solved,
+the cuts and the output are the same for any worker count.  The memo
+keeps only status, x and objective, so these LPs are read without their
+duals.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +122,9 @@ def _project_into(W: Polytope, w0: np.ndarray, lp: LinearProgram) -> np.ndarray:
 
 
 class _Lps:
-    """The alternation's LPs on one model, in one process: one LP per kind,
-    of which each solve takes a ``with_vectors`` copy, kept as long as
-    ``_REGION_KINDS`` says."""
+    """The alternation's LPs on one model, for one chunk of a lookup: one
+    LP per kind, of which each solve takes a ``with_vectors`` copy, kept as
+    long as ``_REGION_KINDS`` says.  One thread at a time solves on it."""
 
     def __init__(self, m: CompactPsd):
         self.m = m
@@ -167,11 +170,12 @@ class IblpOracle:
 
     ``entries`` is the memo: per kind, keyed by the bytes of its input,
     each LP's :class:`LpSolution` (status, read-only x, objective) or the
-    DrrError that stopped it, so a hit cannot change any result.  Those of
-    ``_REGION_KINDS`` are dropped whenever the region changes.  With
-    ``cfg.thread_count > 1`` the oracle holds the run's one pool of
-    ``thread_count - 1`` workers: started by the first lookup with LPs to
-    share, shut down by :meth:`close`.  ``solves``, ``hits``,
+    DrrError that stopped it, so a hit cannot change any result; only the
+    calling thread writes it.  Those of ``_REGION_KINDS`` are dropped
+    whenever the region changes.  ``workers`` is ``cfg.thread_count``,
+    capped at the core count; with more than one the oracle holds the
+    run's one pool of ``workers - 1`` threads: started by the first lookup
+    with LPs to share, shut down by :meth:`close`.  ``solves``, ``hits``,
     ``multiplier_steps`` and ``projections`` count over the run;
     ``counts`` is the scenario accounting of the last batch.
     """
@@ -185,8 +189,9 @@ class IblpOracle:
         self.multiplier_steps = 0
         self.projections = 0
         self.counts: dict[str, int] = {}
+        self.workers = max(1, min(cfg.thread_count, os.cpu_count() or 1))
         self._region: tuple[bytes, bytes] | None = None
-        self._lps = _Lps(m)
+        self._lps: list[_Lps] = []   # chunk i's, made by its first lookup
         self._pool = None
 
     def __enter__(self):
@@ -202,8 +207,9 @@ class IblpOracle:
 
     def lookup(self, kind: str, W: Polytope, inputs: list) -> list:
         """The entry of every input, in input order.  The distinct inputs
-        not held yet are solved in ``thread_count`` contiguous chunks: this
-        process solves the first, the pool the others."""
+        not held yet are solved in ``workers`` contiguous chunks, each on
+        its own ``_Lps``: the calling thread solves the first, the pool the
+        others."""
         region = (W.H.tobytes(), W.f.tobytes())
         if region != self._region:
             for k in _REGION_KINDS:
@@ -214,15 +220,15 @@ class IblpOracle:
         missing = {key: v for key, v in zip(keys, inputs) if key not in cache}
         if missing:
             todo = list(missing.values())
-            size = -(-len(todo) // max(1, self.cfg.thread_count))
+            size = -(-len(todo) // self.workers)
             chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
+            self._lps += [_Lps(self.m) for _ in chunks[len(self._lps):]]
             if len(chunks) > 1 and self._pool is None:
-                self._pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.cfg.thread_count - 1,
-                    initializer=_init_worker, initargs=(self.m,))
-            futures = [self._pool.submit(_solve_chunk, kind, W, chunk)
-                       for chunk in chunks[1:]]
-            outs = self._lps.solve(kind, W, chunks[0])
+                self._pool = concurrent.futures.ThreadPoolExecutor(
+                    max_workers=self.workers - 1)
+            futures = [self._pool.submit(lps.solve, kind, W, chunk)
+                       for lps, chunk in zip(self._lps[1:], chunks[1:])]
+            outs = self._lps[0].solve(kind, W, chunks[0])
             for fut in futures:
                 outs.extend(fut.result())
             for key, out in zip(missing, outs):
@@ -259,6 +265,8 @@ class IblpOracle:
         sequence: list[list[float]] = [[] for _ in w]
         F_prev = [-np.inf] * len(w)
         for rounds in range(1, cfg.alt_max_rounds + 1):
+            if not active:
+                break
             going = []
             for i, sol in zip(active, self.lookup(MULTIPLIER, W, [w[i] for i in active])):
                 if isinstance(sol, DrrError):
@@ -287,19 +295,6 @@ class IblpOracle:
                 sequence[i].append(sol.objective + float(alpha @ m.b - delta @ m.d))
                 active.append(i)
         return out
-
-
-# Set only inside a pool worker, by the pool's initializer.
-_WORKER_LPS: _Lps | None = None
-
-
-def _init_worker(m):
-    global _WORKER_LPS
-    _WORKER_LPS = _Lps(m)
-
-
-def _solve_chunk(kind: str, W: Polytope, inputs: list) -> list:
-    return _WORKER_LPS.solve(kind, W, inputs)
 
 
 def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,

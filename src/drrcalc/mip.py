@@ -11,8 +11,8 @@ imported), and HiGHS is given exactly what ``scipy.optimize.milp`` gives
 it for the same program: a new HiGHS instance per MIP; the options
 ``log_to_console=False``, ``mip_max_nodes`` and ``mip_rel_gap=0`` and no
 other; the equality rows before the inequality rows, in the CSC that
-:func:`lp._highs_model` builds, with the costs and bounds set as an LP
-solve sets them; and the integrality of every column.  So x, the node
+:func:`lp._csc` builds, with the costs and bounds set as an LP solve sets
+them; and the integrality of every column.  So x, the node
 count and the dual bound are milp's bit for bit, and region.json keeps
 its bytes.
 """
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NodeLimitExceeded, NumericalFailure
-from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, _highs,
-                 _highs_model, solve_lp)
+from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, _csc, _highs,
+                 solve_lp)
 
 DEFAULT_NODE_LIMIT = 100_000
 
@@ -77,15 +77,11 @@ def _solve_highs_mip(mp: MixedProgram, node_limit: int) -> MipSolution:
     lp = mp.lp
     sign = 1.0 if lp.sense == "min" else -1.0
     # milp's row order: r_eq <= M_eq x <= r_eq first, then M_in x <= r_in.
-    model = _highs_model(np.vstack([lp.M_eq, lp.M_in]))
-    model.col_cost_ = sign * lp.c
-    model.col_lower_, model.col_upper_ = lp.lb, lp.ub
-    model.row_lower_ = np.concatenate([lp.r_eq, np.full(lp.r_in.size, -np.inf)])
-    model.row_upper_ = np.concatenate([lp.r_eq, lp.r_in])
-    binary = set(mp.binary_index)
-    model.integrality_ = [_highs.HighsVarType.kInteger if j in binary
-                          else _highs.HighsVarType.kContinuous
-                          for j in range(lp.nvar)]
+    start, index, value = _csc(np.vstack([lp.M_eq, lp.M_in]))
+    row_lower = np.concatenate([lp.r_eq, np.full(lp.r_in.size, -np.inf)])
+    row_upper = np.concatenate([lp.r_eq, lp.r_in])
+    integrality = np.zeros(lp.nvar, np.int32)
+    integrality[mp.binary_index] = int(_highs.HighsVarType.kInteger)
     # Exactly the options milp sets; every other option is HiGHS's default.
     opts = _highs.HighsOptions()
     opts.log_to_console = False
@@ -94,7 +90,11 @@ def _solve_highs_mip(mp: MixedProgram, node_limit: int) -> MipSolution:
 
     h = _highs._Highs()
     if (h.passOptions(opts) == _highs.HighsStatus.kError
-            or h.passModel(model) == _highs.HighsStatus.kError
+            or h.passModel(lp.nvar, row_upper.size, index.size,
+                           _highs.MatrixFormat.kColwise,
+                           _highs.ObjSense.kMinimize, 0.0, sign * lp.c, lp.lb,
+                           lp.ub, row_lower, row_upper, start, index, value,
+                           integrality) == _highs.HighsStatus.kError
             or h.run() == _highs.HighsStatus.kError):
         raise NumericalFailure(
             f"HiGHS MILP failed: {h.modelStatusToString(h.getModelStatus())}")

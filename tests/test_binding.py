@@ -126,7 +126,7 @@ def test_identify_assembles_the_slacked_model_once(pjm_result, monkeypatch):
     m = build_compact(case, initial_dispatch(case, cfg))
     slacked_cols = m.slacked.nvar
     assembled, feasibility_solves = [], []
-    build, feasibility = lp_mod._highs_model, binding_mod.feasibility_model
+    build, feasibility = lp_mod._csc, binding_mod.feasibility_model
 
     def count_build(A, *args):
         assembled.append(A.shape[1] == slacked_cols)
@@ -136,7 +136,7 @@ def test_identify_assembles_the_slacked_model_once(pjm_result, monkeypatch):
         feasibility_solves.append(1)
         return feasibility(*args, **kwargs)
 
-    monkeypatch.setattr(lp_mod, "_highs_model", count_build)
+    monkeypatch.setattr(lp_mod, "_csc", count_build)
     monkeypatch.setattr(binding_mod, "feasibility_model", count_feasibility)
     w_bar = np.array(case.forecast_mw) / case.base_mva
     identify(m, res.region, w_bar, cfg)

@@ -202,8 +202,8 @@ def test_bench_shape_and_timeout(tmp_path, capsys):
 
 def test_bench_timeout_kills_the_child_and_its_workers(monkeypatch):
     # A timed-out bench child takes its own children with it.  The fake
-    # run forks a grandchild, as the iblp pool does, that holds the write
-    # end of a pipe: the read end reaches EOF only once every copy of the
+    # run forks a grandchild, as a run that starts a process would, that
+    # holds the write end of a pipe: the read end reaches EOF only once every copy of the
     # write end is closed.
     r, w = os.pipe()
 

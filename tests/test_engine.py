@@ -146,7 +146,7 @@ def test_iblp_one_pool_per_run_and_scenario_accounting(pjm5, monkeypatch):
 
     import drrcalc.maxmin_iblp as iblp
     events = []
-    base = concurrent.futures.ProcessPoolExecutor
+    base = concurrent.futures.ThreadPoolExecutor
 
     class CountingPool(base):
         def __init__(self, *args, **kwargs):
@@ -157,7 +157,8 @@ def test_iblp_one_pool_per_run_and_scenario_accounting(pjm5, monkeypatch):
             super().shutdown(*args, **kwargs)
             events.append("shutdown")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 2)  # two workers on any box
     module_state = dict(vars(iblp))
     res = run(pjm5, StudyConfig(s1_count=30, thread_count=2), method="iblp")
     assert res.iterations > 1

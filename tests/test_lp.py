@@ -2,8 +2,9 @@
 
 import dataclasses
 import multiprocessing
-import os
 import pickle
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -469,7 +470,8 @@ def test_tampered_optimum_raises(duals, monkeypatch):
     # reports violates the LP it stands for.
     lp = LinearProgram(c=[1.0], sense="max", lb=[0.0], ub=[1.0])
     tampered = _ShiftedOptimum(lp_mod._highs_solver())
-    monkeypatch.setitem(lp_mod._SOLVERS, os.getpid(), tampered)
+    # This thread's entry in the per-thread registry.
+    monkeypatch.setattr(lp_mod._SOLVERS, "highs", tampered)
     with pytest.raises(NumericalFailure, match="violates the constraints"):
         solve_lp(lp, duals=duals)
     replaced = lp_mod._highs_solver()
@@ -486,6 +488,45 @@ def test_highs_instance_is_kept_and_replaced_after_an_error():
     assert lp_mod._highs_solver() is h
     lp_mod._solve_scipy(_REJECTED)
     assert lp_mod._highs_solver() is not h
+
+
+def test_threads_solve_copies_of_one_lp_as_serial_solves():
+    # Copies of one LP share its model, which none has assembled yet.  Four
+    # threads (more than most boxes have cores) solve all of them at once,
+    # each in its own order, on its own HiGHS instance and with a short
+    # switch interval; every solve must equal the serial solve of the same
+    # program with a model of its own, bit for bit.
+    rng = np.random.default_rng(8181)
+    lp = _random_lp(rng)
+    copies = [lp.with_vectors(c=rng.normal(size=lp.nvar)) for _ in range(40)]
+    serial = [solve_lp(_full(copy)) for copy in copies]
+    orders = [rng.permutation(len(copies)) for _ in range(4)]
+    barrier = threading.Barrier(len(orders))
+    got, instances = {}, {}
+
+    def solve_all(k):
+        barrier.wait(timeout=60)
+        instances[k] = lp_mod._highs_solver()
+        got[k] = {i: solve_lp(copies[i]) for i in orders[k]}
+
+    threads = [threading.Thread(target=solve_all, args=(k,))
+               for k in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got) == list(range(len(orders)))
+    assert len({id(h) for h in instances.values()}) == len(orders)
+    assert lp_mod._highs_solver() not in instances.values()
+    for sols in got.values():
+        for i, sol in sols.items():
+            _assert_bitwise_equal(sol, serial[i])
 
 
 def test_forked_child_makes_its_own_highs_instance():

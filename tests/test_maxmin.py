@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import drrcalc.maxmin_iblp as iblp
 from drrcalc.caseio import StudyConfig
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import init_w0
@@ -338,14 +339,95 @@ def test_lookup_of_held_inputs_solves_nothing(two, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a lookup started the pool")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 2)
     with IblpOracle(m, StudyConfig(thread_count=2)) as oracle:
+        assert oracle.workers == 2
         w = np.array([0.5])
         (mult,) = oracle.lookup(MULTIPLIER, W0, [w])
         held = oracle.lookup(MULTIPLIER, W0, [w.copy(), w.copy()])
         assert all(sol is mult for sol in held)
         # solves, hits, multiplier steps, projections
         assert _totals(oracle) == (1, 2, 3, 0)
+
+
+def test_worker_count_is_capped_at_the_core_count(two, monkeypatch):
+    # thread_count 10000 on three cores: three chunks and a pool of two.
+    # The fake pool starts no thread: it runs each chunk as it is submitted.
+    import concurrent.futures
+    _, m, W0, _ = two
+    pools, chunks = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def submit(self, fn, *args):
+            chunks.append(len(args[-1]))
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def shutdown(self):
+            pools.append("shutdown")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 3)
+    ws = [np.array([x]) for x in np.linspace(0.05, 0.95, 10)]
+    with IblpOracle(m, StudyConfig(thread_count=10_000)) as oracle:
+        assert oracle.workers == 3
+        got = oracle.lookup(MULTIPLIER, W0, ws)
+    # 10 LPs in chunks of 4: the calling thread solves the first.
+    assert pools == [2, "shutdown"] and chunks == [4, 2]
+    with IblpOracle(m, StudyConfig(thread_count=1)) as serial:
+        want = serial.lookup(MULTIPLIER, W0, ws)
+    assert [(s.x.tobytes(), s.objective) for s in got] == \
+        [(s.x.tobytes(), s.objective) for s in want]
+
+
+def _entry_bytes(entry):
+    if isinstance(entry, Exception):
+        return repr(entry)
+    return entry.status, entry.x.tobytes(), np.float64(entry.objective).tobytes()
+
+
+def test_ieee39_oracle_entries_are_byte_equal_for_1_2_and_4_workers(ieee39, monkeypatch):
+    # Every entry each lookup of a whole run returns, in order, on four
+    # cores whatever the box has: 1, 2 and 4 workers all really run.
+    from drrcalc.engine import run
+    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 4)
+    lookup = IblpOracle.lookup
+    seen = {}
+
+    def recording(self, kind, W, inputs):
+        got = lookup(self, kind, W, inputs)
+        seen[self.workers].extend(
+            (kind, v.tobytes(), _entry_bytes(e)) for v, e in zip(inputs, got))
+        return got
+
+    monkeypatch.setattr(IblpOracle, "lookup", recording)
+    for threads in (1, 2, 4):
+        seen[threads] = []
+        res = run(ieee39, StudyConfig(thread_count=threads), method="iblp")
+        seen[threads].append((res.region.H.tobytes(), res.region.f.tobytes()))
+    assert len(seen[1]) > 1000
+    assert seen[1] == seen[2] == seen[4]
+
+
+def test_alternation_ends_once_no_scenario_is_left(pjm5, monkeypatch):
+    # A round with no scenario left is not run: no multiplier lookup is empty.
+    from drrcalc.engine import run
+    lookup = IblpOracle.lookup
+    sizes = []
+
+    def recording(self, kind, W, inputs):
+        sizes.append((kind, len(inputs)))
+        return lookup(self, kind, W, inputs)
+
+    monkeypatch.setattr(IblpOracle, "lookup", recording)
+    run(pjm5, StudyConfig(seed=0, thread_count=1), method="iblp")
+    multiplier = [n for kind, n in sizes if kind == MULTIPLIER]
+    assert multiplier and min(multiplier) > 0
 
 
 def test_wstep_memo_is_keyed_by_its_cost(two):
