@@ -171,6 +171,9 @@ class StudyConfig:
             raise InvalidSetting("reserve_factor must be in (0, 1]")
         if self.s1_count < 1:
             raise InvalidSetting("s1_count must be at least 1")
+        if self.thread_count < 1:
+            raise InvalidSetting(
+                f"thread_count must be at least 1, got {self.thread_count}")
         if self.alt_max_rounds < 1:
             raise InvalidSetting("alt_max_rounds must be at least 1")
         if self.cut_batch_cap < 1:

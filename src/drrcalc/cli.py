@@ -44,8 +44,9 @@ _TERMINATION_EXIT = {
 
 # Per-iteration oracle counters written to the manifest's "oracle" list:
 # iblp's scenario and LP accounting, milp's node count and big-M margin.
-# The iblp ones vary with the worker count, so they stay out of region.json,
-# binding.json and trace.csv.
+# They read the same for any worker count, but they are accounting of the
+# run, not results, so they stay out of region.json, binding.json and
+# trace.csv.
 _ORACLE_COUNTERS = ("scenarios_started", "scenarios_projected",
                     "scenarios_failed", "scenarios_positive",
                     "scenarios_deduplicated", "scenarios_kept", "lp_solves",
@@ -63,8 +64,9 @@ def _resolve_config(args) -> StudyConfig:
     cfg = StudyConfig(thread_count=os.cpu_count() or 1 if method == "iblp" else 1)
     if args.config:
         cfg = load_config_file(args.config, cfg)
+    changes = {}
     if args.seed is not None:
-        cfg.seed = args.seed
+        changes["seed"] = args.seed
     threads, env = args.threads, os.environ.get("DRR_THREADS")
     if threads is None and env is not None:
         try:
@@ -73,9 +75,9 @@ def _resolve_config(args) -> StudyConfig:
             raise InvalidSetting(
                 f"DRR_THREADS must be an integer, got {env!r}") from None
     if threads is not None:
-        cfg.thread_count = threads
-    cfg.thread_count = max(1, cfg.thread_count)
-    return cfg
+        changes["thread_count"] = threads
+    # replace, not assignment, so that StudyConfig checks the new values.
+    return dataclasses.replace(cfg, **changes)
 
 
 def _load_case(args):
@@ -293,6 +295,8 @@ def _bench_cell(case_path, rens_path, method, threads, seed, reps, timeout):
 def cmd_bench(args) -> int:
     if args.reps < 1:
         raise InvalidSetting(f"--reps must be at least 1, got {args.reps}")
+    if args.threads is not None and args.threads < 1:
+        raise InvalidSetting(f"--threads must be at least 1, got {args.threads}")
     rows = ["case,method,threads,median_seconds,iterations"]
     mt_threads = args.threads or os.cpu_count() or 1
     for spec in args.cases:

@@ -79,8 +79,8 @@ class CompactPsd:
     in_rows: list[ConstraintDescriptor]
     base_mva: float
     farm_capacity_pu: np.ndarray   # per-farm installed capacity, renewable order
-    # elastic_lp of the (p, l, v) rows.  feasibility_model swaps in c, ub
-    # and r_eq with with_vectors, so its HiGHS model is assembled once.
+    # elastic_lp of the (p, l, v) rows, its matrix assembled when built.
+    # feasibility_model swaps in c, ub and r_eq with with_vectors.
     slacked: LinearProgram = field(repr=False)
 
     @property

@@ -58,17 +58,17 @@ use only the optimum: the same solve and the same post-solve feasibility
 check, but it returns status, x and objective and leaves the dual vectors
 ``None``.  An infeasible LP still gets its Farkas ray.
 
+The constructor assembles the matrix as ``passModel`` takes it: the CSC
+arrays of ``[M_in; M_eq]`` and the integrality vector, all read-only.
 Loops that solve one structure many times swap vectors into one
 LinearProgram: ``lp.with_vectors(c=..., r_eq=..., r_in=..., ub=...)``
 checks the new vectors as the constructor does and returns a copy that
-shares the matrices and the HiGHS model.  That model holds only the
-read-only CSC arrays of ``[M_in; M_eq]``; they are assembled on the first
-solve of any copy, and every solve hands HiGHS those arrays with all five
-vectors (costs, column bounds, row lower and upper bounds) of its own LP
-in one ``passModel`` call.  So a solve returns what a new LinearProgram
-with the same fields returns, whichever copy was solved before it, and
-threads may solve copies of one LP at once.  The model pickles empty: an
-unpickled LP assembles its own.
+shares the matrices and those arrays.  Every solve hands HiGHS the arrays
+with all five vectors (costs, column bounds, row lower and upper bounds)
+of its own LP in one ``passModel`` call.  So a solve returns what a new
+LinearProgram with the same fields returns, whichever copy was solved
+before it, and since a solve writes nothing into the LP, threads may
+solve copies of one LP at once.
 """
 
 from __future__ import annotations
@@ -138,19 +138,6 @@ def _check_not_nan(name: str, arr: np.ndarray) -> None:
         raise DimensionMismatch(f"NaN coefficients in {name}")
 
 
-class _SharedModel:
-    """Holder of the HiGHS model that an LP shares with its
-    ``with_vectors`` copies: the ``passModel`` arrays of its matrix.  The
-    holder pickles empty and the unpickled LP assembles its own model."""
-    __slots__ = ("csc",)
-
-    def __init__(self):
-        self.csc: tuple[np.ndarray, ...] | None = None
-
-    def __reduce__(self):
-        return _SharedModel, ()
-
-
 @dataclass
 class LinearProgram:
     c: np.ndarray
@@ -161,8 +148,8 @@ class LinearProgram:
     r_in: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
-    _shared: _SharedModel = field(default_factory=_SharedModel, init=False,
-                                  repr=False, compare=False)
+    # The passModel arrays of [M_in; M_eq], read-only; see _solve_scipy.
+    _model: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -182,6 +169,13 @@ class LinearProgram:
         self._check("c", "r_eq", "r_in", "lb", "ub")
         for name, arr in (("M_eq", self.M_eq), ("M_in", self.M_in)):
             _check_finite(name, arr)
+        # Inequality rows first, then equality rows as lhs == rhs, as
+        # linprog does.  passModel rejects an empty integrality vector:
+        # every column is continuous (0).
+        self._model = (*_csc(np.vstack([self.M_in, self.M_eq])),
+                       np.zeros(n, np.int32))
+        for arr in self._model:
+            arr.flags.writeable = False
 
     def _check(self, *names: str) -> None:
         """Check every shape, and the entries of the vectors ``names``."""
@@ -206,7 +200,7 @@ class LinearProgram:
     def with_vectors(self, *, c=None, r_eq=None, r_in=None, ub=None) -> LinearProgram:
         """This LP with the given vectors replaced, checked as the
         constructor checks them; the copy shares the matrices, the other
-        vectors and the HiGHS model."""
+        vectors and the passModel arrays."""
         # A shallow copy, made directly: copy.copy takes the generic
         # __reduce_ex__ path, several times slower on this hot path.
         lp = object.__new__(LinearProgram)
@@ -305,14 +299,7 @@ def _csc(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _solve_scipy(lp: LinearProgram, duals: bool = True) -> LpSolution:
-    shared = lp._shared
-    if shared.csc is None:
-        # Inequality rows first, then equality rows as lhs == rhs, as
-        # linprog does.  passModel rejects an empty integrality vector:
-        # every column is continuous (0).
-        shared.csc = (*_csc(np.vstack([lp.M_in, lp.M_eq])),
-                      np.zeros(lp.nvar, np.int32))
-    start, index, value, integrality = shared.csc
+    start, index, value, integrality = lp._model
     sign = 1.0 if lp.sense == "min" else -1.0
     rhs = np.concatenate([lp.r_in, lp.r_eq])
     lhs = rhs.copy()

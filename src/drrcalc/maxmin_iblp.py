@@ -13,23 +13,23 @@ onto every current facet.
 The scenarios of a batch move in lockstep: starts outside W are projected
 first, then each round is one multiplier half-step and one w-step
 half-step.  Each LP depends on one vector of farm space: w, the w-step
-cost ``-alpha' A`` (delta has no part in it) or the start w0.  Each kind
-is one :class:`~drrcalc.lp.LinearProgram`, and a solve swaps in the costs
-or right-hand side that its vector gives with ``with_vectors``, so a
-kind's HiGHS model is assembled once per region (the multiplier LP's once
-per run).  Starts converge onto the same few region vertices, so most
-steps repeat an LP already solved.  Each half-step is one
-:meth:`IblpOracle.lookup`, which solves only the distinct LPs missing from
-the oracle's memo, then every scenario moves forward from the memo.  With
-N workers (``thread_count``, at most one per core) the calling thread
-solves the first of N contiguous chunks of those LPs itself, and a pool
-of N - 1 threads, started once per run, solves the others.  HiGHS
-releases the GIL while it solves, so the chunks solve in parallel, each
-thread on its own HiGHS instance and each solve cold (see
-:mod:`drrcalc.lp`); results merge in scenario order, so the LPs solved,
-the cuts and the output are the same for any worker count.  The memo
-keeps only status, x and objective, so these LPs are read without their
-duals.
+cost ``-alpha' A`` (delta has no part in it) or the start w0.  The oracle
+holds one :class:`~drrcalc.lp.LinearProgram` per kind, built when the
+region changes (the multiplier LP once per run, as its feasible set does
+not depend on the region), and a solve swaps in the costs or right-hand
+side that its vector gives with ``with_vectors``.  Starts converge onto
+the same few region vertices, so most steps repeat an LP already solved.
+Each half-step is one :meth:`IblpOracle.lookup`, which solves only the
+distinct LPs missing from the oracle's memo, then every scenario moves
+forward from the memo.  With N workers (``thread_count``, at most one per
+core) the calling thread solves the first of N contiguous chunks of those
+LPs itself, and a pool of N - 1 threads, started once per run, solves the
+others, all on copies of the oracle's one LP per kind.  HiGHS releases
+the GIL while it solves, so the chunks solve in parallel, each thread on
+its own HiGHS instance and each solve cold (see :mod:`drrcalc.lp`);
+results merge in scenario order, so the LPs built and solved, the cuts
+and the output are the same for any worker count.  The memo keeps only
+status, x and objective, so these LPs are read without their duals.
 """
 
 from __future__ import annotations
@@ -113,55 +113,12 @@ def _projection_lp(W: Polytope) -> LinearProgram:
 
 def _project_into(W: Polytope, w0: np.ndarray, lp: LinearProgram) -> np.ndarray:
     """1-norm projection of w0 onto W (an LP, deterministic); ``lp`` is
-    ``_projection_lp(W)``, whose HiGHS model every projection shares."""
+    ``_projection_lp(W)``, whose matrix every projection shares."""
     sol = solve_lp(lp.with_vectors(r_in=np.concatenate([W.f, w0, -w0])),
                    duals=False)
     if sol.status != OPTIMAL:
         raise NumericalFailure("projection into the current region failed")
     return sol.x[:W.dim]
-
-
-class _Lps:
-    """The alternation's LPs on one model, for one chunk of a lookup: one
-    LP per kind, of which each solve takes a ``with_vectors`` copy, kept as
-    long as ``_REGION_KINDS`` says.  One thread at a time solves on it."""
-
-    def __init__(self, m: CompactPsd):
-        self.m = m
-        self._region: tuple[bytes, bytes] | None = None
-        self._dmm = None
-        self._lps: dict[str, LinearProgram] = {}
-
-    def solve(self, kind: str, W: Polytope, inputs: list) -> list:
-        """``(status, x, objective)`` of each input's LP, or the DrrError
-        that stopped it, in input order."""
-        region = (W.H.tobytes(), W.f.tobytes())
-        if region != self._region:
-            self._region, self._dmm = region, DualizedMaxMin(self.m, W)
-            self._lps = {k: lp for k, lp in self._lps.items()
-                         if k not in _REGION_KINDS}
-        if kind not in self._lps:
-            dmm = self._dmm
-            self._lps[kind] = (
-                dmm.multiplier_lp_at(np.zeros(dmm.m.n_w)) if kind == MULTIPLIER
-                else dmm.w_lp_at(np.zeros(dmm.n_alpha)) if kind == WSTEP
-                else _projection_lp(W))
-        out = []
-        for v in inputs:
-            try:
-                out.append(self._solve_one(kind, W, self._lps[kind], v))
-            except DrrError as exc:
-                out.append(exc)
-        return out
-
-    def _solve_one(self, kind: str, W: Polytope, lp: LinearProgram, v) -> tuple:
-        if kind == PROJECTION:
-            return OPTIMAL, _project_into(W, v, lp), np.nan
-        c = self._dmm.multiplier_cost(v) if kind == MULTIPLIER else v
-        sol = solve_lp(lp.with_vectors(c=c), duals=False)
-        if sol.status != OPTIMAL:
-            raise NumericalFailure(f"{kind} returned {sol.status}")
-        return sol.status, sol.x, sol.objective
 
 
 class IblpOracle:
@@ -170,12 +127,15 @@ class IblpOracle:
 
     ``entries`` is the memo: per kind, keyed by the bytes of its input,
     each LP's :class:`LpSolution` (status, read-only x, objective) or the
-    DrrError that stopped it, so a hit cannot change any result; only the
-    calling thread writes it.  Those of ``_REGION_KINDS`` are dropped
-    whenever the region changes.  ``workers`` is ``cfg.thread_count``,
-    capped at the core count; with more than one the oracle holds the
-    run's one pool of ``workers - 1`` threads: started by the first lookup
-    with LPs to share, shut down by :meth:`close`.  ``solves``, ``hits``,
+    DrrError that stopped it, so a hit cannot change any result.  The
+    oracle holds the current region's :class:`DualizedMaxMin` and one LP
+    per kind, of which every solve takes a ``with_vectors`` copy.  Only
+    the calling thread writes any of them, and only between lookups: when
+    the region changes, the entries and LPs of ``_REGION_KINDS`` are
+    replaced.  ``workers`` is ``cfg.thread_count``, capped at the core
+    count; with more than one the oracle holds the run's one pool of
+    ``workers - 1`` threads: started by the first lookup with LPs to
+    share, shut down by :meth:`close`.  ``solves``, ``hits``,
     ``multiplier_steps`` and ``projections`` count over the run;
     ``counts`` is the scenario accounting of the last batch.
     """
@@ -189,9 +149,10 @@ class IblpOracle:
         self.multiplier_steps = 0
         self.projections = 0
         self.counts: dict[str, int] = {}
-        self.workers = max(1, min(cfg.thread_count, os.cpu_count() or 1))
+        self.workers = min(cfg.thread_count, os.cpu_count() or 1)
         self._region: tuple[bytes, bytes] | None = None
-        self._lps: list[_Lps] = []   # chunk i's, made by its first lookup
+        self._dmm: DualizedMaxMin | None = None
+        self._lps: dict[str, LinearProgram] = {}
         self._pool = None
 
     def __enter__(self):
@@ -205,16 +166,25 @@ class IblpOracle:
             self._pool.shutdown()
             self._pool = None
 
+    def _enter_region(self, W: Polytope) -> None:
+        """Make W the current region, unless it is already: drop the entries
+        of ``_REGION_KINDS`` and build W's LPs (the multiplier LP only once)."""
+        region = (W.H.tobytes(), W.f.tobytes())
+        if region == self._region:
+            return
+        for k in _REGION_KINDS:
+            self.entries[k].clear()
+        self._region, self._dmm = region, DualizedMaxMin(self.m, W)
+        self._lps[WSTEP] = self._dmm.w_lp_at(np.zeros(self._dmm.n_alpha))
+        self._lps[PROJECTION] = _projection_lp(W)
+        if MULTIPLIER not in self._lps:
+            self._lps[MULTIPLIER] = self._dmm.multiplier_lp_at(np.zeros(self.m.n_w))
+
     def lookup(self, kind: str, W: Polytope, inputs: list) -> list:
         """The entry of every input, in input order.  The distinct inputs
-        not held yet are solved in ``workers`` contiguous chunks, each on
-        its own ``_Lps``: the calling thread solves the first, the pool the
-        others."""
-        region = (W.H.tobytes(), W.f.tobytes())
-        if region != self._region:
-            for k in _REGION_KINDS:
-                self.entries[k].clear()
-            self._region = region
+        not held yet are solved in ``workers`` contiguous chunks: the
+        calling thread solves the first, the pool the others."""
+        self._enter_region(W)
         cache = self.entries[kind]
         keys = [v.tobytes() for v in inputs]
         missing = {key: v for key, v in zip(keys, inputs) if key not in cache}
@@ -222,20 +192,15 @@ class IblpOracle:
             todo = list(missing.values())
             size = -(-len(todo) // self.workers)
             chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
-            self._lps += [_Lps(self.m) for _ in chunks[len(self._lps):]]
             if len(chunks) > 1 and self._pool is None:
                 self._pool = concurrent.futures.ThreadPoolExecutor(
                     max_workers=self.workers - 1)
-            futures = [self._pool.submit(lps.solve, kind, W, chunk)
-                       for lps, chunk in zip(self._lps[1:], chunks[1:])]
-            outs = self._lps[0].solve(kind, W, chunks[0])
+            futures = [self._pool.submit(self._solve, kind, chunk)
+                       for chunk in chunks[1:]]
+            outs = self._solve(kind, chunks[0])
             for fut in futures:
                 outs.extend(fut.result())
-            for key, out in zip(missing, outs):
-                if not isinstance(out, DrrError):
-                    out = LpSolution(*out)
-                    out.x.flags.writeable = False
-                cache[key] = out
+            cache.update(zip(missing, outs))
         self.solves += len(missing)
         self.hits += len(inputs) - len(missing)
         if kind == MULTIPLIER:
@@ -244,12 +209,33 @@ class IblpOracle:
             self.projections += len(inputs)
         return [cache[key] for key in keys]
 
+    def _solve(self, kind: str, inputs: list) -> list:
+        """The entry of each input, in input order; reads the oracle and
+        writes nothing of it, so pool threads may run it at once."""
+        lp, dmm = self._lps[kind], self._dmm
+        out = []
+        for v in inputs:
+            try:
+                if kind == PROJECTION:
+                    sol = LpSolution(OPTIMAL, _project_into(dmm.W, v, lp))
+                else:
+                    c = dmm.multiplier_cost(v) if kind == MULTIPLIER else v
+                    sol = solve_lp(lp.with_vectors(c=c), duals=False)
+                    if sol.status != OPTIMAL:
+                        raise NumericalFailure(f"{kind} returned {sol.status}")
+                sol.x.flags.writeable = False
+                out.append(sol)
+            except DrrError as exc:
+                out.append(exc)
+        return out
+
     def alternate(self, W: Polytope, starts: list) -> list:
         """Alternating maximization from every start, all in lockstep: per
         start, in start order, its solution or the DrrError that stopped it."""
         cfg, m = self.cfg, self.m
         na = m.b.size
-        w_cost = DualizedMaxMin(m, W).w_cost
+        self._enter_region(W)
+        w_cost = self._dmm.w_cost
 
         w = [np.asarray(w0, dtype=float) for w0 in starts]
         out: list = [None] * len(w)

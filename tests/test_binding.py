@@ -120,16 +120,15 @@ def test_pjm5_box_facets_identified(pjm_result):
 
 
 def test_identify_assembles_the_slacked_model_once(pjm_result, monkeypatch):
-    # Every feasibility solve of one identify call is a with_vectors copy
-    # of the model's slacked LP, so its HiGHS model is assembled once.
+    # build_compact assembles the slacked LP's matrix when it builds the LP.
+    # Every feasibility solve of an identify call is a with_vectors copy of
+    # it, so identify assembles it no more.
     case, cfg, res = pjm_result
-    m = build_compact(case, initial_dispatch(case, cfg))
-    slacked_cols = m.slacked.nvar
     assembled, feasibility_solves = [], []
     build, feasibility = lp_mod._csc, binding_mod.feasibility_model
 
     def count_build(A, *args):
-        assembled.append(A.shape[1] == slacked_cols)
+        assembled.append(A.shape[1])
         return build(A, *args)
 
     def count_feasibility(*args, **kwargs):
@@ -138,10 +137,14 @@ def test_identify_assembles_the_slacked_model_once(pjm_result, monkeypatch):
 
     monkeypatch.setattr(lp_mod, "_csc", count_build)
     monkeypatch.setattr(binding_mod, "feasibility_model", count_feasibility)
+    m = build_compact(case, initial_dispatch(case, cfg))
+    slacked_cols = m.slacked.nvar
+    assert assembled.count(slacked_cols) == 1
+    assembled.clear()
     w_bar = np.array(case.forecast_mw) / case.base_mva
     identify(m, res.region, w_bar, cfg)
     assert len(feasibility_solves) > 2
-    assert sum(assembled) == 1
+    assert assembled.count(slacked_cols) == 0
 
 
 @pytest.mark.parametrize("region_dim, forecast_size", [(1, 2), (2, 1)])

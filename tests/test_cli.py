@@ -270,6 +270,37 @@ def test_bad_env_threads_is_an_error_not_a_traceback(tmp_path, monkeypatch, caps
     assert manifest["exit_status"] == 1
 
 
+@pytest.mark.parametrize("source, message", [
+    ("config", "thread_count must be at least 1, got 0"),
+    ("env", "thread_count must be at least 1, got 0"),
+    ("flag", "thread_count must be at least 1, got -3"),
+], ids=["config", "env", "flag"])
+def test_thread_count_below_1_is_an_error(source, message, tmp_path,
+                                          monkeypatch, capsys):
+    # Each source of the thread count is checked; none falls back to 1.
+    monkeypatch.delenv("DRR_THREADS", raising=False)
+    argv = ["compute", "--case", TWO, "--renewables", TWO_R, "--method", "iblp",
+            "--out", str(tmp_path / "o")]
+    if source == "config":
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"thread_count": 0}))
+        argv += ["--config", str(cfgp)]
+    elif source == "env":
+        monkeypatch.setenv("DRR_THREADS", "0")
+    else:
+        argv += ["--threads", "-3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1
+
+
+def test_bench_rejects_zero_threads(capsys):
+    # 0 would otherwise read as "all cores".
+    assert main(["bench", "--cases", f"{TWO}:{TWO_R}", "--threads", "0"]) == 1
+    assert capsys.readouterr().err == "error: --threads must be at least 1, got 0\n"
+
+
 # Wrong types, and values that would otherwise fail deep inside a run (a
 # negative big_m, a zero cut_batch_cap): validate, the command that only
 # loads the config and the case, is enough to reach them.

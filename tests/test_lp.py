@@ -305,7 +305,7 @@ def _assert_bitwise_equal(got: LpSolution, ref: LpSolution):
 
 
 def _full(lp: LinearProgram) -> LinearProgram:
-    """``lp`` as a new LinearProgram, with a HiGHS model of its own."""
+    """``lp`` as a new LinearProgram, with passModel arrays of its own."""
     return dataclasses.replace(lp)
 
 
@@ -385,9 +385,9 @@ def test_direct_highs_matches_linprog_on_iblp_run(twobus, monkeypatch):
         mp.setattr(lp_mod, "_solve_scipy", record)
         run(twobus, StudyConfig(), method="iblp")
     assert len(seen) > 50
-    # Most share a HiGHS model: the memo's multiplier, w-step and
+    # Most share their passModel arrays: the memo's multiplier, w-step and
     # projection LPs are with_vectors copies of one LP per kind.
-    shared = Counter(id(lp._shared) for lp in seen)
+    shared = Counter(tuple(map(id, lp._model)) for lp in seen)
     assert sum(n for n in shared.values() if n > 1) > 20
     # Solved again after the run on the process's one HiGHS instance, in
     # shuffled order, with infeasible, unbounded and rejected LPs mixed in:
@@ -491,11 +491,11 @@ def test_highs_instance_is_kept_and_replaced_after_an_error():
 
 
 def test_threads_solve_copies_of_one_lp_as_serial_solves():
-    # Copies of one LP share its model, which none has assembled yet.  Four
+    # Copies of one LP share its read-only passModel arrays.  Four
     # threads (more than most boxes have cores) solve all of them at once,
     # each in its own order, on its own HiGHS instance and with a short
     # switch interval; every solve must equal the serial solve of the same
-    # program with a model of its own, bit for bit.
+    # program with arrays of its own, bit for bit.
     rng = np.random.default_rng(8181)
     lp = _random_lp(rng)
     copies = [lp.with_vectors(c=rng.normal(size=lp.nvar)) for _ in range(40)]
@@ -551,8 +551,8 @@ def test_forked_child_makes_its_own_highs_instance():
 
 # --- with_vectors copies against the full LinearProgram -----------------------------
 #
-# A copy shares its LP's HiGHS model; _full(copy) is the same program
-# with a model of its own, the reference a copy must match bit for bit.
+# A copy shares its LP's passModel arrays; _full(copy) is the same
+# program with arrays of its own, the reference a copy must match bit for bit.
 
 def test_template_matches_full_lp_swapped_costs(solve):
     rng = np.random.default_rng(4242)
@@ -607,23 +607,24 @@ def test_each_solve_sets_every_vector_of_the_shared_model():
                                             & np.isfinite(lp.lb), lp.lb, lp.ub),
                                 r_eq=lp.r_eq * 1.01),
             ]
-        assert all(copy._shared is lp._shared for copy in copies)
+        assert not any(arr.flags.writeable for arr in lp._model)
+        assert all(all(a is b for a, b in zip(copy._model, lp._model))
+                   for copy in copies)
         for i in rng.permutation(len(copies)):
             copy = copies[i]
             _assert_bitwise_equal(solve_lp(copy), solve_lp(_full(copy)))
 
 
 def test_solved_lp_and_its_copy_pickle():
-    # A HiGHS model does not pickle; a solved LP and a with_vectors copy
-    # (as a pool start method may pickle them) still do, and unpickled
-    # they solve bit for bit as before.
+    # A solved LP and a with_vectors copy pickle with their passModel
+    # arrays, and unpickled they solve bit for bit as before.
     rng = np.random.default_rng(7373)
     lp = _random_lp(rng)
     copy = lp.with_vectors(c=rng.normal(size=lp.nvar))
     for original in (lp, copy):
         ref = solve_lp(original)
         clone = pickle.loads(pickle.dumps(original))
-        assert clone._shared is not original._shared
+        assert not any(a is b for a, b in zip(clone._model, original._model))
         _assert_bitwise_equal(solve_lp(clone), ref)
         _assert_bitwise_equal(solve_lp(clone, duals=False),
                               solve_lp(original, duals=False))

@@ -393,11 +393,16 @@ def _entry_bytes(entry):
 
 def test_ieee39_oracle_entries_are_byte_equal_for_1_2_and_4_workers(ieee39, monkeypatch):
     # Every entry each lookup of a whole run returns, in order, on four
-    # cores whatever the box has: 1, 2 and 4 workers all really run.
+    # cores whatever the box has: 1, 2 and 4 workers all really run.  The
+    # workers share the oracle's LPs: every worker count builds one w-step
+    # LP per iteration, and every LP matrix is assembled on the calling
+    # thread.
+    import threading
+    import drrcalc.lp as lp_mod
     from drrcalc.engine import run
     monkeypatch.setattr(iblp.os, "cpu_count", lambda: 4)
-    lookup = IblpOracle.lookup
-    seen = {}
+    lookup, w_lp_at, csc = IblpOracle.lookup, DualizedMaxMin.w_lp_at, lp_mod._csc
+    seen, wsteps, assembled = {}, {}, {}
 
     def recording(self, kind, W, inputs):
         got = lookup(self, kind, W, inputs)
@@ -405,13 +410,30 @@ def test_ieee39_oracle_entries_are_byte_equal_for_1_2_and_4_workers(ieee39, monk
             (kind, v.tobytes(), _entry_bytes(e)) for v, e in zip(inputs, got))
         return got
 
+    def counting_w_lp_at(self, alpha):
+        wsteps[threads] += 1
+        return w_lp_at(self, alpha)
+
+    def recording_csc(A):
+        assembled[threads].append(threading.current_thread() is caller)
+        return csc(A)
+
+    caller = threading.current_thread()
     monkeypatch.setattr(IblpOracle, "lookup", recording)
+    monkeypatch.setattr(DualizedMaxMin, "w_lp_at", counting_w_lp_at)
+    monkeypatch.setattr(lp_mod, "_csc", recording_csc)
+    iterations = set()
     for threads in (1, 2, 4):
-        seen[threads] = []
+        seen[threads], wsteps[threads], assembled[threads] = [], 0, []
         res = run(ieee39, StudyConfig(thread_count=threads), method="iblp")
         seen[threads].append((res.region.H.tobytes(), res.region.f.tobytes()))
+        iterations.add(res.iterations)
     assert len(seen[1]) > 1000
     assert seen[1] == seen[2] == seen[4]
+    assert len(iterations) == 1
+    assert wsteps[1] == wsteps[2] == wsteps[4] == iterations.pop()
+    assert len(assembled[1]) == len(assembled[2]) == len(assembled[4])
+    assert all(all(on_caller) for on_caller in assembled.values())
 
 
 def test_alternation_ends_once_no_scenario_is_left(pjm5, monkeypatch):
@@ -478,16 +500,21 @@ def test_iblp_run_solves_each_wstep_lp_once(pjm5, monkeypatch):
     assert sum(rec.oracle_diag["lp_solves"] for rec in res.trace) == 203
 
 
-def test_oracle_is_freed_without_the_cycle_collector(two):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_oracle_is_freed_without_the_cycle_collector(two, workers, monkeypatch):
     # A reference cycle through the oracle would hold the memo's arrays until
     # a full collection, so a long-lived process would grow with every run.
+    # With two workers the run's pool solves chunks too.
     import gc
     import weakref
-    case, m, W0, cfg = two
+    case, m, W0, _ = two
+    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 2)
+    cfg = StudyConfig(thread_count=workers)
     scen = make_scenarios(W0, W0, np.array(case.forecast_mw) / case.base_mva, cfg)
     gc.disable()
     try:
         with IblpOracle(m, cfg) as oracle:
+            assert oracle.workers == workers
             run_iblp(m, W0, scen, cfg, oracle)
         ref = weakref.ref(oracle)
         del oracle
