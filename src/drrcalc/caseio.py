@@ -169,15 +169,12 @@ class StudyConfig:
             raise InvalidSetting("ramp_fraction must be in (0, 1]")
         if not 0 < self.reserve_factor <= 1:
             raise InvalidSetting("reserve_factor must be in (0, 1]")
-        if self.s1_count < 1:
-            raise InvalidSetting("s1_count must be at least 1")
-        if self.thread_count < 1:
-            raise InvalidSetting(
-                f"thread_count must be at least 1, got {self.thread_count}")
-        if self.alt_max_rounds < 1:
-            raise InvalidSetting("alt_max_rounds must be at least 1")
-        if self.cut_batch_cap < 1:
-            raise InvalidSetting("cut_batch_cap must be at least 1")
+        # A negative seed would fail only inside numpy's generators.
+        for name, low in (("s1_count", 1), ("seed", 0), ("thread_count", 1),
+                          ("alt_max_rounds", 1), ("cut_batch_cap", 1)):
+            if getattr(self, name) < low:
+                raise InvalidSetting(
+                    f"{name} must be at least {low}, got {getattr(self, name)}")
         # HiGHS's mip_max_nodes is a 32-bit int.
         if not 0 <= self.node_limit <= 2**31 - 1:
             raise InvalidSetting("node_limit must be in [0, 2147483647]")

@@ -198,6 +198,14 @@ def cmd_binding(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _resolve_config(args)
+    if args.w is not None:  # before any model work, so a bad value fails at once
+        try:
+            w_mw = np.array([float(v) for v in args.w.split(",")])
+        except ValueError:
+            w_mw = None
+        if w_mw is None or not np.isfinite(w_mw).all():
+            raise InvalidSetting(
+                f"--w must be comma-separated finite numbers, got {args.w!r}")
     case = _load_case(args)
     checks: list[tuple[str, bool, str]] = []
 
@@ -236,8 +244,7 @@ def cmd_validate(args) -> int:
                    f"max gap {gap:.2e} pu"))
 
     if args.w is not None:
-        w = np.array([float(v) for v in args.w.split(",")]) / case.base_mva
-        res = feasibility_model(m, w)
+        res = feasibility_model(m, w_mw / case.base_mva)
         print(f"w = {args.w} MW: violation {res.objective_mw:.6f} MW")
         for label, slack in sorted(res.slacks.items()):
             print(f"  {label}: {slack * case.base_mva:.6f} MW")
@@ -331,9 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file of study settings")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None,
-                       help="threads solving iblp LPs, this one included, at most "
-                            "one per core (default: env DRR_THREADS, else the "
-                            "config file, else cores for iblp, 1 for milp)")
+                       help="threads solving iblp LPs, at most one per core; from 2 "
+                            "on, a pool of that many while this one waits (default: "
+                            "env DRR_THREADS, else the config file, else cores for "
+                            "iblp, 1 for milp)")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("compute", help="run the full region workflow")

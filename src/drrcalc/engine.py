@@ -24,8 +24,6 @@ from .maxmin_iblp import IblpOracle, make_scenarios, run_iblp
 from .maxmin_milp import MaxMinSolution, cut_vector, solve_maxmin_milp
 from .polytope import FacetProvenance, Polytope, box, remove_redundant
 
-_ZERO_NORMAL_TOL = 1e-10
-
 CONVERGED = "Converged"
 MAX_ITERATIONS = "MaxIterations"
 EMPTY_REGION = "EmptyRegion"
@@ -86,11 +84,7 @@ def init_w0(case: CaseData) -> Polytope:
 def make_cut(sol: MaxMinSolution, m: CompactPsd) -> Cut:
     """Normalized separating halfspace from the oracle multipliers."""
     normal, offset = cut_vector(sol, m)
-    norm = float(np.linalg.norm(normal))
-    if norm < _ZERO_NORMAL_TOL:
-        raise DegenerateCut(
-            f"cut normal vanished at violation {sol.F:.3e}")
-    return Cut(normal=normal / norm, offset=offset / norm,
+    return Cut(normal=normal, offset=offset,
                alpha=sol.alpha.copy(), delta=sol.delta.copy())
 
 
@@ -119,7 +113,7 @@ def run(case: CaseData, cfg: StudyConfig, method: str = "milp") -> DrrResult:
                 sols = [solve_maxmin_milp(m, W, cfg)]
             else:
                 scenarios = make_scenarios(W0, W, w_bar, cfg)
-                sols = run_iblp(m, W, scenarios, cfg, oracle)
+                sols = run_iblp(oracle, W, scenarios)
             oracle_ms = (time.perf_counter() - t0) * 1e3
 
             F_k = max((s.F for s in sols), default=0.0)

@@ -20,36 +20,33 @@ not depend on the region), and a solve swaps in the costs or right-hand
 side that its vector gives with ``with_vectors``.  Starts converge onto
 the same few region vertices, so most steps repeat an LP already solved.
 Each half-step is one :meth:`IblpOracle.lookup`, which solves only the
-distinct LPs missing from the oracle's memo, then every scenario moves
-forward from the memo.  With N workers (``thread_count``, at most one per
-core) the calling thread solves the first of N contiguous chunks of those
-LPs itself, and a pool of N - 1 threads, started once per run, solves the
-others, all on copies of the oracle's one LP per kind.  HiGHS releases
-the GIL while it solves, so the chunks solve in parallel, each thread on
-its own HiGHS instance and each solve cold (see :mod:`drrcalc.lp`);
-results merge in scenario order, so the LPs built and solved, the cuts
-and the output are the same for any worker count.  The memo keeps only
-status, x and objective, so these LPs are read without their duals.
+distinct LPs missing from the oracle's memo.  With N workers
+(``thread_count``, at most one per core) and N >= 2, a pool of N threads
+solves them in parallel while the calling thread waits, as HiGHS releases
+the GIL; each thread has its own HiGHS instance and each solve is cold
+(see :mod:`drrcalc.lp`).  With N = 1 the calling thread solves them
+alone.  Results come back in input order, so the LPs built and solved,
+the cuts and the output are the same for any N.  The memo keeps only
+status, x and objective, so no LP is read for its duals.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import operator
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
-from .errors import DrrError, NumericalFailure, ZeroNormal
+from .errors import DegenerateCut, DrrError, NumericalFailure, ZeroNormal
 from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
 from .maxmin_milp import DualizedMaxMin, MaxMinSolution, cut_vector
 from .polytope import Polytope
 
 _CUT_DEDUPE_TOL = 1e-6
-_totals = operator.attrgetter("solves", "hits", "multiplier_steps", "projections")
 
 # The alternation's LP kinds, solved for w, the w-step cost and the start
 # w0; a kind's name begins the error text of its failures.  The LPs and memo
@@ -58,6 +55,10 @@ MULTIPLIER = "multiplier step"
 WSTEP = "w step"
 PROJECTION = "projection"
 _REGION_KINDS = (WSTEP, PROJECTION)
+
+# A batch's lookup counters; multiplier and projection inputs count apart.
+_INPUT_COUNTERS = {MULTIPLIER: "multiplier_steps", PROJECTION: "scenarios_projected"}
+_LOOKUP_COUNTERS = ("lp_solves", "memo_hits", *_INPUT_COUNTERS.values())
 
 
 @dataclass(frozen=True)
@@ -133,35 +134,26 @@ class IblpOracle:
     the calling thread writes any of them, and only between lookups: when
     the region changes, the entries and LPs of ``_REGION_KINDS`` are
     replaced.  ``workers`` is ``cfg.thread_count``, capped at the core
-    count; with more than one the oracle holds the run's one pool of
-    ``workers - 1`` threads: started by the first lookup with LPs to
-    share, shut down by :meth:`close`.  ``solves``, ``hits``,
-    ``multiplier_steps`` and ``projections`` count over the run;
-    ``counts`` is the scenario accounting of the last batch.
+    count; above 1, a pool of that many threads solves the LPs until the
+    ``with`` block ends.  ``counts`` is the last batch's accounting.
     """
 
     def __init__(self, m: CompactPsd, cfg: StudyConfig):
         self.m = m
         self.cfg = cfg
         self.entries: dict[str, dict] = {MULTIPLIER: {}, WSTEP: {}, PROJECTION: {}}
-        self.solves = 0           # LPs handed to the solver, projections included
-        self.hits = 0
-        self.multiplier_steps = 0
-        self.projections = 0
-        self.counts: dict[str, int] = {}
+        self.counts: dict[str, int] = dict.fromkeys(_LOOKUP_COUNTERS, 0)
         self.workers = min(cfg.thread_count, os.cpu_count() or 1)
         self._region: tuple[bytes, bytes] | None = None
         self._dmm: DualizedMaxMin | None = None
         self._lps: dict[str, LinearProgram] = {}
-        self._pool = None
+        self._pool = (concurrent.futures.ThreadPoolExecutor(self.workers)
+                      if self.workers > 1 else None)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
-
-    def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -182,58 +174,45 @@ class IblpOracle:
 
     def lookup(self, kind: str, W: Polytope, inputs: list) -> list:
         """The entry of every input, in input order.  The distinct inputs
-        not held yet are solved in ``workers`` contiguous chunks: the
-        calling thread solves the first, the pool the others."""
+        not held yet are solved by the pool's threads while the calling
+        thread waits, or by the calling thread when there is no pool."""
         self._enter_region(W)
         cache = self.entries[kind]
         keys = [v.tobytes() for v in inputs]
         missing = {key: v for key, v in zip(keys, inputs) if key not in cache}
         if missing:
-            todo = list(missing.values())
-            size = -(-len(todo) // self.workers)
-            chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
-            if len(chunks) > 1 and self._pool is None:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.workers - 1)
-            futures = [self._pool.submit(self._solve, kind, chunk)
-                       for chunk in chunks[1:]]
-            outs = self._solve(kind, chunks[0])
-            for fut in futures:
-                outs.extend(fut.result())
-            cache.update(zip(missing, outs))
-        self.solves += len(missing)
-        self.hits += len(inputs) - len(missing)
-        if kind == MULTIPLIER:
-            self.multiplier_steps += len(inputs)
-        elif kind == PROJECTION:
-            self.projections += len(inputs)
+            solve = self._pool.map if self._pool else map
+            cache.update(zip(missing, solve(partial(self._solve, kind),
+                                            missing.values())))
+        self.counts["lp_solves"] += len(missing)
+        self.counts["memo_hits"] += len(inputs) - len(missing)
+        if kind in _INPUT_COUNTERS:
+            self.counts[_INPUT_COUNTERS[kind]] += len(inputs)
         return [cache[key] for key in keys]
 
-    def _solve(self, kind: str, inputs: list) -> list:
-        """The entry of each input, in input order; reads the oracle and
-        writes nothing of it, so pool threads may run it at once."""
+    def _solve(self, kind: str, v: np.ndarray):
+        """The entry of one input; it only reads the oracle, so threads share it."""
         lp, dmm = self._lps[kind], self._dmm
-        out = []
-        for v in inputs:
-            try:
-                if kind == PROJECTION:
-                    sol = LpSolution(OPTIMAL, _project_into(dmm.W, v, lp))
-                else:
-                    c = dmm.multiplier_cost(v) if kind == MULTIPLIER else v
-                    sol = solve_lp(lp.with_vectors(c=c), duals=False)
-                    if sol.status != OPTIMAL:
-                        raise NumericalFailure(f"{kind} returned {sol.status}")
-                sol.x.flags.writeable = False
-                out.append(sol)
-            except DrrError as exc:
-                out.append(exc)
-        return out
+        try:
+            if kind == PROJECTION:
+                sol = LpSolution(OPTIMAL, _project_into(dmm.W, v, lp))
+            else:
+                c = dmm.multiplier_cost(v) if kind == MULTIPLIER else v
+                sol = solve_lp(lp.with_vectors(c=c), duals=False)
+                if sol.status != OPTIMAL:
+                    raise NumericalFailure(f"{kind} returned {sol.status}")
+        except DrrError as exc:
+            return exc
+        sol.x.flags.writeable = False
+        return sol
 
     def alternate(self, W: Polytope, starts: list) -> list:
         """Alternating maximization from every start, all in lockstep: per
-        start, in start order, its solution or the DrrError that stopped it."""
+        start, in start order, its solution or the DrrError that stopped it.
+        Starts the batch's ``counts`` afresh."""
         cfg, m = self.cfg, self.m
         na = m.b.size
+        self.counts = dict.fromkeys(_LOOKUP_COUNTERS, 0)
         self._enter_region(W)
         w_cost = self._dmm.w_cost
 
@@ -283,25 +262,20 @@ class IblpOracle:
         return out
 
 
-def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
-             cfg: StudyConfig, oracle: IblpOracle) -> list[MaxMinSolution]:
+def run_iblp(oracle: IblpOracle, W: Polytope,
+             scenarios: ScenarioSet) -> list[MaxMinSolution]:
     """Alternate-solve every scenario; keep deduplicated positive violations.
 
     Failures are collected per scenario and only raised when no scenario
     succeeds.  The result order follows scenario order for any thread count.
-    ``oracle`` is the run's, which carries memo and pool across its calls.
+    ``oracle`` is the run's: its model, settings, memo and pool.
     """
+    m, cfg = oracle.m, oracle.cfg
     starts = scenarios.combined()
     if not starts:
         raise ValueError("scenario set is empty")
-    if oracle.m is not m or oracle.cfg is not cfg:
-        raise ValueError("oracle belongs to another model or configuration")
 
-    before = _totals(oracle)
     outcomes = oracle.alternate(W, starts)
-    solves, hits, steps, projected = (
-        a - b for a, b in zip(_totals(oracle), before))
-
     failures = [f"scenario {idx}: {out}" for idx, out in enumerate(outcomes)
                 if isinstance(out, DrrError)]
     solutions = [out for out in outcomes if not isinstance(out, DrrError)]
@@ -314,23 +288,23 @@ def run_iblp(m: CompactPsd, W: Polytope, scenarios: ScenarioSet,
     kept_vectors: list[np.ndarray] = []
     deduplicated = 0
     for s in positive:
-        normal, offset = cut_vector(s, m)
-        norm = np.linalg.norm(normal)
-        if norm < 1e-12:
+        try:
+            normal, offset = cut_vector(s, m)
+        except DegenerateCut:
             kept.append(s)  # degenerate direction; engine decides what it means
             continue
-        vec = np.concatenate([normal, [offset]]) / norm
+        vec = np.append(normal, offset)
         if any(np.abs(vec - v).max() < _CUT_DEDUPE_TOL for v in kept_vectors):
             deduplicated += 1
             continue
         kept_vectors.append(vec)
         kept.append(s)
+    lookups = oracle.counts
     oracle.counts = {"scenarios_started": len(starts),
-                  "scenarios_projected": projected,
-                  "scenarios_failed": len(failures),
-                  "scenarios_positive": len(positive),
-                  "scenarios_deduplicated": deduplicated,
-                  "scenarios_kept": len(kept),
-                  "lp_solves": solves, "memo_hits": hits,
-                  "multiplier_steps": steps}
+                     "scenarios_projected": lookups.pop("scenarios_projected"),
+                     "scenarios_failed": len(failures),
+                     "scenarios_positive": len(positive),
+                     "scenarios_deduplicated": deduplicated,
+                     "scenarios_kept": len(kept),
+                     **lookups}
     return kept

@@ -15,10 +15,13 @@ import numpy as np
 
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
-from .errors import BigMTooSmall, DimensionMismatch, NumericalFailure
+from .errors import BigMTooSmall, DegenerateCut, DimensionMismatch, NumericalFailure
 from .lp import INFEASIBLE, OPTIMAL, LinearProgram
 from .mip import MixedProgram, solve_mip
 from .polytope import Polytope
+
+# A cut normal shorter than this is zero: the cut has no direction.
+_ZERO_NORMAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,15 @@ class MaxMinSolution:
 
 
 def cut_vector(sol: MaxMinSolution, m: CompactPsd) -> tuple[np.ndarray, float]:
-    """Unnormalized cut (normal, offset): normal @ w <= offset is valid."""
+    """Cut (normal, offset) with a unit normal: normal @ w <= offset is
+    valid.  DegenerateCut if the normal vanishes."""
     # 0.0 - x rather than -x: a zero entry stays +0.0, not -0.0.
     normal = 0.0 - sol.alpha @ m.A
     offset = -(sol.alpha @ m.b - sol.delta @ m.d)
-    return normal, float(offset)
+    norm = float(np.linalg.norm(normal))
+    if norm < _ZERO_NORMAL_TOL:
+        raise DegenerateCut(f"cut normal vanished at violation {sol.F:.3e}")
+    return normal / norm, float(offset) / norm
 
 
 def facet_slack_ranges(m: CompactPsd, W: Polytope) -> np.ndarray:

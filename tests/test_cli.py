@@ -159,6 +159,15 @@ def test_validate_passes_and_probes(capsys):
     assert "violation 5.000000 MW" in out
 
 
+@pytest.mark.parametrize("w", ["abc", "nan", "inf", "70,x"])
+def test_validate_rejects_a_malformed_probe_before_any_check(w, capsys):
+    code = main(["validate", "--case", TWO, "--renewables", TWO_R, "--w", w])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --w must be comma-separated finite numbers, got {w!r}\n"
+
+
 def test_validate_rejects_zero_reactance(tmp_path, capsys):
     bad = (CASE_DIR / "case2_ramp.m").read_text().replace(
         "1\t2\t0\t0.1", "1\t2\t0\t0.0")
@@ -295,6 +304,16 @@ def test_thread_count_below_1_is_an_error(source, message, tmp_path,
     assert manifest["exit_status"] == 1
 
 
+def test_negative_seed_flag_is_an_error(tmp_path, capsys):
+    # numpy's generators reject it deep inside the first iblp iteration.
+    argv = ["compute", "--case", TWO, "--renewables", TWO_R, "--method", "iblp",
+            "--seed", "-1", "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["exit_status"] == 1
+
+
 def test_bench_rejects_zero_threads(capsys):
     # 0 would otherwise read as "all cores".
     assert main(["bench", "--cases", f"{TWO}:{TWO_R}", "--threads", "0"]) == 1
@@ -313,9 +332,11 @@ _BAD_SETTINGS = [
      "reserve_factor must be a number, got None"),
     ("big_m-negative", {"big_m": -1}, "big_m must be a positive number, got -1"),
     ("big_m-str", {"big_m": "10"}, "big_m must be a positive number, got '10'"),
-    ("cut_batch_cap-0", {"cut_batch_cap": 0}, "cut_batch_cap must be at least 1"),
+    ("cut_batch_cap-0", {"cut_batch_cap": 0},
+     "cut_batch_cap must be at least 1, got 0"),
     ("node_limit-negative", {"node_limit": -1},
      "node_limit must be in [0, 2147483647]"),
+    ("seed-negative", {"seed": -1}, "seed must be at least 0, got -1"),
 ]
 
 

@@ -6,13 +6,13 @@ import pytest
 import drrcalc.maxmin_iblp as iblp
 from drrcalc.caseio import StudyConfig
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
-from drrcalc.engine import init_w0
-from drrcalc.errors import DimensionMismatch, NumericalFailure
+from drrcalc.engine import init_w0, make_cut
+from drrcalc.errors import DegenerateCut, DimensionMismatch, NumericalFailure
 from drrcalc.lp import solve_lp
-from drrcalc.maxmin_iblp import (MULTIPLIER, WSTEP, IblpOracle, gen_s1, gen_s2,
-                                 make_scenarios, run_iblp)
-from drrcalc.maxmin_milp import (DualizedMaxMin, build_kkt_mip, cut_vector,
-                                 default_big_m, solve_maxmin_milp)
+from drrcalc.maxmin_iblp import (MULTIPLIER, WSTEP, IblpOracle, ScenarioSet,
+                                 gen_s1, gen_s2, make_scenarios, run_iblp)
+from drrcalc.maxmin_milp import (DualizedMaxMin, MaxMinSolution, build_kkt_mip,
+                                 cut_vector, default_big_m, solve_maxmin_milp)
 from drrcalc.polytope import FacetProvenance, Polytope
 
 
@@ -225,7 +225,7 @@ def test_alternate_sequence_nondecreasing(pjm5, cfg):
 def _run_iblp(m, W, scenarios, cfg):
     """One batch on an oracle of its own, built as ``engine.run`` builds it."""
     with IblpOracle(m, cfg) as oracle:
-        return run_iblp(m, W, scenarios, cfg, oracle)
+        return run_iblp(oracle, W, scenarios)
 
 
 def test_run_iblp_filters_and_dedupes(two):
@@ -237,8 +237,7 @@ def test_run_iblp_filters_and_dedupes(two):
     assert 1 <= len(sols) <= 2
     vecs = []
     for s in sols:
-        n, o = cut_vector(s, m)
-        vecs.append(np.concatenate([n, [o]]) / np.linalg.norm(n))
+        vecs.append(np.append(*cut_vector(s, m)))
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             assert np.abs(vecs[i] - vecs[j]).max() > 1e-6
@@ -290,10 +289,36 @@ def test_run_iblp_projection_failure_stops_only_its_scenarios(two, monkeypatch):
 
     monkeypatch.setattr(mod, "solve_lp", fail_projection)
     with IblpOracle(m, cfg) as oracle:
-        kept = run_iblp(m, W, scen, cfg, oracle)
+        kept = run_iblp(oracle, W, scen)
     assert oracle.counts["scenarios_failed"] == outside
     assert kept and all(s.F > cfg.eps_term for s in kept)
     assert all(W.contains(s.w_star, tol=1e-9) for s in kept)
+
+
+def test_run_iblp_keeps_cuts_too_short_for_the_engine_as_degenerate(two, monkeypatch):
+    # Two solutions whose cut normal has a norm of 5e-11, which make_cut
+    # rejects as degenerate: run_iblp keeps both for the engine to judge
+    # and deduplicates neither as a real cut.
+    _, m, W0, cfg = two
+    j = int(np.flatnonzero(np.abs(m.A).sum(axis=1))[0])
+    alpha = np.zeros(m.b.size)
+    alpha[j] = 5e-11 / np.linalg.norm(m.A[j])
+    sols = [MaxMinSolution(F=1.0, w_star=np.zeros(m.n_w), alpha=alpha.copy(),
+                           delta=np.zeros(m.d.size), theta=None, method="iblp")
+            for _ in range(2)]
+    assert 1e-11 < np.linalg.norm(alpha @ m.A) < 1e-10
+    monkeypatch.setattr(IblpOracle, "alternate", lambda self, W, starts: sols)
+    scen = ScenarioSet(s1=(np.array([0.1]), np.array([0.2])), s2=())
+    with IblpOracle(m, cfg) as oracle:
+        kept = run_iblp(oracle, W0, scen)
+    assert len(kept) == 2 and all(a is b for a, b in zip(kept, sols))
+    assert oracle.counts["scenarios_deduplicated"] == 0
+    assert oracle.counts["scenarios_kept"] == oracle.counts["scenarios_positive"] == 2
+    for sol in sols:
+        with pytest.raises(DegenerateCut):
+            cut_vector(sol, m)
+        with pytest.raises(DegenerateCut):
+            make_cut(sol, m)
 
 
 # --- LP memo ---------------------------------------------------------------------
@@ -306,7 +331,9 @@ def _cut_region():
 
 
 def _totals(oracle):
-    return oracle.solves, oracle.hits, oracle.multiplier_steps, oracle.projections
+    c = oracle.counts
+    return (c["lp_solves"], c["memo_hits"], c["multiplier_steps"],
+            c["scenarios_projected"])
 
 
 def test_memo_entries_are_shared_and_read_only(two):
@@ -332,19 +359,18 @@ def test_memo_entries_are_shared_and_read_only(two):
 
 
 def test_lookup_of_held_inputs_solves_nothing(two, monkeypatch):
-    # Every input held: no LP to solve or share, so no chunk and no pool.
-    import concurrent.futures
+    # Every input held: no LP to solve, so nothing is mapped onto the pool.
     _, m, W0, _ = two
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a lookup started the pool")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(iblp.os, "cpu_count", lambda: 2)
     with IblpOracle(m, StudyConfig(thread_count=2)) as oracle:
         assert oracle.workers == 2
         w = np.array([0.5])
         (mult,) = oracle.lookup(MULTIPLIER, W0, [w])
+
+        def no_map(*args, **kwargs):
+            raise AssertionError("a lookup of held inputs used the pool")
+
+        monkeypatch.setattr(oracle._pool, "map", no_map)
         held = oracle.lookup(MULTIPLIER, W0, [w.copy(), w.copy()])
         assert all(sol is mult for sol in held)
         # solves, hits, multiplier steps, projections
@@ -352,21 +378,21 @@ def test_lookup_of_held_inputs_solves_nothing(two, monkeypatch):
 
 
 def test_worker_count_is_capped_at_the_core_count(two, monkeypatch):
-    # thread_count 10000 on three cores: three chunks and a pool of two.
-    # The fake pool starts no thread: it runs each chunk as it is submitted.
+    # thread_count 10000 on three cores: a pool of three threads, onto
+    # which each distinct missing input is mapped once.  The fake pool
+    # starts no thread: it solves the inputs as they are mapped.
     import concurrent.futures
     _, m, W0, _ = two
-    pools, chunks = [], []
+    pools, mapped = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
             pools.append(max_workers)
 
-        def submit(self, fn, *args):
-            chunks.append(len(args[-1]))
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
+        def map(self, fn, inputs):
+            inputs = list(inputs)
+            mapped.extend(v.tobytes() for v in inputs)
+            return [fn(v) for v in inputs]
 
         def shutdown(self):
             pools.append("shutdown")
@@ -376,11 +402,11 @@ def test_worker_count_is_capped_at_the_core_count(two, monkeypatch):
     ws = [np.array([x]) for x in np.linspace(0.05, 0.95, 10)]
     with IblpOracle(m, StudyConfig(thread_count=10_000)) as oracle:
         assert oracle.workers == 3
-        got = oracle.lookup(MULTIPLIER, W0, ws)
-    # 10 LPs in chunks of 4: the calling thread solves the first.
-    assert pools == [2, "shutdown"] and chunks == [4, 2]
+        got = oracle.lookup(MULTIPLIER, W0, ws + [w.copy() for w in ws[:3]])
+    assert pools == [3, "shutdown"]
+    assert mapped == [w.tobytes() for w in ws]
     with IblpOracle(m, StudyConfig(thread_count=1)) as serial:
-        want = serial.lookup(MULTIPLIER, W0, ws)
+        want = serial.lookup(MULTIPLIER, W0, ws + ws[:3])
     assert [(s.x.tobytes(), s.objective) for s in got] == \
         [(s.x.tobytes(), s.objective) for s in want]
 
@@ -504,7 +530,7 @@ def test_iblp_run_solves_each_wstep_lp_once(pjm5, monkeypatch):
 def test_oracle_is_freed_without_the_cycle_collector(two, workers, monkeypatch):
     # A reference cycle through the oracle would hold the memo's arrays until
     # a full collection, so a long-lived process would grow with every run.
-    # With two workers the run's pool solves chunks too.
+    # With two workers the run's pool solves the LPs.
     import gc
     import weakref
     case, m, W0, _ = two
@@ -515,7 +541,7 @@ def test_oracle_is_freed_without_the_cycle_collector(two, workers, monkeypatch):
     try:
         with IblpOracle(m, cfg) as oracle:
             assert oracle.workers == workers
-            run_iblp(m, W0, scen, cfg, oracle)
+            run_iblp(oracle, W0, scen)
         ref = weakref.ref(oracle)
         del oracle
         assert ref() is None
@@ -528,10 +554,10 @@ def test_iblp_memo_solves_fewer_lps_than_steps(two):
     w_bar = np.array(case.forecast_mw) / case.base_mva
     scen = make_scenarios(W0, W0, w_bar, cfg)
     with IblpOracle(m, cfg) as oracle:
-        kept = run_iblp(m, W0, scen, cfg, oracle)
+        kept = run_iblp(oracle, W0, scen)
         counts = oracle.counts
         # The same batch again is all memo hits, with the same cuts.
-        again = run_iblp(m, W0, scen, cfg, oracle)
+        again = run_iblp(oracle, W0, scen)
         assert oracle.counts["lp_solves"] == 0
     assert counts["lp_solves"] < counts["multiplier_steps"]
     assert counts["memo_hits"] > 0
