@@ -77,7 +77,7 @@ def vertices_2d(W: Polytope) -> np.ndarray:
     return arr[order]
 
 
-def high_risk_event(W: Polytope, w_bar, base_mva: float = 100.0) -> RampEvent:
+def high_risk_event(W: Polytope, w_bar, base_mva: float) -> RampEvent:
     """Shortest move from the forecast to the region boundary (Euclidean).
 
     Rows of W are unit norm, so for an interior forecast the gap
@@ -110,7 +110,7 @@ def high_risk_event(W: Polytope, w_bar, base_mva: float = 100.0) -> RampEvent:
 
 
 def region_payload(result: DrrResult, w_bar_mw) -> dict:
-    base = result.model.base_mva if result.model is not None else 100.0
+    base = result.model.base_mva
     W = result.region
     payload = {
         "units": "MW",
@@ -153,13 +153,11 @@ def write_trace_csv(result: DrrResult, path: Path) -> None:
 
 def export_artifacts(result: DrrResult, report: BindingReport | None,
                      event: RampEvent | None, out_dir: str | Path,
-                     w_bar_mw=None) -> dict:
+                     w_bar_mw) -> dict:
     """Write every artifact; returns a manifest fragment of written files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    base = result.model.base_mva if result.model is not None else 100.0
-    if w_bar_mw is None:
-        w_bar_mw = np.zeros(result.region.dim)
+    base = result.model.base_mva
 
     files: dict[str, str] = {}
     notes: list[str] = []

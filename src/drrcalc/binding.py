@@ -84,12 +84,12 @@ class BindingReport:
         }
 
 
-def terminal_points(W: Polytope, i: int, beta=None) -> tuple[np.ndarray, np.ndarray]:
-    """Extrema of facet i along beta (default all-ones)."""
-    beta = np.ones(W.dim) if beta is None else np.asarray(beta, dtype=float)
+def terminal_points(W: Polytope, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Extrema of facet i along the all-ones direction: the points of the
+    facet with the largest and the smallest total output."""
     out = []
     for sense in ("max", "min"):
-        lp = LinearProgram(c=beta, sense=sense, M_in=W.H, r_in=W.f,
+        lp = LinearProgram(c=np.ones(W.dim), sense=sense, M_in=W.H, r_in=W.f,
                            M_eq=W.H[[i]], r_eq=W.f[[i]])
         sol = solve_lp(lp, duals=False)
         if sol.status != OPTIMAL:
@@ -99,7 +99,7 @@ def terminal_points(W: Polytope, i: int, beta=None) -> tuple[np.ndarray, np.ndar
     return out[0], out[1]
 
 
-def probe_point(w_u, w_l, w_bar, lam: float = 0.01) -> np.ndarray:
+def probe_point(w_u, w_l, w_bar, lam: float) -> np.ndarray:
     """Facet midpoint pushed away from the forecast by the factor `lam`."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -108,17 +108,14 @@ def probe_point(w_u, w_l, w_bar, lam: float = 0.01) -> np.ndarray:
 
 
 def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
-             weights: dict[str, float] | None = None,
              allow_unresolved: bool = False) -> BindingReport:
-    """Per-facet binding constraints of a converged region (units: MW)."""
+    """Per-facet binding constraints of a converged region (units: MW); each
+    probe's slacks weigh 1, except those of ``_HARD_EQUALITIES``, held hard."""
     w_bar = np.asarray(w_bar, dtype=float)
     if W.dim != m.n_w or w_bar.size != m.n_w:
         raise DimensionMismatch(
             f"region of dimension {W.dim} and forecast of {w_bar.size} "
             f"entries for a model with {m.n_w} farms")
-    slack_weights = dict(_HARD_EQUALITIES)
-    if weights:
-        slack_weights.update(weights)
 
     entries: list[FacetBinding] = []
     unresolved: list[int] = []
@@ -133,14 +130,14 @@ def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
             probe_mw=probe * m.base_mva, origin=ORIGIN_BOX,
             degenerate_probe=degenerate)
 
-        res = feasibility_model(m, probe, weights=slack_weights)
+        res = feasibility_model(m, probe, weights=_HARD_EQUALITIES)
         if res.objective > cfg.eps_slack:
             entry.origin = ORIGIN_PHYSICAL
             kind_of = {d.label: d.kind for d in m.in_rows}
             for label, slack in sorted(res.slacks.items()):
                 if slack <= cfg.eps_slack:
                     continue
-                forced = dict(slack_weights)
+                forced = dict(_HARD_EQUALITIES)
                 forced[label] = math.inf
                 again = feasibility_model(m, probe, weights=forced)
                 necessity = ("necessarily binding" if not again.feasible

@@ -484,18 +484,12 @@ def load_renewables_file(path: str | Path) -> list[RenewableSpec]:
     return specs
 
 
-def load_config_file(path: str | Path, base: StudyConfig | None = None) -> StudyConfig:
-    """``base`` (default: ``StudyConfig()``) with the file's settings over it."""
-    path, parse = Path(path), json.loads
-    if path.suffix == ".toml":
-        try:
-            from tomllib import loads as parse
-        except ImportError as exc:
-            raise InvalidSetting(
-                "TOML config needs Python 3.11+; use JSON instead") from exc
+def load_config_file(path: str | Path, base: StudyConfig) -> StudyConfig:
+    """``base`` with the settings of the JSON object in ``path`` over it;
+    JSON is the one format read, whatever the file's suffix."""
     try:
-        data = parse(path.read_text())
-    except ValueError as exc:  # JSONDecodeError and TOMLDecodeError are ValueErrors
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
         raise InvalidSetting(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidSetting(
@@ -504,4 +498,4 @@ def load_config_file(path: str | Path, base: StudyConfig | None = None) -> Study
     unknown = set(data) - known
     if unknown:
         raise InvalidSetting(f"unknown config keys: {sorted(unknown)}")
-    return replace(base or StudyConfig(), **data)
+    return replace(base, **data)

@@ -14,7 +14,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import signal
 import statistics
 import sys
 import time
@@ -207,6 +206,9 @@ def cmd_validate(args) -> int:
             raise InvalidSetting(
                 f"--w must be comma-separated finite numbers, got {args.w!r}")
     case = _load_case(args)
+    if args.w is not None and w_mw.size != len(case.renewable):
+        raise InvalidSetting(f"--w has {w_mw.size} entries, the case has "
+                             f"{len(case.renewable)} farms")
     checks: list[tuple[str, bool, str]] = []
 
     dp = initial_dispatch(case, cfg)
@@ -257,7 +259,6 @@ def cmd_validate(args) -> int:
 
 
 def _bench_child(case_path, rens_path, method, threads, seed, queue):
-    os.setpgrp()  # so that a timeout also kills any process the run forks
     args = argparse.Namespace(case=case_path, renewables=rens_path,
                               config=None, seed=seed, threads=threads,
                               method=method)
@@ -269,6 +270,8 @@ def _bench_child(case_path, rens_path, method, threads, seed, queue):
 
 
 def _bench_cell(case_path, rens_path, method, threads, seed, reps, timeout):
+    """Median seconds and iterations of ``reps`` runs, each in a forked child;
+    ``(None, None)`` if a run fails, or outlives ``timeout`` and is killed."""
     times, iters = [], []
     for _ in range(reps):
         ctx = multiprocessing.get_context("fork")
@@ -278,20 +281,12 @@ def _bench_cell(case_path, rens_path, method, threads, seed, reps, timeout):
         proc.start()
         try:
             proc.join(timeout)
-        finally:
-            # A timeout or an interrupt kills the child's whole process
-            # group: a process it forked would otherwise outlive it,
-            # blocked on a pipe it holds open itself.
+        finally:  # a timeout or an interrupt kills the child
             timed_out = proc.is_alive()
             if timed_out:
-                try:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                except ProcessLookupError:  # the child had no group yet
-                    proc.kill()
+                proc.kill()
                 proc.join()
-        if timed_out:
-            return None, None
-        if proc.exitcode != 0 or queue.empty():
+        if timed_out or proc.exitcode != 0 or queue.empty():
             return None, None
         dt, it = queue.get()
         times.append(dt)
@@ -304,6 +299,10 @@ def cmd_bench(args) -> int:
         raise InvalidSetting(f"--reps must be at least 1, got {args.reps}")
     if args.threads is not None and args.threads < 1:
         raise InvalidSetting(f"--threads must be at least 1, got {args.threads}")
+    if args.seed < 0:
+        raise InvalidSetting(f"--seed must be at least 0, got {args.seed}")
+    if args.timeout is not None and not args.timeout > 0:
+        raise InvalidSetting(f"--timeout must be positive, got {args.timeout}")
     rows = ["case,method,threads,median_seconds,iterations"]
     mt_threads = args.threads or os.cpu_count() or 1
     for spec in args.cases:
@@ -313,7 +312,7 @@ def cmd_bench(args) -> int:
             label = {("milp", 1): "milp",
                      ("iblp", 1): "iblp-st"}.get((method, threads), "iblp-mt")
             med, iters = _bench_cell(case_path, rens_path or None, method,
-                                     threads, args.seed or 0, args.reps,
+                                     threads, args.seed, args.reps,
                                      args.timeout)
             cell = "-" if med is None else f"{med:.3f}"
             icell = "-" if iters is None else str(iters)
@@ -369,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--timeout", type=float, default=None,
                    help="per-run cap in seconds; timed-out cells print '-'")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", help="directory for bench.csv")
     p.set_defaults(fn=cmd_bench)

@@ -60,7 +60,6 @@ class PtdfMatrix:
     """Line-flow sensitivities to bus injections; reference column zeroed."""
     matrix: np.ndarray          # lines x buses
     pre_shift: np.ndarray       # same, before zeroing the reference column
-    bus_ids: tuple[int, ...]
     ref_bus: int
 
 
@@ -310,7 +309,6 @@ def build_ptdf(case: CaseData) -> PtdfMatrix:
         raise SingularNetwork("network susceptance matrix is rank deficient")
     pi = pre - pre[:, [net.ref_pos]]
     return PtdfMatrix(matrix=pi, pre_shift=pre,
-                      bus_ids=tuple(b.id for b in net.buses),
                       ref_bus=net.buses[net.ref_pos].id)
 
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .caseio import CaseData, StudyConfig
-from .dispatch_model import (CompactPsd, DispatchPoint, build_compact,
-                             initial_dispatch)
+from .dispatch_model import CompactPsd, build_compact, initial_dispatch
 from .errors import DegenerateCut, EmptyRegionError, NoRenewables
 from .maxmin_iblp import IblpOracle, make_scenarios, run_iblp
 from .maxmin_milp import MaxMinSolution, cut_vector, solve_maxmin_milp
@@ -60,9 +59,8 @@ class DrrResult:
     method: str
     seed: int
     config_echo: dict
+    model: CompactPsd
     all_cuts: list[Cut] = field(default_factory=list)
-    dispatch: DispatchPoint | None = None
-    model: CompactPsd | None = None
 
     @property
     def iterations(self) -> int:
@@ -88,13 +86,12 @@ def make_cut(sol: MaxMinSolution, m: CompactPsd) -> Cut:
                alpha=sol.alpha.copy(), delta=sol.delta.copy())
 
 
-def run(case: CaseData, cfg: StudyConfig, method: str = "milp") -> DrrResult:
+def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
     """Full region computation; see the module docstring for the loop."""
     method = method.lower()
     if method not in ("milp", "iblp"):
         raise ValueError(f"method must be 'milp' or 'iblp', got {method!r}")
-    dp = initial_dispatch(case, cfg)
-    m = build_compact(case, dp)
+    m = build_compact(case, initial_dispatch(case, cfg))
     W0 = init_w0(case)
     W = W0
     w_bar = np.array(case.forecast_mw) / case.base_mva
@@ -161,5 +158,5 @@ def run(case: CaseData, cfg: StudyConfig, method: str = "milp") -> DrrResult:
 
     return DrrResult(region=W, trace=trace, termination=termination,
                      method=method, seed=cfg.seed,
-                     config_echo=cfg.algorithmic_echo(), all_cuts=all_cuts,
-                     dispatch=dp, model=m)
+                     config_echo=cfg.algorithmic_echo(), model=m,
+                     all_cuts=all_cuts)

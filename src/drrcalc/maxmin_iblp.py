@@ -41,7 +41,7 @@ import numpy as np
 
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
-from .errors import DegenerateCut, DrrError, NumericalFailure, ZeroNormal
+from .errors import DegenerateCut, DrrError, NumericalFailure
 from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
 from .maxmin_milp import DualizedMaxMin, MaxMinSolution, cut_vector
 from .polytope import Polytope
@@ -86,9 +86,7 @@ def gen_s2(W: Polytope, w_bar) -> list[np.ndarray]:
     pts = []
     for i in range(W.n_facets):
         h = W.H[i]
-        hh = float(h @ h)
-        if hh < 1e-24:
-            raise ZeroNormal(f"facet {i} has a zero normal")
+        hh = float(h @ h)  # 1 to rounding: Polytope rows are unit-norm
         pts.append(w_bar - ((h @ w_bar - W.f[i]) / hh) * h)
     return pts
 

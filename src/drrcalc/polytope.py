@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegionError, ZeroNormal
-from .lp import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from .lp import OPTIMAL, LinearProgram, solve_lp
 
 _DEDUPE_TOL = 1e-9
 _REDUNDANT_TOL = 1e-9
@@ -140,8 +140,6 @@ def remove_redundant(W: Polytope) -> Polytope:
             r_in=np.concatenate([work.f[others], [work.f[i] + 1.0]]),
         )
         sol = solve_lp(lp, duals=False)
-        if sol.status == UNBOUNDED:  # pragma: no cover - capped above
-            continue
         if sol.status != OPTIMAL:
             raise EmptyRegionError("outer approximation has no feasible point")
         if sol.objective < work.f[i] - _REDUNDANT_TOL:

@@ -38,7 +38,7 @@ def unit_square():
 
 
 def test_terminal_points_unit_square():
-    w_u, w_l = terminal_points(unit_square(), 0, beta=np.array([1.0, 1.0]))
+    w_u, w_l = terminal_points(unit_square(), 0)
     assert w_u == pytest.approx([1.0, 1.0], abs=1e-9)
     assert w_l == pytest.approx([1.0, 0.0], abs=1e-9)
 
@@ -67,7 +67,8 @@ def test_probe_point_formula():
     below = probe_point(np.array([45.0]), np.array([45.0]), np.array([50.0]),
                         lam=0.01)
     assert below == pytest.approx([44.95], abs=1e-12)
-    fixed = probe_point(np.array([50.0]), np.array([50.0]), np.array([50.0]))
+    fixed = probe_point(np.array([50.0]), np.array([50.0]), np.array([50.0]),
+                        lam=0.01)
     assert fixed == pytest.approx([50.0], abs=1e-12)
 
 

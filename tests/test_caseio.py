@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from drrcalc.caseio import (RenewableSpec, StudyConfig, apply_renewables,
                             load_config_file, parse_matpower, to_case_text)
 from drrcalc.errors import (DisconnectedNetwork, DuplicateDesignation,
-                            InconsistentDimensions, MalformedCase,
-                            MissingTable, UnknownGenerator)
+                            InconsistentDimensions, InvalidSetting,
+                            MalformedCase, MissingTable, UnknownGenerator)
 from tests.conftest import CASE_DIR
 
 MINI_CASE = """function mpc = mini
@@ -184,12 +184,12 @@ def test_config_validation_and_file(tmp_path):
         StudyConfig(alt_max_rounds=0)  # no multiplier step, so F would read 0
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"seed": 5, "s1_count": 17}))
-    loaded = load_config_file(p)
+    loaded = load_config_file(p, StudyConfig())
     assert loaded.seed == 5 and loaded.s1_count == 17
     for unknown in ({"nope": 1}, {"lp_backend": "internal"}, {"mip_gap": 1e-6}):
         p.write_text(json.dumps(unknown))
         with pytest.raises(ValueError):
-            load_config_file(p)
+            load_config_file(p, StudyConfig())
 
 
 def test_config_echo_excludes_scheduling():
@@ -213,17 +213,12 @@ def test_forecast_above_capacity_rejected():
         apply_renewables(raw, [RenewableSpec(gen_index=1, forecast_mw=60.0)])
 
 
-def test_toml_config_if_supported(tmp_path):
+def test_toml_config_is_rejected_as_malformed_json(tmp_path):
     p = tmp_path / "cfg.toml"
     p.write_text("seed = 9\ns1_count = 12\n")
-    try:
-        import tomllib  # noqa: F401
-    except ImportError:
-        with pytest.raises(ValueError, match="TOML"):
-            load_config_file(p)
-    else:
-        cfg = load_config_file(p)
-        assert cfg.seed == 9 and cfg.s1_count == 12
+    with pytest.raises(InvalidSetting) as info:
+        load_config_file(p, StudyConfig())
+    assert str(info.value).startswith(f"{p}: ")
 
 
 def test_parser_tolerates_formatting_variants():

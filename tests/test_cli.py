@@ -1,8 +1,8 @@
 """Command-line workflow and exit-code contract."""
 
 import json
+import multiprocessing
 import os
-import select
 import time
 
 import pytest
@@ -168,6 +168,19 @@ def test_validate_rejects_a_malformed_probe_before_any_check(w, capsys):
     assert err == f"error: --w must be comma-separated finite numbers, got {w!r}\n"
 
 
+def test_validate_rejects_a_probe_of_the_wrong_length_before_any_check(
+        monkeypatch, capsys):
+    def no_ptdf(case):
+        raise AssertionError("a model check ran")
+
+    monkeypatch.setattr(cli, "build_ptdf", no_ptdf)
+    code = main(["validate", "--case", TWO, "--renewables", TWO_R, "--w", "70,80"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --w has 2 entries, the case has 1 farms\n"
+
+
 def test_validate_rejects_zero_reactance(tmp_path, capsys):
     bad = (CASE_DIR / "case2_ramp.m").read_text().replace(
         "1\t2\t0\t0.1", "1\t2\t0\t0.0")
@@ -209,36 +222,15 @@ def test_bench_shape_and_timeout(tmp_path, capsys):
     assert ",-,-" in out
 
 
-def test_bench_timeout_kills_the_child_and_its_workers(monkeypatch):
-    # A timed-out bench child takes its own children with it.  The fake
-    # run forks a grandchild, as a run that starts a process would, that
-    # holds the write end of a pipe: the read end reaches EOF only once every copy of the
-    # write end is closed.
-    r, w = os.pipe()
-
-    def fake_run(case, cfg, method="milp"):
-        if os.fork() == 0:
-            os.write(w, b"x")
-            time.sleep(60)
-            os._exit(0)
+def test_bench_timeout_kills_the_child(monkeypatch):
+    def fake_run(case, cfg, method):
         time.sleep(60)
 
     monkeypatch.setattr(cli.engine, "run", fake_run)
-    try:
-        assert cli._bench_cell(TWO, TWO_R, "iblp", 2, 0, 1, 1) == (None, None)
-        os.close(w)
-        got = b""
-        deadline = time.monotonic() + 10
-        while True:
-            ready, _, _ = select.select([r], [], [], max(0.0, deadline - time.monotonic()))
-            assert ready, "a process of the timed-out bench cell still holds the pipe"
-            chunk = os.read(r, 64)
-            if not chunk:
-                break
-            got += chunk
-        assert got == b"x"   # the grandchild did start
-    finally:
-        os.close(r)
+    t0 = time.monotonic()
+    assert cli._bench_cell(TWO, TWO_R, "iblp", 2, 0, 1, 1) == (None, None)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_env_thread_default(tmp_path, monkeypatch):
@@ -266,6 +258,20 @@ def test_config_file_thread_count_is_kept(tmp_path, monkeypatch):
 def test_bench_rejects_zero_reps(capsys):
     assert main(["bench", "--cases", f"{TWO}:{TWO_R}", "--reps", "0"]) == 1
     assert capsys.readouterr().err == "error: --reps must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed must be at least 0, got -1"),
+    ("--timeout", "0", "--timeout must be positive, got 0.0"),
+    ("--timeout", "-2", "--timeout must be positive, got -2.0"),
+], ids=["seed-negative", "timeout-zero", "timeout-negative"])
+def test_bench_rejects_a_bad_seed_or_timeout_before_any_run(flag, value, message,
+                                                          monkeypatch, capsys):
+    started = []
+    monkeypatch.setattr(cli, "_bench_cell", lambda *args: started.append(args))
+    assert main(["bench", "--cases", f"{TWO}:{TWO_R}", flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert started == []
 
 
 def test_bad_env_threads_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys):

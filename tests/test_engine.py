@@ -176,6 +176,23 @@ def test_iblp_one_pool_per_run_and_scenario_accounting(pjm5, monkeypatch):
         facets_before = rec.facets_after
 
 
+def test_iblp_run_and_binding_start_no_process(pjm5, monkeypatch):
+    # drrcalc bench kills a timed-out run by killing its one child process;
+    # that is enough only while no run forks.
+    import os
+
+    from drrcalc.binding import identify
+
+    def no_fork():
+        raise AssertionError("the run forked a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any box
+    cfg = StudyConfig(thread_count=2)
+    res = run(pjm5, cfg, method="iblp")
+    identify(res.model, res.region, np.array(pjm5.forecast_mw) / pjm5.base_mva, cfg)
+
+
 def test_iblp_same_bytes_and_lps_for_any_worker_count(pjm5, tmp_path):
     from drrcalc.analysis import export_artifacts
     from drrcalc.binding import identify
