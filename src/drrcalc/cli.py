@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY = 2
 EXIT_MAXITER = 3
+# bench --timeout's cap: Process.join polls with a C int of milliseconds.
+_MAX_TIMEOUT_S = (2**31 - 1) / 1000
 
 _TERMINATION_EXIT = {
     engine.CONVERGED: EXIT_OK,
@@ -239,7 +241,7 @@ def cmd_validate(args) -> int:
     gap = 0.0
     for _ in range(10):
         w = rng.uniform(lo, hi)
-        dual = solve_lp(dmm.multiplier_lp_at(w)).objective
+        dual = solve_lp(dmm.multiplier_lp_at(w), duals=False).objective
         feas = feasibility_model(m, w).objective
         gap = max(gap, abs(dual - feas))
     checks.append(("strong_duality", gap <= cfg.eps_dual,
@@ -303,6 +305,9 @@ def cmd_bench(args) -> int:
         raise InvalidSetting(f"--seed must be at least 0, got {args.seed}")
     if args.timeout is not None and not args.timeout > 0:
         raise InvalidSetting(f"--timeout must be positive, got {args.timeout}")
+    if args.timeout is not None and not args.timeout <= _MAX_TIMEOUT_S:
+        raise InvalidSetting(f"--timeout must be at most {_MAX_TIMEOUT_S} s, "
+                             f"got {args.timeout}")
     rows = ["case,method,threads,median_seconds,iterations"]
     mt_threads = args.threads or os.cpu_count() or 1
     for spec in args.cases:

@@ -103,9 +103,6 @@ class CompactPsd:
 class FeasibilityResult:
     objective: float                       # per-unit violation measure
     slacks: dict[str, float]               # label -> slack (pu), nonzero rows
-    dispatch: np.ndarray                   # p block (pu)
-    alpha: np.ndarray                      # equality-row duals
-    delta: np.ndarray                      # inequality-row duals (>= 0)
     base_mva: float
     feasible: bool = True                  # False only when rows were hardened
 
@@ -336,20 +333,18 @@ def feasibility_model(m: CompactPsd, w,
     # columns at 0.
     eq_w = [weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.eq_rows]
     in_w = [weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.in_rows]
-    m_eq, m_in = m.b.size, m.d.size
+    m_eq = m.b.size
     nx = m.n_p + m.n_l + m.n_v
     cost = np.concatenate([np.zeros(nx), eq_w, eq_w, in_w])
     hard = np.isinf(cost)
     lp = m.slacked.with_vectors(c=np.where(hard, m.slacked.c, cost),
                                 ub=np.where(hard, 0.0, m.slacked.ub),
                                 r_eq=m.b - m.A @ w)
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, duals=False)
     if not sol.optimal:
         # Only reachable when `weights` hardened rows; the fully slacked
         # model is feasible by construction.
         return FeasibilityResult(objective=math.inf, slacks={},
-                                 dispatch=np.zeros(m.n_p),
-                                 alpha=np.zeros(m_eq), delta=np.zeros(m_in),
                                  base_mva=m.base_mva, feasible=False)
 
     t = sol.x[nx:]
@@ -357,5 +352,4 @@ def feasibility_model(m: CompactPsd, w,
     slacks = {desc.label: float(v) for desc, v in zip(m.eq_rows + m.in_rows, row_slack)
               if v > 1e-12}
     return FeasibilityResult(objective=float(sol.objective), slacks=slacks,
-                             dispatch=sol.x[:m.n_p], alpha=sol.mu_eq,
-                             delta=sol.mu_in, base_mva=m.base_mva)
+                             base_mva=m.base_mva)

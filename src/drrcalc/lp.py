@@ -31,20 +31,25 @@ which cost more than HiGHS itself on the small LPs solved here.  Results
 are checked without a second solver by :func:`certificate_errors` and
 :func:`verify_farkas`.
 
-The bindings are loaded from their file under scipy's install directory,
-not imported: importing ``scipy.optimize._highspy._core`` runs
-``scipy/optimize/__init__`` first, which pulls in scipy.linalg,
-scipy.sparse, linprog and the rest, and costs about 0.3 s and 40 MB of
+The bindings are loaded from their file, in the scipy install directory
+that ``importlib.util.find_spec("scipy")`` names, not imported: importing
+``scipy.optimize._highspy._core`` runs ``scipy/__init__`` and
+``scipy/optimize/__init__`` first, which pull in scipy.linalg,
+scipy.sparse, linprog and the rest, and cost about 0.3 s and 40 MB of
 every drrcalc process, none of it used.  If ``scipy.optimize`` is already
 loaded, its ``_core`` is used, so one process never holds two copies of
 the extension.  The other way round (drrcalc first), scipy's own imports
 of ``_core`` find this copy, but the attribute path
 ``scipy.optimize._highspy._core`` is not set, as Python sets it only for
-a submodule it loads itself.  No other scipy subpackage is imported at module level
-anywhere in drrcalc: one that a feature needs (``scipy.spatial``, say) is
-imported in the function that uses it.  ``tests/test_imports.py`` checks
-in a fresh interpreter that a run loads neither scipy.optimize nor
-scipy.sparse nor scipy.linalg.
+a submodule it loads itself.  No scipy subpackage is imported at module
+level anywhere in drrcalc: one that a feature needs (``scipy.spatial``,
+say) is imported in the function that uses it.  ``tests/test_imports.py``
+checks in a fresh interpreter that a run loads neither scipy itself nor
+scipy.optimize, scipy.sparse or scipy.linalg.
+
+``_pass_and_run`` hands every program to HiGHS, LP or MIP, in one
+``passModel`` call and one run; :func:`solve_lp` and ``mip.solve_mip``
+each bring their own instances and options and read the status their way.
 
 Each thread holds one HiGHS instance, made with linprog's options on its
 first solve (a forked child makes its own) and thrown away after any
@@ -59,7 +64,8 @@ check, but it returns status, x and objective and leaves the dual vectors
 ``None``.  An infeasible LP still gets its Farkas ray.
 
 The constructor assembles the matrix as ``passModel`` takes it: the CSC
-arrays of ``[M_in; M_eq]`` and the integrality vector, all read-only.
+arrays of ``[M_in; M_eq]`` and the integrality vector, all read-only;
+a MIP renumbers these rows rather than assembling them again.
 Loops that solve one structure many times swap vectors into one
 LinearProgram: ``lp.with_vectors(c=..., r_eq=..., r_in=..., ub=...)``
 checks the new vectors as the constructor does and returns a copy that
@@ -81,27 +87,27 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .errors import DimensionMismatch, NumericalFailure
 
 
 def _load_highs_core():
-    """scipy's HiGHS bindings, loaded from their file so that
-    ``scipy/optimize/__init__`` never runs; a copy already loaded (by a
-    caller that imported ``scipy.optimize`` first) is the one used."""
+    """scipy's HiGHS bindings, loaded from their file so that no scipy
+    ``__init__`` runs; a copy already loaded (by a caller that imported
+    ``scipy.optimize`` first) is the one used."""
     name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
-    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    scipy = importlib.util.find_spec("scipy")
+    folder = (os.path.join(scipy.submodule_search_locations[0], "optimize",
+                           "_highspy") if scipy else "no scipy package")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, "_core" + suffix)
         if os.path.isfile(path):
             break
     else:
         raise ImportError(f"drrcalc needs scipy >= 1.15, whose {name} it "
-                          f"calls; scipy {scipy.__version__} has no such "
-                          f"extension in {folder}")
+                          f"calls; there is no such extension in {folder}")
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     # Registered under its dotted name before exec_module, as an import
@@ -298,9 +304,23 @@ def _csc(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return start, np.nonzero(nz)[1].astype(np.int32), At[nz]
 
 
-def _solve_scipy(lp: LinearProgram, duals: bool = True) -> LpSolution:
-    start, index, value, integrality = lp._model
+def _pass_and_run(h, lp: LinearProgram, start, index, value, integrality,
+                  row_lower, row_upper) -> tuple[bool, object]:
+    """Pass ``h`` ``lp``'s costs and column bounds with the given matrix and
+    rows, and run it: (whether both calls succeeded, the model status)."""
     sign = 1.0 if lp.sense == "min" else -1.0
+    if h.passModel(lp.nvar, row_upper.size, index.size,
+                   _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
+                   0.0, sign * lp.c, lp.lb, lp.ub, row_lower, row_upper,
+                   start, index, value,
+                   integrality) == _highs.HighsStatus.kError:
+        # run() would solve the instance's previous model again.
+        return False, _highs.HighsModelStatus.kModelError
+    run_ok = h.run() != _highs.HighsStatus.kError
+    return run_ok, h.getModelStatus()
+
+
+def _solve_scipy(lp: LinearProgram, duals: bool = True) -> LpSolution:
     rhs = np.concatenate([lp.r_in, lp.r_eq])
     lhs = rhs.copy()
     lhs[:lp.r_in.size] = -np.inf
@@ -310,16 +330,7 @@ def _solve_scipy(lp: LinearProgram, duals: bool = True) -> LpSolution:
     # another optimal vertex and so change the duals that become cuts.
     h = _highs_solver()
     try:
-        run_ok = False
-        if h.passModel(lp.nvar, rhs.size, index.size,
-                       _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize,
-                       0.0, sign * lp.c, lp.lb, lp.ub, lhs, rhs, start,
-                       index, value, integrality) == _highs.HighsStatus.kError:
-            # run() would solve the instance's previous model again.
-            model_status = _highs.HighsModelStatus.kModelError
-        else:
-            run_ok = h.run() != _highs.HighsStatus.kError
-            model_status = h.getModelStatus()
+        run_ok, model_status = _pass_and_run(h, lp, *lp._model, lhs, rhs)
         if not run_ok:
             vars(_SOLVERS).clear()
         return _read_solution(h, lp, rhs, model_status, run_ok, duals)

@@ -264,7 +264,12 @@ def test_bench_rejects_zero_reps(capsys):
     ("--seed", "-1", "--seed must be at least 0, got -1"),
     ("--timeout", "0", "--timeout must be positive, got 0.0"),
     ("--timeout", "-2", "--timeout must be positive, got -2.0"),
-], ids=["seed-negative", "timeout-zero", "timeout-negative"])
+    # Process.join would raise OverflowError: its poll takes a C int of ms.
+    ("--timeout", "inf", "--timeout must be at most 2147483.647 s, got inf"),
+    ("--timeout", "1e7",
+     "--timeout must be at most 2147483.647 s, got 10000000.0"),
+], ids=["seed-negative", "timeout-zero", "timeout-negative", "timeout-inf",
+        "timeout-1e7"])
 def test_bench_rejects_a_bad_seed_or_timeout_before_any_run(flag, value, message,
                                                           monkeypatch, capsys):
     started = []

@@ -1,8 +1,9 @@
 """What importing drrcalc loads, checked in fresh interpreters.
 
 drrcalc reaches HiGHS through ``scipy.optimize._highspy._core``, loaded
-from its file so that ``scipy/optimize/__init__`` (and with it
-scipy.sparse and scipy.linalg) never runs.  These checks need a new
+from its file so that neither ``scipy/__init__`` nor
+``scipy/optimize/__init__`` (and with it scipy.sparse and scipy.linalg)
+runs.  These checks need a new
 process: the other test modules import ``scipy.optimize`` at module level,
 so in this process only the branch that reuses an already loaded
 ``_core`` would ever run.
@@ -39,8 +40,8 @@ def test_runs_never_import_scipy_optimize_sparse_or_linalg():
         for method in ("milp", "iblp"):
             res = engine.run(case, StudyConfig(thread_count=1), method=method)
             assert res.termination == "Converged", (method, res.termination)
-        loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg")
-                  if m in sys.modules]
+        loaded = [m for m in ("scipy", "scipy.optimize", "scipy.sparse",
+                              "scipy.linalg") if m in sys.modules]
         assert not loaded, loaded
     """)
 
@@ -57,9 +58,12 @@ def test_scipy_optimize_imported_first_shares_its_highs_bindings():
 
 
 def test_missing_bindings_name_the_scipy_floor(tmp_path):
+    # A scipy package without optimize/_highspy/_core, first on sys.path.
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
     _run(f"""
-        import scipy
-        scipy.__path__ = [{str(tmp_path)!r}]
+        import sys
+        sys.path.insert(0, {str(tmp_path)!r})
         try:
             import drrcalc
         except ImportError as exc:

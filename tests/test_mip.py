@@ -6,27 +6,20 @@ import numpy as np
 import pytest
 
 from drrcalc.caseio import StudyConfig
-from drrcalc.errors import DimensionMismatch, NodeLimitExceeded
-from drrcalc.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
-from drrcalc.mip import DEFAULT_NODE_LIMIT, MixedProgram, solve_mip
+from drrcalc.errors import DimensionMismatch, NodeLimitExceeded, NumericalFailure
+from drrcalc.lp import INFEASIBLE, OPTIMAL, LinearProgram
+from drrcalc.mip import MixedProgram, solve_mip
+
+# StudyConfig's node limit, the one every milp run passes.
+NODE_LIMIT = StudyConfig().node_limit
 
 
 @pytest.fixture(params=["scipy"])
 def solve(request):
-    """solve_mip, under the solver name region.json records as mip_backend."""
+    """solve_mip at the default node limit, under the solver name region.json
+    records as mip_backend."""
     assert StudyConfig().algorithmic_echo()["mip_backend"] == request.param
-    return solve_mip
-
-
-def test_zero_binaries_reduces_to_lp_bit_for_bit():
-    lp = LinearProgram(c=[1.0, 2.0], M_in=[[-1.0, -1.0]], r_in=[-1.0],
-                       lb=[0.0, 0.0], ub=[2.0, 2.0])
-    mp = MixedProgram(lp=lp, binary_index=[])
-    ref = solve_lp(lp)
-    got = solve_mip(mp)
-    assert got.status == ref.status
-    assert got.objective == ref.objective
-    assert np.array_equal(got.x, ref.x)
+    return lambda mp: solve_mip(mp, node_limit=NODE_LIMIT)
 
 
 def test_knapsack_toy(solve):
@@ -47,7 +40,7 @@ def test_all_binaries_fixed_by_bounds(solve):
     sol = solve(mp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0)
-    assert list(sol.binary_values) == [1.0, 0.0]
+    assert list(np.round(sol.x)) == [1.0, 0.0]
 
 
 def test_infeasible_binary_program(solve):
@@ -62,6 +55,57 @@ def test_binary_bounds_validated():
     lp = LinearProgram(c=[1.0], lb=[0.0], ub=[2.0])
     with pytest.raises(DimensionMismatch):
         MixedProgram(lp=lp, binary_index=[0])
+
+
+def test_a_program_without_binaries_is_rejected():
+    lp = LinearProgram(c=[1.0], lb=[0.0], ub=[1.0])
+    with pytest.raises(DimensionMismatch):
+        MixedProgram(lp=lp, binary_index=[])
+
+
+def test_a_model_highs_rejects_is_a_numerical_failure_not_infeasible():
+    # HiGHS rejects a coefficient above 1e15.  solve_maxmin_milp reads an
+    # INFEASIBLE MIP as a clipped big-M, so the rejection must not be one.
+    lp = LinearProgram(c=[1.0, 1.0], sense="max", M_in=[[1e16, 1.0]],
+                       r_in=[1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    with pytest.raises(NumericalFailure):
+        solve_mip(MixedProgram(lp=lp, binary_index=[0, 1]),
+                  node_limit=NODE_LIMIT)
+
+
+def test_a_milp_run_assembles_each_program_once(pjm5, monkeypatch):
+    # Each KKT MIP reuses the matrix its LinearProgram assembled, so a milp
+    # run calls _csc once per LinearProgram built (with_vectors copies
+    # build none), and never for a MIP.  _csc is counted under every
+    # drrcalc module name it is bound to.
+    import sys
+    import drrcalc.lp as lp_mod
+    from drrcalc import engine, maxmin_milp
+
+    built, assembled, mips = [], [], []
+    post_init, csc, direct = (LinearProgram.__post_init__, lp_mod._csc,
+                              maxmin_milp.solve_mip)
+
+    def counting_post_init(self):
+        built.append(1)
+        post_init(self)
+
+    def counting_csc(A):
+        assembled.append(1)
+        return csc(A)
+
+    def counting_solve_mip(mp, node_limit):
+        mips.append(1)
+        return direct(mp, node_limit=node_limit)
+
+    monkeypatch.setattr(LinearProgram, "__post_init__", counting_post_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("drrcalc") and getattr(module, "_csc", None) is csc:
+            monkeypatch.setattr(module, "_csc", counting_csc)
+    monkeypatch.setattr(maxmin_milp, "solve_mip", counting_solve_mip)
+    engine.run(pjm5, StudyConfig(), method="milp")
+    assert mips
+    assert len(assembled) == len(built)
 
 
 def test_node_limit():
@@ -86,12 +130,13 @@ def test_random_knapsacks_match_brute_force():
         cap = float(w.sum() * rng.uniform(0.3, 0.8))
         lp = LinearProgram(c=v, sense="max", M_in=[w], r_in=[cap],
                            lb=np.zeros(n), ub=np.ones(n))
-        sol = solve_mip(MixedProgram(lp=lp, binary_index=list(range(n))))
+        sol = solve_mip(MixedProgram(lp=lp, binary_index=list(range(n))),
+                        node_limit=NODE_LIMIT)
         picks = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
         best = (picks @ v)[picks @ w <= cap].max()
         assert sol.status == OPTIMAL
         assert sol.objective == pytest.approx(best, abs=1e-7)
-        assert sol.binary_values @ w <= cap + 1e-9
+        assert np.round(sol.x) @ w <= cap + 1e-9
 
 
 def _milp_reference(mp: MixedProgram, node_limit: int):
@@ -122,7 +167,7 @@ def _kkt_mips(case, cfg, monkeypatch):
     seen = []
     direct = maxmin_milp.solve_mip
 
-    def record(mp, node_limit=DEFAULT_NODE_LIMIT):
+    def record(mp, node_limit):
         seen.append((mp, node_limit))
         return direct(mp, node_limit=node_limit)
 
@@ -167,4 +212,4 @@ def test_gap_sensitive_knapsack_matches_scipy_milp_bit_for_bit():
     lp = LinearProgram(c=v, sense="max", M_in=[w], r_in=[np.floor(w.sum() / 2)],
                        lb=np.zeros(30), ub=np.ones(30))
     _assert_matches_milp(MixedProgram(lp=lp, binary_index=list(range(30))),
-                         DEFAULT_NODE_LIMIT)
+                         NODE_LIMIT)

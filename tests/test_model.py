@@ -12,6 +12,7 @@ from drrcalc.dispatch_model import (DispatchPoint, build_compact,
                                     build_ptdf, feasibility_model,
                                     initial_dispatch)
 from drrcalc.errors import InfeasibleDispatch, SingularNetwork
+from drrcalc.lp import solve_lp
 
 # Frozen from an independent PTDF-formulation DC-OPF (re-derived below by
 # test_pjm5_initial_dispatch_matches_oracle).
@@ -173,13 +174,18 @@ def test_forecast_point_is_dispatchable(fixture, cfg, request):
 
 
 def test_feasibility_duals_bounded(pjm5, cfg):
+    # The unweighted feasibility LP (m.slacked at w) has its equality duals
+    # in [-1, 1] and its inequality duals in [0, 1]: the box of the
+    # multipliers that DualizedMaxMin searches.
     m = build_compact(pjm5, initial_dispatch(pjm5, cfg))
     rng = np.random.default_rng(1)
     for _ in range(5):
         w = rng.uniform(0, 1.5, size=2)
-        r = feasibility_model(m, w)
-        assert np.all(r.alpha <= 1 + 1e-8) and np.all(r.alpha >= -1 - 1e-8)
-        assert np.all(r.delta >= -1e-10) and np.all(r.delta <= 1 + 1e-8)
+        sol = solve_lp(m.slacked.with_vectors(r_eq=m.b - m.A @ w))
+        assert sol.objective == feasibility_model(m, w).objective
+        alpha, delta = sol.mu_eq, sol.mu_in
+        assert np.all(alpha <= 1 + 1e-8) and np.all(alpha >= -1 - 1e-8)
+        assert np.all(delta >= -1e-10) and np.all(delta <= 1 + 1e-8)
 
 
 def _linprog_feasibility(m, w, weights):
