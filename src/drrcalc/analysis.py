@@ -184,13 +184,15 @@ def export_artifacts(result: DrrResult, report: BindingReport | None,
                        indent=1, sort_keys=True) + "\n")
         files["event"] = "event.json"
 
-    if result.region.dim == 2:
+    if result.region.dim != 2:
+        notes.append("svg_skipped: region dimension is not 2")
+    elif not payload["vertices_mw"]:
+        notes.append("svg_skipped: region has no vertices")
+    else:
         svg = render_region_svg(result.region, np.asarray(w_bar_mw) / base,
                                 event, base)
         (out / "region.svg").write_text(svg)
         files["svg"] = "region.svg"
-    else:
-        notes.append("svg_skipped: region dimension is not 2")
     return {"files": files, "notes": notes}
 
 

@@ -91,7 +91,7 @@ def terminal_points(W: Polytope, i: int) -> tuple[np.ndarray, np.ndarray]:
     for sense in ("max", "min"):
         lp = LinearProgram(c=np.ones(W.dim), sense=sense, M_in=W.H, r_in=W.f,
                            M_eq=W.H[[i]], r_eq=W.f[[i]])
-        sol = solve_lp(lp, duals=False)
+        sol = solve_lp(lp)
         if sol.status != OPTIMAL:
             raise FacetInfeasible(
                 f"facet {i} admits no point; it should have been pruned")

@@ -161,17 +161,22 @@ class StudyConfig:
                                            and 0 < self.big_m < math.inf):
             raise InvalidSetting(
                 f"big_m must be a positive number, got {self.big_m!r}")
+        # JSON config files may say Infinity or NaN.
         for name in ("eps_term", "eps_alt", "eps_slack", "eps_dual",
                      "perturb_lambda"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise InvalidSetting(f"{name} must be positive")
+            if value == math.inf:
+                raise InvalidSetting(f"{name} must be finite, got {value!r}")
         if not 0 < self.ramp_fraction <= 1:
             raise InvalidSetting("ramp_fraction must be in (0, 1]")
         if not 0 < self.reserve_factor <= 1:
             raise InvalidSetting("reserve_factor must be in (0, 1]")
         # A negative seed would fail only inside numpy's generators.
         for name, low in (("s1_count", 1), ("seed", 0), ("thread_count", 1),
-                          ("alt_max_rounds", 1), ("cut_batch_cap", 1)):
+                          ("alt_max_rounds", 1), ("cut_batch_cap", 1),
+                          ("max_outer_iters", 1)):
             if getattr(self, name) < low:
                 raise InvalidSetting(
                     f"{name} must be at least {low}, got {getattr(self, name)}")
@@ -274,6 +279,18 @@ def _floats(tokens, table, lineno):
     return vals
 
 
+def _check_values(table: str, r: int, row, finite=(), not_nan=()) -> None:
+    """MalformedCase unless the (name, column) entries of ``finite`` are
+    finite in ``row``, and those of ``not_nan`` are numbers, where +-inf
+    means no limit.  Columns the model never reads are not checked."""
+    for name, k in finite:
+        if not math.isfinite(row[k]):
+            raise MalformedCase(f"{table} row {r} has a non-finite {name}: {row[k]!r}")
+    for name, k in not_nan:
+        if math.isnan(row[k]):
+            raise MalformedCase(f"{table} row {r} has a NaN {name}")
+
+
 def parse_matpower(text: str) -> RawCase:
     """Parse MATPOWER case text into a :class:`RawCase`."""
     name, scalars, matrices, table_line = _parse_tables(text)
@@ -294,6 +311,7 @@ def parse_matpower(text: str) -> RawCase:
         if len(row) < _BUS_COLS:
             raise MalformedCase(
                 f"bus row {r} has {len(row)} columns, expected {_BUS_COLS}")
+        _check_values("bus", r, row, finite=(("Pd", 2),))
         bid = int(row[0])
         if bid in seen_bus:
             raise MalformedCase(f"duplicate bus id {bid}")
@@ -306,6 +324,8 @@ def parse_matpower(text: str) -> RawCase:
         if len(row) < _BRANCH_COLS:
             raise MalformedCase(
                 f"branch row {r} has {len(row)} columns, expected {_BRANCH_COLS}")
+        _check_values("branch", r, row, finite=(("x", 3),),
+                      not_nan=(("rateA", 5), ("angmin", 11), ("angmax", 12)))
         br = Branch(from_bus=int(row[0]), to_bus=int(row[1]),
                     reactance_pu=row[3], rate_a_mw=row[5],
                     angle_min_deg=row[11], angle_max_deg=row[12],
@@ -326,6 +346,7 @@ def parse_matpower(text: str) -> RawCase:
         if len(row) < _GEN_MIN_COLS:
             raise MalformedCase(
                 f"gen row {r} has {len(row)} columns, expected >= {_GEN_MIN_COLS}")
+        _check_values("gen", r, row, finite=(("Pmax", 8), ("Pmin", 9)))
         g = Generator(bus=int(row[0]), p_max_mw=row[8], p_min_mw=row[9],
                       status=int(row[7]))
         if g.bus not in seen_bus:
@@ -339,6 +360,8 @@ def parse_matpower(text: str) -> RawCase:
     for r, row in enumerate(matrices["gencost"], start=1):
         if len(row) < 4:
             raise MalformedCase(f"gencost row {r} too short")
+        _check_values("gencost", r, row, finite=tuple(
+            (f"coefficient {k - 3}", k) for k in range(4, len(row))))
         costs.append(CostRecord(model=int(row[0]), coeffs=tuple(row[4:])))
 
     # Normalize the reference bus: keep the first type-3 bus, demote extras;

@@ -112,13 +112,16 @@ def cmd_compute(args) -> int:
         result = engine.run(case, cfg, method=args.method)
         manifest["phase_seconds"]["compute"] = time.perf_counter() - t0
 
-        w_bar_pu = np.array(case.forecast_mw) / case.base_mva
-        t0 = time.perf_counter()
-        report = binding.identify(result.model, result.region, w_bar_pu, cfg,
-                                  allow_unresolved=True)
-        event = analysis.high_risk_event(result.region, w_bar_pu,
-                                         base_mva=case.base_mva)
-        manifest["phase_seconds"]["analysis"] = time.perf_counter() - t0
+        # An empty region has no facet to explain and no boundary to reach.
+        report = event = None
+        if result.termination != engine.EMPTY_REGION:
+            w_bar_pu = np.array(case.forecast_mw) / case.base_mva
+            t0 = time.perf_counter()
+            report = binding.identify(result.model, result.region, w_bar_pu,
+                                      cfg, allow_unresolved=True)
+            event = analysis.high_risk_event(result.region, w_bar_pu,
+                                             base_mva=case.base_mva)
+            manifest["phase_seconds"]["analysis"] = time.perf_counter() - t0
 
         frag = analysis.export_artifacts(result, report, event, out,
                                          w_bar_mw=np.array(case.forecast_mw))
@@ -241,7 +244,7 @@ def cmd_validate(args) -> int:
     gap = 0.0
     for _ in range(10):
         w = rng.uniform(lo, hi)
-        dual = solve_lp(dmm.multiplier_lp_at(w), duals=False).objective
+        dual = solve_lp(dmm.multiplier_lp_at(w)).objective
         feas = feasibility_model(m, w).objective
         gap = max(gap, abs(dual - feas))
     checks.append(("strong_duality", gap <= cfg.eps_dual,

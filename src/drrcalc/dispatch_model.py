@@ -238,24 +238,20 @@ def initial_dispatch(case: CaseData, cfg: StudyConfig) -> DispatchPoint:
                          np.full(net.n_l + net.n_b, np.inf)])
     lp = LinearProgram(c=c, sense="min", M_eq=M_eq, r_eq=r_eq,
                        M_in=M_in, r_in=r_in, lb=lb, ub=ub)
-    sol = solve_lp(lp, duals=False)
-    if sol.status == UNBOUNDED:
-        raise UnboundedCost("dispatch LP unbounded; check gencost records")
+    sol = solve_lp(lp)
     if sol.status != OPTIMAL:
-        shortfall = _aggregate_shortfall(lp) * net.base
-        raise InfeasibleDispatch(shortfall)
+        # HiGHS's presolve may call an unbounded LP infeasible: only a
+        # positive least total violation proves the rows contradictory.
+        shortfall = solve_lp(elastic_lp(lp)).objective
+        if sol.status == UNBOUNDED or shortfall <= 1e-9:
+            raise UnboundedCost("dispatch LP unbounded; check gencost records")
+        raise InfeasibleDispatch(shortfall * net.base)
 
     p_star = sol.x[:n_p] * net.base
     ramp = cfg.ramp_fraction * p_max
     lo = np.maximum(p_star - ramp, p_min)
     hi = np.minimum(p_star + ramp, p_max)
     return DispatchPoint(p_star=p_star, lo=lo, hi=hi)
-
-
-def _aggregate_shortfall(lp: LinearProgram) -> float:
-    """Minimum total violation of an infeasible dispatch LP (pu)."""
-    sol = solve_lp(elastic_lp(lp))
-    return sol.objective if sol.optimal else math.nan
 
 
 def build_compact(case: CaseData, dp: DispatchPoint) -> CompactPsd:
@@ -340,8 +336,8 @@ def feasibility_model(m: CompactPsd, w,
     lp = m.slacked.with_vectors(c=np.where(hard, m.slacked.c, cost),
                                 ub=np.where(hard, 0.0, m.slacked.ub),
                                 r_eq=m.b - m.A @ w)
-    sol = solve_lp(lp, duals=False)
-    if not sol.optimal:
+    sol = solve_lp(lp)
+    if sol.status != OPTIMAL:
         # Only reachable when `weights` hardened rows; the fully slacked
         # model is feasible by construction.
         return FeasibilityResult(objective=math.inf, slacks={},

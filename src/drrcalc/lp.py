@@ -7,29 +7,23 @@ A :class:`LinearProgram` is
                  M_in @ x <= r_in
                  lb <= x <= ub      (entries may be +-inf)
 
-and a solve returns an :class:`LpSolution` with certified duals, or with
-status, x and objective alone when the caller asks for no duals.
-
-Dual sign convention (fixed once, asserted by ``certificate_errors``):
-``mu_eq`` is free and equals d(objective)/d(r_eq); ``mu_in`` is nonnegative
-for both senses, with d(objective)/d(r_in) = -mu_in for "min" and +mu_in for
-"max".  Bound duals ``nu_lb``/``nu_ub`` are nonnegative.  Stationarity:
-
-    min:  c - M_eq.T @ mu_eq + M_in.T @ mu_in = nu_lb - nu_ub
-    max:  c - M_eq.T @ mu_eq - M_in.T @ mu_in = nu_ub - nu_lb
-
-This matches the Lagrangian of a slacked minimization with free equality
-multipliers and nonnegative inequality multipliers, so the duals of a
-feasibility solve can be consumed directly as cut coefficients.
+and :func:`solve_lp` returns an :class:`LpSolution`: HiGHS's status and,
+at an optimum, x and the objective.  The status is HiGHS's own, mapped as
+``linprog`` reports it: Optimal, Infeasible (linprog's status 2) or
+Unbounded (3).  HiGHS's presolve reports some unbounded LPs as Infeasible,
+and so does linprog; a caller that must tell the two apart solves
+:func:`elastic_lp` of the LP, as the initial dispatch does.  Any other
+outcome, a model HiGHS rejects (``kModelError``) included, raises
+:class:`NumericalFailure`, as does an optimum that violates its own LP.
 
 One solver implements the contract: the HiGHS dual simplex (Huangfu &
 Hall, Math. Prog. Comp. 2018), through the bindings that scipy ships in
 ``scipy.optimize._highspy._core``.  :func:`solve_lp` makes the same HiGHS
-call as ``scipy.optimize.linprog(method="highs")`` and reads the same
-marginals, without linprog's per-call input cleaning and option parsing,
-which cost more than HiGHS itself on the small LPs solved here.  Results
-are checked without a second solver by :func:`certificate_errors` and
-:func:`verify_farkas`.
+call as ``scipy.optimize.linprog(method="highs")``, without linprog's
+per-call input cleaning and option parsing, which cost more than HiGHS
+itself on the small LPs solved here.  The tests hold its x and objective
+bit for bit to linprog's, and check them against optimality and Farkas
+certificates built from linprog's marginals.
 
 The bindings are loaded from their file, in the scipy install directory
 that ``importlib.util.find_spec("scipy")`` names, not imported: importing
@@ -57,11 +51,6 @@ HiGHS error.  Every solve passes its whole model to that instance, which
 discards the previous model and basis, so each solve is cold and returns
 what a new instance would.  HiGHS releases the GIL while it runs, so
 threads solve in parallel, each on its own instance.
-
-``solve_lp(lp, duals=False)`` is the primal-only readout for callers that
-use only the optimum: the same solve and the same post-solve feasibility
-check, but it returns status, x and objective and leaves the dual vectors
-``None``.  An infeasible LP still gets its Farkas ray.
 
 The constructor assembles the matrix as ``passModel`` takes it: the CSC
 arrays of ``[M_in; M_eq]`` and the integrality vector, all read-only;
@@ -154,7 +143,7 @@ class LinearProgram:
     r_in: np.ndarray | None = None
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
-    # The passModel arrays of [M_in; M_eq], read-only; see _solve_scipy.
+    # The passModel arrays of [M_in; M_eq], read-only; see solve_lp.
     _model: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -229,39 +218,15 @@ class LpSolution:
     status: str
     x: np.ndarray | None = None
     objective: float = np.nan
-    mu_eq: np.ndarray | None = None
-    mu_in: np.ndarray | None = None
-    nu_lb: np.ndarray | None = None
-    nu_ub: np.ndarray | None = None
-    farkas: np.ndarray | None = None  # (y_eq, y_in) row vector on infeasibility
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == OPTIMAL
-
-
-def solve_lp(lp: LinearProgram, *, duals: bool = True) -> LpSolution:
-    """Solve `lp` and return a status-correct result with certified duals;
-    with ``duals=False`` an optimum carries only x and objective."""
-    sol = _solve_scipy(lp, duals=duals)
-    if sol.status == INFEASIBLE:
-        sol.farkas = _farkas_from_elastic(lp)
-        if sol.farkas is None:
-            # The elastic relaxation proved the constraints satisfiable, so
-            # HiGHS's infeasible verdict was the presolve shorthand for
-            # "not optimal": a feasible LP without an optimum is unbounded.
-            sol.status = UNBOUNDED
-    return sol
 
 
 # --- HiGHS -----------------------------------------------------------------------
 
-# HiGHS status -> contract status, as linprog maps them (a model HiGHS
-# rejects counts as infeasible there too).
+# HiGHS status -> contract status, as linprog maps them; every other status
+# raises NumericalFailure.
 _HIGHS_STATUS = {
     _highs.HighsModelStatus.kOptimal: OPTIMAL,
     _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
-    _highs.HighsModelStatus.kModelError: INFEASIBLE,
     _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
 # linprog's post-solve feasibility tolerance: sqrt(tol) * 10 at tol = 1e-9.
@@ -320,66 +285,48 @@ def _pass_and_run(h, lp: LinearProgram, start, index, value, integrality,
     return run_ok, h.getModelStatus()
 
 
-def _solve_scipy(lp: LinearProgram, duals: bool = True) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """One cold HiGHS run of `lp` on this thread's instance; see the module
+    docstring for the statuses."""
+    m_in = lp.r_in.size
     rhs = np.concatenate([lp.r_in, lp.r_eq])
     lhs = rhs.copy()
-    lhs[:lp.r_in.size] = -np.inf
+    lhs[:m_in] = -np.inf
 
     # Every vector, every solve, and cold on every call: passModel drops
     # the instance's previous model and basis.  A warm start may land on
-    # another optimal vertex and so change the duals that become cuts.
+    # another optimal vertex and so change the x that a cut is made from.
     h = _highs_solver()
     try:
         run_ok, model_status = _pass_and_run(h, lp, *lp._model, lhs, rhs)
         if not run_ok:
             vars(_SOLVERS).clear()
-        return _read_solution(h, lp, rhs, model_status, run_ok, duals)
+        status = _HIGHS_STATUS.get(model_status)
+        if status in (INFEASIBLE, UNBOUNDED):
+            return LpSolution(status=status)
+        if status != OPTIMAL or not run_ok:
+            raise NumericalFailure(
+                f"HiGHS LP failed: {h.modelStatusToString(model_status)}")
+
+        solution = h.getSolution()
+        x = np.array(solution.col_value)
+        fun = h.getObjectiveValue()
+        row = np.array(solution.row_value)
+        # linprog's _check_result: an optimum must satisfy what it claims to.
+        tol = _FEASIBILITY_TOL
+        if not ((x >= lp.lb - tol).all() and (x <= lp.ub + tol).all()
+                and (rhs[:m_in] - row[:m_in] >= -tol).all()
+                and (np.abs(rhs[m_in:] - row[m_in:]) <= tol).all()
+                and not np.isnan(fun)):
+            raise NumericalFailure(
+                "HiGHS reported an optimum that violates the constraints "
+                f"by more than {tol:.2e}")
+        obj = fun if lp.sense == "min" else -fun
+        return LpSolution(status=OPTIMAL, x=x, objective=float(obj))
     except BaseException:
         vars(_SOLVERS).clear()
         raise
 
-
-def _read_solution(h, lp: LinearProgram, rhs, model_status, run_ok: bool,
-                   duals: bool) -> LpSolution:
-    status = _HIGHS_STATUS.get(model_status)
-    if status in (INFEASIBLE, UNBOUNDED):
-        return LpSolution(status=status)
-    if status != OPTIMAL or not run_ok:
-        raise NumericalFailure(
-            f"scipy/HiGHS failed: {h.modelStatusToString(model_status)}")
-
-    m_in = lp.r_in.size
-    solution = h.getSolution()
-    x = np.array(solution.col_value)
-    fun = h.getObjectiveValue()
-    row = np.array(solution.row_value)
-    # linprog's _check_result: an optimum must satisfy what it claims to.
-    tol = _FEASIBILITY_TOL
-    if not ((x >= lp.lb - tol).all() and (x <= lp.ub + tol).all()
-            and (rhs[:m_in] - row[:m_in] >= -tol).all()
-            and (np.abs(rhs[m_in:] - row[m_in:]) <= tol).all()
-            and not np.isnan(fun)):
-        raise NumericalFailure(
-            "scipy/HiGHS reported an optimum that violates the constraints "
-            f"by more than {tol:.2e}")
-    obj = fun if lp.sense == "min" else -fun
-    if not duals:
-        return LpSolution(status=OPTIMAL, x=x, objective=float(obj))
-
-    # HiGHS ran in min space: same reduced-cost reading for both senses.
-    y = np.array(solution.row_dual)
-    # Bound marginals: the column dual goes to the bound the column sits at.
-    col_status = np.array([int(s) for s in h.getBasis().col_status])
-    col_dual = np.array(solution.col_dual)
-    low = np.where(col_status == int(_highs.HighsBasisStatus.kLower), col_dual, 0.0)
-    upp = np.where(col_status == int(_highs.HighsBasisStatus.kUpper), col_dual, 0.0)
-    mu_eq = y[m_in:] if lp.sense == "min" else -y[m_in:]
-    return LpSolution(status=OPTIMAL, x=x, objective=float(obj), mu_eq=mu_eq,
-                      mu_in=np.maximum(-y[:m_in], 0.0),
-                      nu_lb=np.maximum(low, 0.0), nu_ub=np.maximum(-upp, 0.0))
-
-
-# --- certificates ----------------------------------------------------------------
 
 def elastic_lp(lp: LinearProgram) -> LinearProgram:
     """Elastic relaxation of ``lp``: minimize the total violation of its rows.
@@ -397,84 +344,3 @@ def elastic_lp(lp: LinearProgram) -> LinearProgram:
     ub = np.concatenate([lp.ub, np.full(2 * m_eq + m_in, np.inf)])
     return LinearProgram(c=c, sense="min", M_eq=M_eq, r_eq=lp.r_eq,
                          M_in=M_in, r_in=lp.r_in, lb=lb, ub=ub)
-
-
-def _farkas_from_elastic(lp: LinearProgram) -> np.ndarray | None:
-    """Build an infeasibility ray from the duals of the elastic relaxation."""
-    # Not solve_lp: the elastic LP is feasible and bounded by construction,
-    # so any other verdict means HiGHS rejected the model (as it does a
-    # coefficient above 1e15 or an infinite right-hand side), and so would
-    # it reject the elastic LP of this one, without end.
-    sol = _solve_scipy(elastic_lp(lp))
-    if not sol.optimal:
-        raise NumericalFailure(
-            f"scipy/HiGHS rejected the model: its elastic relaxation is {sol.status}")
-    if sol.objective <= 1e-9:
-        return None
-    # min-sense elastic duals: d(obj)/d(r_eq) = mu_eq, d(obj)/d(r_in) = -mu_in.
-    return np.concatenate([sol.mu_eq, -sol.mu_in])
-
-
-def verify_farkas(lp: LinearProgram, ray: np.ndarray, tol: float = 1e-7) -> float:
-    """Return the proven infeasibility margin y@r - sup_box y@M@x (> 0 = proof)."""
-    m_eq = lp.r_eq.size
-    y_eq = ray[:m_eq]
-    y_in = ray[m_eq:]
-    if np.any(y_in > tol):
-        return -np.inf  # wrong sign for <= rows
-    g = y_eq @ lp.M_eq + y_in @ lp.M_in
-    sup = 0.0
-    for j in range(lp.nvar):
-        if g[j] > tol:
-            if not np.isfinite(lp.ub[j]):
-                return -np.inf
-            sup += g[j] * lp.ub[j]
-        elif g[j] < -tol:
-            if not np.isfinite(lp.lb[j]):
-                return -np.inf
-            sup += g[j] * lp.lb[j]
-    return float(y_eq @ lp.r_eq + y_in @ lp.r_in - sup)
-
-
-def certificate_errors(lp: LinearProgram, sol: LpSolution) -> dict:
-    """Residuals of the optimality certificate; see the module docstring."""
-    if not sol.optimal:
-        raise ValueError("certificate check requires an Optimal solution")
-    x = sol.x
-    scale = 1.0 + max(
-        np.abs(lp.c).max(initial=0.0),
-        np.abs(lp.r_eq).max(initial=0.0),
-        np.abs(lp.r_in).max(initial=0.0),
-    )
-    primal_eq = (np.abs(lp.M_eq @ x - lp.r_eq).max(initial=0.0))
-    primal_in = max(0.0, (lp.M_in @ x - lp.r_in).max(initial=-np.inf))
-    with np.errstate(invalid="ignore"):
-        lo = np.where(np.isfinite(lp.lb), lp.lb - x, 0.0)
-        hi = np.where(np.isfinite(lp.ub), x - lp.ub, 0.0)
-    primal_bounds = max(lo.max(initial=0.0), hi.max(initial=0.0))
-
-    if lp.sense == "min":
-        stat = lp.c - lp.M_eq.T @ sol.mu_eq + lp.M_in.T @ sol.mu_in \
-            - sol.nu_lb + sol.nu_ub
-        dual_obj = sol.mu_eq @ lp.r_eq - sol.mu_in @ lp.r_in
-    else:
-        stat = lp.c - lp.M_eq.T @ sol.mu_eq - lp.M_in.T @ sol.mu_in \
-            + sol.nu_lb - sol.nu_ub
-        dual_obj = sol.mu_eq @ lp.r_eq + sol.mu_in @ lp.r_in
-    lbf = np.where(np.isfinite(lp.lb), lp.lb, 0.0)
-    ubf = np.where(np.isfinite(lp.ub), lp.ub, 0.0)
-    lb_term = float((np.where(np.isfinite(lp.lb), sol.nu_lb, 0.0) * lbf).sum())
-    ub_term = float((np.where(np.isfinite(lp.ub), sol.nu_ub, 0.0) * ubf).sum())
-    if lp.sense == "min":
-        dual_obj += lb_term - ub_term
-    else:
-        dual_obj += ub_term - lb_term
-
-    comp = np.abs(sol.mu_in * (lp.r_in - lp.M_in @ x)).max(initial=0.0)
-    return {
-        "primal": max(primal_eq, primal_in, primal_bounds) / scale,
-        "stationarity": np.abs(stat).max(initial=0.0) / scale,
-        "complementarity": comp / scale,
-        "gap": abs(sol.objective - dual_obj) / scale,
-        "min_mu_in": float(sol.mu_in.min(initial=0.0)),
-    }

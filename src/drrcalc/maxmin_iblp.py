@@ -26,8 +26,7 @@ solves them in parallel while the calling thread waits, as HiGHS releases
 the GIL; each thread has its own HiGHS instance and each solve is cold
 (see :mod:`drrcalc.lp`).  With N = 1 the calling thread solves them
 alone.  Results come back in input order, so the LPs built and solved,
-the cuts and the output are the same for any N.  The memo keeps only
-status, x and objective, so no LP is read for its duals.
+the cuts and the output are the same for any N.
 """
 
 from __future__ import annotations
@@ -113,8 +112,7 @@ def _projection_lp(W: Polytope) -> LinearProgram:
 def _project_into(W: Polytope, w0: np.ndarray, lp: LinearProgram) -> np.ndarray:
     """1-norm projection of w0 onto W (an LP, deterministic); ``lp`` is
     ``_projection_lp(W)``, whose matrix every projection shares."""
-    sol = solve_lp(lp.with_vectors(r_in=np.concatenate([W.f, w0, -w0])),
-                   duals=False)
+    sol = solve_lp(lp.with_vectors(r_in=np.concatenate([W.f, w0, -w0])))
     if sol.status != OPTIMAL:
         raise NumericalFailure("projection into the current region failed")
     return sol.x[:W.dim]
@@ -196,7 +194,7 @@ class IblpOracle:
                 sol = LpSolution(OPTIMAL, _project_into(dmm.W, v, lp))
             else:
                 c = dmm.multiplier_cost(v) if kind == MULTIPLIER else v
-                sol = solve_lp(lp.with_vectors(c=c), duals=False)
+                sol = solve_lp(lp.with_vectors(c=c))
                 if sol.status != OPTIMAL:
                     raise NumericalFailure(f"{kind} returned {sol.status}")
         except DrrError as exc:

@@ -53,10 +53,6 @@ class MipSolution:
     nodes: int = 0
     bound: float = np.nan   # best dual bound at termination
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == OPTIMAL
-
 
 def solve_mip(mp: MixedProgram, node_limit: int) -> MipSolution:
     """Globally solve `mp` with a relative gap of zero; raise

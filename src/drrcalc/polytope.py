@@ -114,8 +114,7 @@ def remove_redundant(W: Polytope) -> Polytope:
     facet is tested with one LP against the surviving rows.  Raises
     :class:`EmptyRegionError` when the LP proves the region empty.
     """
-    probe = solve_lp(LinearProgram(c=np.zeros(W.dim), M_in=W.H, r_in=W.f),
-                     duals=False)
+    probe = solve_lp(LinearProgram(c=np.zeros(W.dim), M_in=W.H, r_in=W.f))
     if probe.status != OPTIMAL:
         raise EmptyRegionError("outer approximation has no feasible point")
 
@@ -139,7 +138,7 @@ def remove_redundant(W: Polytope) -> Polytope:
             M_in=np.vstack([work.H[others], work.H[[i]]]),
             r_in=np.concatenate([work.f[others], [work.f[i] + 1.0]]),
         )
-        sol = solve_lp(lp, duals=False)
+        sol = solve_lp(lp)
         if sol.status != OPTIMAL:
             raise EmptyRegionError("outer approximation has no feasible point")
         if sol.objective < work.f[i] - _REDUNDANT_TOL:
@@ -154,7 +153,7 @@ def chebyshev_center(W: Polytope) -> tuple[np.ndarray, float]:
     c[-1] = 1.0
     M = np.hstack([W.H, np.ones((W.n_facets, 1))])
     lp = LinearProgram(c=c, sense="max", M_in=M, r_in=W.f)
-    sol = solve_lp(lp, duals=False)
+    sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise EmptyRegionError("no Chebyshev center: region empty or unbounded")
     return sol.x[:n], float(sol.x[-1])

@@ -158,7 +158,7 @@ def test_high_risk_event_solves_no_lp(monkeypatch):
         raise AssertionError("high_risk_event solved an LP")
 
     monkeypatch.setattr(lp_mod, "solve_lp", no_lp)
-    monkeypatch.setattr(lp_mod, "_solve_scipy", no_lp)
+    monkeypatch.setattr(lp_mod, "_pass_and_run", no_lp)
     # A 5-D region whose nearest facet is a cut, not a box face.
     H = np.vstack([np.eye(5), -np.eye(5), np.ones((1, 5))])
     f = np.concatenate([np.ones(5), np.zeros(5), [2.0]])

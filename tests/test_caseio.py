@@ -192,6 +192,23 @@ def test_config_validation_and_file(tmp_path):
             load_config_file(p, StudyConfig())
 
 
+@pytest.mark.parametrize("name", ["eps_term", "eps_alt", "eps_slack", "eps_dual",
+                                  "perturb_lambda"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_tolerances_must_be_finite(name, value):
+    # json reads Infinity and NaN; an infinite eps_term would stop every
+    # run after one iteration as Converged.
+    with pytest.raises(InvalidSetting, match=name):
+        StudyConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_max_outer_iters_must_be_at_least_one(value):
+    with pytest.raises(InvalidSetting,
+                       match=f"max_outer_iters must be at least 1, got {value}"):
+        StudyConfig(max_outer_iters=value)
+
+
 def test_config_echo_excludes_scheduling():
     echo = StudyConfig(thread_count=8).algorithmic_echo()
     assert "thread_count" not in echo

@@ -1,14 +1,19 @@
 """Command-line workflow and exit-code contract."""
 
 import json
+import math
 import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 from drrcalc import cli
+from drrcalc.caseio import StudyConfig
 from drrcalc.cli import main
+from drrcalc.dispatch_model import build_compact, initial_dispatch
+from drrcalc.maxmin_milp import MaxMinSolution
 from tests.conftest import CASE_DIR
 
 TWO = str(CASE_DIR / "case2_ramp.m")
@@ -354,6 +359,16 @@ _BAD_SETTINGS = [
 @pytest.mark.parametrize("command, settings, message", [
     *[pytest.param(command, {"eps_term": -1}, "eps_term must be positive",
                    id=command) for command in ("compute", "binding", "validate")],
+    # json reads Infinity and NaN: an infinite eps_term ended every run as
+    # Converged after one iteration, and no iteration ran at -3.
+    *[pytest.param("compute", settings, message, id=f"compute-{case}")
+      for case, settings, message in [
+          ("eps_term-inf", {"eps_term": math.inf}, "eps_term must be finite, got inf"),
+          ("perturb_lambda-inf", {"perturb_lambda": math.inf},
+           "perturb_lambda must be finite, got inf"),
+          ("eps_dual-nan", {"eps_dual": math.nan}, "eps_dual must be positive"),
+          ("max_outer_iters-negative", {"max_outer_iters": -3},
+           "max_outer_iters must be at least 1, got -3")]],
     *[pytest.param("validate", settings, message, id=f"validate-{case}")
       for case, settings, message in _BAD_SETTINGS],
 ])
@@ -369,6 +384,44 @@ def test_bad_config_value_is_an_error_not_a_traceback(command, settings, message
     if command == "compute":
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["exit_status"] == 1
+
+
+def _contradicting_oracle(monkeypatch, case, bus_pos):
+    """Make every milp oracle call return one valid-looking cut that asks
+    farm 0 for the load of the bus at ``bus_pos``, more than its capacity."""
+    import drrcalc.engine as eng
+    m = build_compact(case, initial_dispatch(case, StudyConfig()))
+    alpha = np.zeros(m.b.size)
+    alpha[bus_pos] = 1.0  # the balance row of farm 0's bus: w_0 >= its load
+    fake = MaxMinSolution(F=0.5, w_star=np.zeros(m.n_w), alpha=alpha,
+                          delta=np.zeros(m.d.size), theta=None, method="milp")
+    monkeypatch.setattr(eng, "solve_maxmin_milp", lambda *a, **k: fake)
+
+
+@pytest.mark.parametrize("paths, fixture, bus_pos", [
+    ((TWO, TWO_R), "twobus", 1),   # 150 MW load against 100 MW installed
+    ((PJM, PJM_R), "pjm5", 3),     # 400 MW load against 150 MW installed
+], ids=["case2_ramp", "pjm5"])
+def test_compute_empty_region_exits_2(paths, fixture, bus_pos, request, tmp_path,
+                                      capsys, monkeypatch):
+    _contradicting_oracle(monkeypatch, request.getfixturevalue(fixture), bus_pos)
+    out = tmp_path / "o"
+    code = main(["compute", "--case", paths[0], "--renewables", paths[1],
+                 "--method", "milp", "--out", str(out)])
+    assert code == 2
+    assert "EmptyRegion after 1 iterations" in capsys.readouterr().out
+    # No binding.json or event.json for a region without facets to explain,
+    # and no region.svg for one without vertices.
+    assert sorted(os.listdir(out)) == ["manifest.json", "region.json", "trace.csv"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_status"] == 2
+    assert manifest["termination"] == "EmptyRegion"
+    assert manifest["artifacts"] == ["region.json", "trace.csv"]
+    region = json.loads((out / "region.json").read_text())
+    assert region["termination"] == "EmptyRegion"
+    assert region["vertices_mw"] == []
+    if fixture == "pjm5":
+        assert manifest["notes"] == ["svg_skipped: region has no vertices"]
 
 
 @pytest.mark.parametrize("text, message", [

@@ -260,7 +260,7 @@ def test_run_iblp_aggregates_failures(two, monkeypatch):
     case, m, W0, cfg = two
     import drrcalc.maxmin_iblp as mod
 
-    def boom(lp, *, duals=True):
+    def boom(lp):
         raise NumericalFailure("injected")
 
     monkeypatch.setattr(mod, "solve_lp", boom)
@@ -282,10 +282,10 @@ def test_run_iblp_projection_failure_stops_only_its_scenarios(two, monkeypatch):
     assert 0 < outside < len(scen.combined())
     solve = mod.solve_lp
 
-    def fail_projection(lp, *, duals=True):
+    def fail_projection(lp):
         if lp.sense == "min":  # the projection is the only minimization
             raise NumericalFailure("injected")
-        return solve(lp, duals=duals)
+        return solve(lp)
 
     monkeypatch.setattr(mod, "solve_lp", fail_projection)
     with IblpOracle(m, cfg) as oracle:
@@ -348,9 +348,8 @@ def test_memo_entries_are_shared_and_read_only(two):
         assert oracle.lookup(WSTEP, W0, [cost.copy()])[0] is wstep
         # solves, hits, multiplier steps, projections
         assert _totals(oracle) == (2, 2, 2, 0)
-        # An entry holds status, x and objective; x cannot be written.
+        # An entry's x cannot be written.
         for sol in (mult, wstep):
-            assert sol.mu_eq is None and sol.mu_in is None
             with pytest.raises(ValueError):
                 sol.x[...] = 0.0
         # A new region drops the w-step entries but keeps the multiplier ones.

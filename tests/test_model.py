@@ -5,13 +5,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+
+import drrcalc.dispatch_model as dm
+import drrcalc.lp as lp_mod
 
 from drrcalc.binding import _HARD_EQUALITIES
-from drrcalc.caseio import StudyConfig, apply_renewables, parse_matpower
+from drrcalc.caseio import (RenewableSpec, StudyConfig, apply_renewables,
+                            parse_matpower)
 from drrcalc.dispatch_model import (DispatchPoint, build_compact,
                                     build_ptdf, feasibility_model,
                                     initial_dispatch)
-from drrcalc.errors import InfeasibleDispatch, SingularNetwork
+from drrcalc.errors import (InfeasibleDispatch, MalformedCase, SingularNetwork,
+                            UnboundedCost)
 from drrcalc.lp import solve_lp
 
 # Frozen from an independent PTDF-formulation DC-OPF (re-derived below by
@@ -49,7 +55,70 @@ def test_forced_dispatch_single_gen():
     assert dp.p_star == pytest.approx([80.0], abs=1e-9)
 
 
-def test_infeasible_dispatch_reports_shortfall():
+# G1 at bus 1; a farm (gen row 2) at bus 2, which carries an 80 MW load.
+_BUSES = ["1 3 0 0 0 0 1 1 0 110 1 1.1 0.9;", "2 1 80 0 0 0 1 1 0 110 1 1.1 0.9;"]
+_GENS = ["1 0 0 0 0 1 100 1 100 0;", "2 0 0 0 0 1 100 1 50 0;"]
+_BRANCHES = ["1 2 0 0.1 0 999 0 0 0 0 1 -360 360;"]
+_COSTS = ["2 0 0 2 10 0;", "2 0 0 2 0 0;"]
+_TABLES = {"bus": _BUSES, "gen": _GENS, "branch": _BRANCHES, "gencost": _COSTS}
+
+
+def _case_with(table, row, col, value):
+    """The case above with ``value`` at (1-based ``row``, 0-based ``col``)."""
+    tables = {name: list(rows) for name, rows in _TABLES.items()}
+    tokens = tables[table][row - 1].rstrip(";").split()
+    tokens[col] = value
+    tables[table][row - 1] = " ".join(tokens) + ";"
+    return _case_text(tables["bus"], tables["gen"], tables["branch"],
+                      tables["gencost"])
+
+
+@pytest.mark.parametrize("table, row, col, value, message", [
+    ("bus", 2, 2, "NaN", "bus row 2 has a non-finite Pd: nan"),
+    ("bus", 2, 2, "Inf", "bus row 2 has a non-finite Pd: inf"),
+    ("gen", 2, 8, "Inf", "gen row 2 has a non-finite Pmax: inf"),
+    ("gen", 1, 9, "-Inf", "gen row 1 has a non-finite Pmin: -inf"),
+    ("branch", 1, 3, "Inf", "branch row 1 has a non-finite x: inf"),
+    ("branch", 1, 5, "NaN", "branch row 1 has a NaN rateA"),
+    ("branch", 1, 11, "NaN", "branch row 1 has a NaN angmin"),
+    ("branch", 1, 12, "NaN", "branch row 1 has a NaN angmax"),
+    ("gencost", 1, 4, "Inf", "gencost row 1 has a non-finite coefficient 1: inf"),
+    ("gencost", 2, 5, "NaN", "gencost row 2 has a non-finite coefficient 2: nan"),
+], ids=["Pd-nan", "Pd-inf", "Pmax-inf", "Pmin-inf", "x-inf", "rateA-nan",
+        "angmin-nan", "angmax-nan", "cost-inf", "cost-nan"])
+def test_non_finite_model_value_is_a_malformed_case(table, row, col, value, message):
+    with pytest.raises(MalformedCase) as err:
+        parse_matpower(_case_with(table, row, col, value))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("table, row, col, value", [
+    ("branch", 1, 5, "Inf"),    # rateA: no thermal limit
+    ("branch", 1, 11, "-Inf"),  # angmin and angmax: no angle limit
+    ("branch", 1, 12, "Inf"),
+    ("gen", 1, 3, "Inf"),       # Qmax and Qmin: never read
+    ("gen", 1, 4, "-Inf"),
+], ids=["rateA", "angmin", "angmax", "Qmax", "Qmin"])
+def test_infinite_limits_and_unread_columns_stay_legal(table, row, col, value):
+    case = apply_renewables(parse_matpower(_case_with(table, row, col, value)),
+                            [RenewableSpec(gen_index=2, forecast_mw=30.0)])
+    dp = initial_dispatch(case, StudyConfig())
+    assert dp.p_star == pytest.approx([50.0], abs=1e-9)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """A list that gets one entry per call of ``owner.name`` from now on."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_infeasible_dispatch_reports_shortfall(monkeypatch):
     text = _case_text(
         ["1 3 0 0 0 0 1 1 0 110 1 1.1 0.9;",
          "2 1 500 0 0 0 1 1 0 110 1 1.1 0.9;"],
@@ -57,9 +126,26 @@ def test_infeasible_dispatch_reports_shortfall():
         ["1 2 0 0.1 0 999 0 0 0 0 1 -360 360;"],
         ["2 0 0 2 10 0;"])
     case = apply_renewables(parse_matpower(text), [])
+    runs, elastic = _count_calls(monkeypatch, lp_mod, "_pass_and_run"), \
+        _count_calls(monkeypatch, dm, "elastic_lp")
     with pytest.raises(InfeasibleDispatch) as err:
         initial_dispatch(case, StudyConfig(reserve_factor=1.0))
     assert err.value.shortfall_mw == pytest.approx(420.0, abs=1e-5)
+    # The dispatch LP, then its elastic relaxation, once.
+    assert (len(runs), len(elastic)) == (2, 1)
+
+
+def test_unbounded_dispatch_raises_unbounded_cost(twobus):
+    # The line unrated, G1 without a ceiling and G2 without a floor: with
+    # p1 + p2 = 100 MW, the cost 10 p1 + 25 p2 falls without end as p2 falls.
+    raw = twobus.raw
+    g1, g2, *farms = raw.generators
+    case = replace(twobus, raw=replace(
+        raw, branches=tuple(replace(br, rate_a_mw=0.0) for br in raw.branches),
+        generators=(replace(g1, p_max_mw=math.inf),
+                    replace(g2, p_min_mw=-math.inf), *farms)))
+    with pytest.raises(UnboundedCost):
+        initial_dispatch(case, StudyConfig())
 
 
 def test_pjm5_initial_dispatch_matches_oracle(pjm5, cfg):
@@ -67,7 +153,6 @@ def test_pjm5_initial_dispatch_matches_oracle(pjm5, cfg):
     assert dp.p_star == pytest.approx(PJM5_PSTAR, abs=1e-6)
 
     # Independent oracle: PTDF formulation over p only, raw scipy solve.
-    from scipy.optimize import linprog
     base = pjm5.base_mva
     branches = pjm5.raw.branches
     nb, nl, ng = 5, len(branches), 5
@@ -181,9 +266,16 @@ def test_feasibility_duals_bounded(pjm5, cfg):
     rng = np.random.default_rng(1)
     for _ in range(5):
         w = rng.uniform(0, 1.5, size=2)
-        sol = solve_lp(m.slacked.with_vectors(r_eq=m.b - m.A @ w))
+        lp = m.slacked.with_vectors(r_eq=m.b - m.A @ w)
+        sol = solve_lp(lp)
         assert sol.objective == feasibility_model(m, w).objective
-        alpha, delta = sol.mu_eq, sol.mu_in
+        # linprog solves the same LP bit for bit; its marginals are the duals.
+        res = linprog(lp.c, A_ub=lp.M_in, b_ub=lp.r_in, A_eq=lp.M_eq,
+                      b_eq=lp.r_eq, bounds=list(zip(lp.lb, lp.ub)),
+                      method="highs")
+        assert res.status == 0 and res.fun == sol.objective
+        assert np.array_equal(res.x, sol.x)
+        alpha, delta = res.eqlin.marginals, -res.ineqlin.marginals
         assert np.all(alpha <= 1 + 1e-8) and np.all(alpha >= -1 - 1e-8)
         assert np.all(delta >= -1e-10) and np.all(delta <= 1 + 1e-8)
 
@@ -191,7 +283,6 @@ def test_feasibility_duals_bounded(pjm5, cfg):
 def _linprog_feasibility(m, w, weights):
     """Weighted slacked model assembled from the blocks and solved by
     linprog: (objective or inf, inequality slacks or None)."""
-    from scipy.optimize import linprog
     eq_w = np.array([weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.eq_rows])
     in_w = np.array([weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.in_rows])
     m_eq, m_in = m.b.size, m.d.size
