@@ -565,10 +565,14 @@ class _ShiftedOptimum:
         return solution
 
 
-def test_tampered_optimum_raises(monkeypatch):
+@pytest.mark.parametrize("warm", [True, False])
+def test_tampered_optimum_raises(warm, monkeypatch):
     # HiGHS reports x = 2 for an LP that caps x at 1, so the optimum it
-    # reports violates the LP it stands for.
+    # reports violates the LP it stands for.  Warm: the instance has solved
+    # this very LP before, and its earlier answer must not be reused.
     lp = LinearProgram(c=[1.0], sense="max", lb=[0.0], ub=[1.0])
+    if warm:
+        assert solve_lp(lp).x[0] == 1.0
     tampered = _ShiftedOptimum(lp_mod._highs_solver())
     # This thread's entry in the per-thread registry.
     monkeypatch.setattr(lp_mod._SOLVERS, "highs", tampered)
