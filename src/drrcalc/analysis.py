@@ -8,9 +8,9 @@ Files written by :func:`export_artifacts` (MW units throughout):
 * ``event.json``  - highest-risk ramping event
 * ``region.svg``  - 2-D rendering (polygon, forecast marker, risk arrow)
 
-``region.json`` and ``binding.json`` are deterministic for a given seed and
-exclude wall-clock data, so runs with different worker counts serialize
-byte-identically.
+This module owns the ``region.json`` and ``binding.json`` formats, which
+are deterministic for a given seed and exclude wall-clock data, so runs
+with different worker counts serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 from .binding import BindingReport
 from .engine import DrrResult
-from .errors import DimensionTooHigh, EmptyRegionError
-from .polytope import Polytope
+from .errors import DimensionTooHigh, EmptyRegionError, MalformedCase
+from .polytope import FacetProvenance, Polytope
 
 _VERTEX_DEDUPE = 1e-8
 
@@ -134,6 +134,25 @@ def region_payload(result: DrrResult, w_bar_mw) -> dict:
     return payload
 
 
+def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str]:
+    """The region of a ``region.json`` and its method; ``f_mw / base_mva``
+    need not give back the last bit of the pu bounds that were written."""
+    try:
+        data = json.loads(path.read_text())
+        H = np.array(data["H"], dtype=float)
+        f = np.array(data["f_mw"], dtype=float) / base_mva
+        tags = tuple(FacetProvenance(**p) for p in data["provenance"])
+        region = Polytope(H=H, f=f, provenance=tags)
+        if data["method"] not in ("milp", "iblp"):
+            raise ValueError(f"unknown method {data['method']!r}")
+        return region, data["method"]
+    # JSONDecodeError is a ValueError; a missing key, a key of another
+    # type or an unknown provenance field is a KeyError or TypeError.
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedCase(
+            f"{path}: not a region.json: {type(exc).__name__}: {exc}") from exc
+
+
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -142,6 +161,21 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+def _dump(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(_jsonable(payload), indent=1, sort_keys=True) + "\n")
+
+
+def _context(method: str, seed: int, config_echo: dict) -> dict:
+    """What binding.json and event.json repeat of the run behind them."""
+    return {"method": method, "seed": seed, "config": config_echo}
+
+
+def write_binding_json(report: BindingReport, out_dir: Path, method: str,
+                       seed: int, config_echo: dict) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _dump(out_dir / "binding.json", report.to_json() | _context(method, seed, config_echo))
 
 
 def write_trace_csv(result: DrrResult, path: Path) -> None:
@@ -166,22 +200,16 @@ def export_artifacts(result: DrrResult, report: BindingReport | None,
     files["trace"] = "trace.csv"
 
     payload = region_payload(result, w_bar_mw)
-    (out / "region.json").write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    _dump(out / "region.json", payload)
     files["region"] = "region.json"
 
-    # Every artifact repeats the reproducibility context (seed + settings).
-    context = {"seed": result.seed, "method": result.method,
-               "config": _jsonable(result.config_echo)}
     if report is not None:
-        (out / "binding.json").write_text(
-            json.dumps(_jsonable(report.to_json()) | context,
-                       indent=1, sort_keys=True) + "\n")
+        write_binding_json(report, out, result.method, result.seed,
+                           result.config_echo)
         files["binding"] = "binding.json"
     if event is not None:
-        (out / "event.json").write_text(
-            json.dumps(_jsonable(event.to_json()) | context,
-                       indent=1, sort_keys=True) + "\n")
+        _dump(out / "event.json", event.to_json()
+              | _context(result.method, result.seed, result.config_echo))
         files["event"] = "event.json"
 
     if result.region.dim != 2:
@@ -197,8 +225,9 @@ def export_artifacts(result: DrrResult, report: BindingReport | None,
 
 
 def render_region_svg(W: Polytope, w_bar, event: RampEvent | None,
-                      base_mva: float, size: int = 480) -> str:
+                      base_mva: float) -> str:
     """Self-contained SVG: region polygon, forecast marker, risk arrow."""
+    size = 480  # px, width and height
     verts = vertices_2d(W) * base_mva
     wb = np.asarray(w_bar, dtype=float) * base_mva
     all_pts = np.vstack([verts, wb[None, :]])

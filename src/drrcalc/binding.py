@@ -2,18 +2,17 @@
 
 For each facet: find the facet's terminal points, push their midpoint a
 small step away from the forecast so it leaves the region, and re-solve the
-slacked dispatch model there with balance and flow-definition rows held
-hard.  Rows whose slack activates are the binding constraints; a facet whose
-probe stays feasible is an initial-box bound, identified by provenance.
+slacked dispatch model there with every equality row held hard.  Rows
+whose slack activates are the binding constraints; a facet whose probe
+stays feasible is an initial-box bound, identified by provenance.
 
 The slack pattern of a degenerate optimum is solver-chosen, so every
-reported row is additionally classified: forcing its slack to zero makes
+reported row is additionally classified: holding it hard as well makes
 the probe infeasible ("necessary") or reroutes the violation ("alternate").
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,7 @@ from .errors import AmbiguousFacet, DimensionMismatch, FacetInfeasible
 from .lp import OPTIMAL, LinearProgram, solve_lp
 from .polytope import Polytope
 
-_HARD_EQUALITIES = {"NodalBalance": math.inf, "FlowDefinition": math.inf,
-                    "AngleRef": math.inf}
+_HARD_EQUALITIES = frozenset({"NodalBalance", "FlowDefinition", "AngleRef"})
 
 ORIGIN_PHYSICAL = "PhysicalConstraint"
 ORIGIN_BOX = "InitialBoxFacet"
@@ -110,13 +108,14 @@ def probe_point(w_u, w_l, w_bar, lam: float) -> np.ndarray:
 def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
              allow_unresolved: bool = False) -> BindingReport:
     """Per-facet binding constraints of a converged region (units: MW); each
-    probe's slacks weigh 1, except those of ``_HARD_EQUALITIES``, held hard."""
+    probe's slacks cost 1, and the ``_HARD_EQUALITIES`` rows have none."""
     w_bar = np.asarray(w_bar, dtype=float)
     if W.dim != m.n_w or w_bar.size != m.n_w:
         raise DimensionMismatch(
             f"region of dimension {W.dim} and forecast of {w_bar.size} "
             f"entries for a model with {m.n_w} farms")
 
+    kind_of = {d.label: d.kind for d in m.in_rows}
     entries: list[FacetBinding] = []
     unresolved: list[int] = []
     for i in range(W.n_facets):
@@ -130,20 +129,17 @@ def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
             probe_mw=probe * m.base_mva, origin=ORIGIN_BOX,
             degenerate_probe=degenerate)
 
-        res = feasibility_model(m, probe, weights=_HARD_EQUALITIES)
+        res = feasibility_model(m, probe, hard=_HARD_EQUALITIES)
         if res.objective > cfg.eps_slack:
             entry.origin = ORIGIN_PHYSICAL
-            kind_of = {d.label: d.kind for d in m.in_rows}
             for label, slack in sorted(res.slacks.items()):
                 if slack <= cfg.eps_slack:
                     continue
-                forced = dict(_HARD_EQUALITIES)
-                forced[label] = math.inf
-                again = feasibility_model(m, probe, weights=forced)
+                again = feasibility_model(m, probe, hard=_HARD_EQUALITIES | {label})
                 necessity = ("necessarily binding" if not again.feasible
                              else "alternately binding")
                 entry.bindings.append(BindingEntry(
-                    label=label, kind=kind_of.get(label, "?"),
+                    label=label, kind=kind_of[label],
                     slack_mw=slack * m.base_mva, necessity=necessity))
         else:
             tag = W.provenance[i]

@@ -1,9 +1,10 @@
 """Command-line workflow: compute, binding, validate, bench.
 
 Exit codes are frozen for CI use: 0 converged, 1 any error, 2 empty region,
-3 iteration cap.  Every run writes ``manifest.json`` into the output
-directory (input hashes, resolved settings, artifact list, phase timings,
-per-iteration oracle counters), success or failure.
+3 iteration cap.  Each subcommand takes only the flags it reads.  Every
+``compute`` run writes ``manifest.json`` into the output directory (input
+hashes, resolved settings, artifact list, phase timings, per-iteration
+oracle counters), success or failure.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from . import analysis, binding, engine
 from .caseio import (StudyConfig, apply_renewables, load_config_file,
                      load_renewables_file, parse_matpower_file)
 from .dispatch_model import build_compact, build_ptdf, feasibility_model, initial_dispatch
-from .errors import AmbiguousFacet, DrrError, InvalidSetting, MalformedCase
+from .errors import AmbiguousFacet, DrrError, InvalidSetting
 from .lp import solve_lp
 from .maxmin_milp import DualizedMaxMin
-from .polytope import FacetProvenance, Polytope
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -60,15 +60,17 @@ def _sha256(path: Path) -> str:
 
 def _resolve_config(args) -> StudyConfig:
     """Settings by precedence: the flags, ``DRR_THREADS`` (threads only),
-    the config file, the defaults (threads: the cores for iblp, 1 for milp)."""
-    method = getattr(args, "method", "milp")
+    the config file, the defaults (threads: the cores for iblp, else 1).
+    validate runs no oracle: it reads neither --threads nor DRR_THREADS."""
+    method = getattr(args, "method", None)
     cfg = StudyConfig(thread_count=os.cpu_count() or 1 if method == "iblp" else 1)
     if args.config:
         cfg = load_config_file(args.config, cfg)
     changes = {}
     if args.seed is not None:
         changes["seed"] = args.seed
-    threads, env = args.threads, os.environ.get("DRR_THREADS")
+    threads = getattr(args, "threads", None)
+    env = os.environ.get("DRR_THREADS") if "threads" in args else None
     if threads is None and env is not None:
         try:
             threads = int(env)
@@ -81,9 +83,9 @@ def _resolve_config(args) -> StudyConfig:
     return dataclasses.replace(cfg, **changes)
 
 
-def _load_case(args):
-    raw = parse_matpower_file(args.case)
-    specs = load_renewables_file(args.renewables) if args.renewables else []
+def _load_case(case_path, rens_path):
+    raw = parse_matpower_file(case_path)
+    specs = load_renewables_file(rens_path) if rens_path else []
     return apply_renewables(raw, specs)
 
 
@@ -106,7 +108,7 @@ def cmd_compute(args) -> int:
         if args.method == "milp" and cfg.thread_count > 1:
             print("note: the exact oracle is serial; --threads ignored for milp")
         manifest["config"] = analysis._jsonable(dataclasses.asdict(cfg))
-        case = _load_case(args)
+        case = _load_case(args.case, args.renewables)
 
         t0 = time.perf_counter()
         result = engine.run(case, cfg, method=args.method)
@@ -159,30 +161,15 @@ def cmd_compute(args) -> int:
             json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _region_from_json(path: Path, base_mva: float) -> Polytope:
-    try:
-        data = json.loads(path.read_text())
-        H = np.array(data["H"], dtype=float)
-        f = np.array(data["f_mw"], dtype=float) / base_mva
-        tags = tuple(FacetProvenance(**p) for p in data["provenance"])
-        return Polytope(H=H, f=f, provenance=tags)
-    # JSONDecodeError is a ValueError; a missing key, a key of another
-    # type or an unknown provenance field is a KeyError or TypeError.
-    except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedCase(
-            f"{path}: not a region.json: {type(exc).__name__}: {exc}") from exc
-
-
 def cmd_binding(args) -> int:
     cfg = _resolve_config(args)
-    case = _load_case(args)
+    case = _load_case(args.case, args.renewables)
     if args.region:
-        W = _region_from_json(Path(args.region), case.base_mva)
+        W, method = analysis.region_from_json(Path(args.region), case.base_mva)
         m = build_compact(case, initial_dispatch(case, cfg))
     else:
         result = engine.run(case, cfg, method=args.method)
-        W = result.region
-        m = result.model
+        W, m, method = result.region, result.model, result.method
     w_bar_pu = np.array(case.forecast_mw) / case.base_mva
     try:
         report = binding.identify(m, W, w_bar_pu, cfg,
@@ -192,11 +179,8 @@ def cmd_binding(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     print(report.table())
-    outdir = Path(args.out) if args.out else Path.cwd()
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "binding.json").write_text(
-        json.dumps(analysis._jsonable(report.to_json()),
-                   indent=1, sort_keys=True) + "\n")
+    analysis.write_binding_json(report, Path(args.out or "."), method, cfg.seed,
+                                cfg.algorithmic_echo())
     return EXIT_OK
 
 
@@ -210,7 +194,7 @@ def cmd_validate(args) -> int:
         if w_mw is None or not np.isfinite(w_mw).all():
             raise InvalidSetting(
                 f"--w must be comma-separated finite numbers, got {args.w!r}")
-    case = _load_case(args)
+    case = _load_case(args.case, args.renewables)
     if args.w is not None and w_mw.size != len(case.renewable):
         raise InvalidSetting(f"--w has {w_mw.size} entries, the case has "
                              f"{len(case.renewable)} farms")
@@ -264,11 +248,8 @@ def cmd_validate(args) -> int:
 
 
 def _bench_child(case_path, rens_path, method, threads, seed, queue):
-    args = argparse.Namespace(case=case_path, renewables=rens_path,
-                              config=None, seed=seed, threads=threads,
-                              method=method)
-    cfg = _resolve_config(args)
-    case = _load_case(args)
+    cfg = StudyConfig(seed=seed, thread_count=threads)
+    case = _load_case(case_path, rens_path)
     t0 = time.perf_counter()
     result = engine.run(case, cfg, method=method)
     queue.put((time.perf_counter() - t0, result.iterations))
@@ -339,34 +320,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "DC dispatch models")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def common(p, need_case=True):
-        p.add_argument("--case", required=need_case, help="MATPOWER .m file")
+    def common(p, oracle=True):
+        p.add_argument("--case", required=True, help="MATPOWER .m file")
         p.add_argument("--renewables", help="sidecar JSON designating farms")
         p.add_argument("--config", help="JSON file of study settings")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="threads solving iblp LPs, at most one per core; from 2 "
-                            "on, a pool of that many while this one waits (default: "
-                            "env DRR_THREADS, else the config file, else cores for "
-                            "iblp, 1 for milp)")
-        p.add_argument("--verbose", action="store_true")
+        if oracle:  # validate runs none
+            p.add_argument("--method", choices=["milp", "iblp"], default="milp")
+            p.add_argument("--threads", type=int, default=None,
+                           help="threads solving iblp LPs, at most one per core; from "
+                                "2 on, a pool of that many while this one waits "
+                                "(default: env DRR_THREADS, else the config file, "
+                                "else cores for iblp, 1 for milp)")
 
     p = sub.add_parser("compute", help="run the full region workflow")
     common(p)
-    p.add_argument("--method", choices=["milp", "iblp"], default="milp")
+    p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", required=True, help="artifact directory")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("binding", help="identify binding constraints per facet")
     common(p)
-    p.add_argument("--method", choices=["milp", "iblp"], default="milp")
     p.add_argument("--region", help="region.json from a previous run")
     p.add_argument("--out", help="directory for binding.json")
     p.add_argument("--allow-ambiguous", action="store_true")
     p.set_defaults(fn=cmd_binding)
 
     p = sub.add_parser("validate", help="model self-checks against oracles")
-    common(p)
+    common(p, oracle=False)
     p.add_argument("--w", help="comma-separated MW values to probe")
     p.set_defaults(fn=cmd_validate)
 

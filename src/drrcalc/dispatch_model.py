@@ -38,9 +38,6 @@ class ConstraintDescriptor:
     ref: int    # bus id, branch position (0-based), or 1-based gen row
     label: str
 
-    def __str__(self):
-        return self.label
-
 
 @dataclass(frozen=True)
 class DispatchPoint:
@@ -79,7 +76,7 @@ class CompactPsd:
     base_mva: float
     farm_capacity_pu: np.ndarray   # per-farm installed capacity, renewable order
     # elastic_lp of the (p, l, v) rows, its matrix assembled when built.
-    # feasibility_model swaps in c, ub and r_eq with with_vectors.
+    # feasibility_model swaps in ub and r_eq with with_vectors.
     slacked: LinearProgram = field(repr=False)
 
     @property
@@ -104,7 +101,7 @@ class FeasibilityResult:
     objective: float                       # per-unit violation measure
     slacks: dict[str, float]               # label -> slack (pu), nonzero rows
     base_mva: float
-    feasible: bool = True                  # False only when rows were hardened
+    feasible: bool = True                  # False only when rows were held hard
 
     @property
     def objective_mw(self) -> float:
@@ -128,6 +125,12 @@ class _Net:
                     f"in-service branch {br.from_bus}-{br.to_bus} has zero reactance")
         self.n_b = len(self.buses)
         self.n_l = len(self.branches)
+        # Each branch's name in row labels.  Parallel circuits, between the
+        # same two buses, are numbered in case order so each label names one row.
+        ends = [{br.from_bus, br.to_bus} for br in self.branches]
+        self.line_names = [f"line {br.from_bus}-{br.to_bus}" + (
+            f" circuit {ends[:li].count(e) + 1}" if ends.count(e) > 1 else "")
+            for li, (br, e) in enumerate(zip(self.branches, ends))]
         self.load_pu = np.array([b.load_mw for b in self.buses]) / self.base
 
     def angle_limited(self, br):
@@ -168,7 +171,7 @@ def _network_rows(net: _Net, case: CaseData, dp: DispatchPoint | None = None):
         M_eq[rdef, n_p + n_l + f] = -1.0 / br.reactance_pu
         M_eq[rdef, n_p + n_l + t] = 1.0 / br.reactance_pu
         eq_rows.append(ConstraintDescriptor(
-            "FlowDefinition", li, f"flow definition of line {br.from_bus}-{br.to_bus}"))
+            "FlowDefinition", li, f"flow definition of {net.line_names[li]}"))
     M_eq[n_b + n_l, n_p + n_l + net.ref_pos] = 1.0
     ref_id = net.buses[net.ref_pos].id
     eq_rows.append(ConstraintDescriptor(
@@ -191,7 +194,7 @@ def _network_rows(net: _Net, case: CaseData, dp: DispatchPoint | None = None):
     for li, br in enumerate(net.branches):
         if br.rate_a_mw <= 0:
             continue
-        name, rate = f"line {br.from_bus}-{br.to_bus}", br.rate_a_mw / net.base
+        name, rate = net.line_names[li], br.rate_a_mw / net.base
         pair("Flow", li, [n_p + li], [1.0],
              (f"thermal limit of {name} (forward)", rate),
              (f"thermal limit of {name} (reverse)", rate))
@@ -206,7 +209,7 @@ def _network_rows(net: _Net, case: CaseData, dp: DispatchPoint | None = None):
         if not net.angle_limited(br):
             continue
         f, t = net.bus_pos[br.from_bus], net.bus_pos[br.to_bus]
-        name = f"line {br.from_bus}-{br.to_bus}"
+        name = net.line_names[li]
         pair("AngleDiff", li, [n_p + n_l + f, n_p + n_l + t], [1.0, -1.0],
              (f"angle spread of {name} (max)", math.radians(br.angle_max_deg)),
              (f"angle spread of {name} (min)", -math.radians(br.angle_min_deg)))
@@ -308,38 +311,28 @@ def build_ptdf(case: CaseData) -> PtdfMatrix:
 # --- feasibility model --------------------------------------------------------------
 
 
-def feasibility_model(m: CompactPsd, w,
-                      weights: dict[str, float] | None = None) -> FeasibilityResult:
-    """Minimum weighted slack needed to absorb renewable output `w` (pu).
+def feasibility_model(m: CompactPsd, w, hard=()) -> FeasibilityResult:
+    """Least total slack needed to absorb renewable output `w` (pu).
 
-    `weights` maps a constraint label or kind to a positive penalty; ``inf``
-    removes the slack for that row entirely (the row becomes hard).  The
-    objective is zero exactly when `w` is dispatchable.
+    Every row's slack costs 1, except that a row whose label or kind is in
+    `hard` gets no slack: it is held hard.  The objective is zero exactly
+    when `w` is dispatchable.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if w.size != m.n_w:
         raise DimensionMismatch(f"w has {w.size} entries, model has {m.n_w} farms")
-    weights = weights or {}
-    if not all(v > 0 for v in weights.values()):
-        raise ValueError("feasibility weights must be positive")
 
     # Columns of m.slacked: x = (p, l, v), then per equality row a surplus
-    # and a deficit, then per inequality row a deficit.  A row's weight is
-    # that of its label, else of its kind, else 1; ``inf`` fixes its slack
-    # columns at 0.
-    eq_w = [weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.eq_rows]
-    in_w = [weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.in_rows]
+    # and a deficit, then per inequality row a deficit, fixed at 0 if hard.
     m_eq = m.b.size
     nx = m.n_p + m.n_l + m.n_v
-    cost = np.concatenate([np.zeros(nx), eq_w, eq_w, in_w])
-    hard = np.isinf(cost)
-    lp = m.slacked.with_vectors(c=np.where(hard, m.slacked.c, cost),
-                                ub=np.where(hard, 0.0, m.slacked.ub),
-                                r_eq=m.b - m.A @ w)
-    sol = solve_lp(lp)
+    soft = [r.label not in hard and r.kind not in hard for r in m.eq_rows + m.in_rows]
+    free = np.concatenate([np.ones(nx, dtype=bool), soft[:m_eq], soft])
+    sol = solve_lp(m.slacked.with_vectors(ub=np.where(free, m.slacked.ub, 0.0),
+                                          r_eq=m.b - m.A @ w))
     if sol.status != OPTIMAL:
-        # Only reachable when `weights` hardened rows; the fully slacked
-        # model is feasible by construction.
+        # Only reachable when `hard` holds rows; the fully slacked model is
+        # feasible by construction.
         return FeasibilityResult(objective=math.inf, slacks={},
                                  base_mva=m.base_mva, feasible=False)
 

@@ -211,3 +211,43 @@ def test_ieee39_binding_all_facets_resolved():
     assert origins <= {ORIGIN_PHYSICAL, ORIGIN_BOX}
     for e in report.entries:
         assert bool(e.bindings) == (e.origin == ORIGIN_PHYSICAL)
+
+
+def _two_circuit_case():
+    """case2_ramp with its 70 MW line split into two 40 MW circuits, of
+    reactance 0.15 and 0.3 pu (0.1 pu in parallel)."""
+    from drrcalc.caseio import apply_renewables, load_renewables_file, parse_matpower
+    from tests.conftest import CASE_DIR
+    one = "\t1\t2\t0\t0.1\t0\t70\t70\t70\t0\t0\t1\t-360\t360;\n"
+    text = (CASE_DIR / "case2_ramp.m").read_text()
+    assert one in text
+    two = "".join(f"\t1\t2\t0\t{x}\t0\t40\t40\t40\t0\t0\t1\t-360\t360;\n"
+                  for x in ("0.15", "0.3"))
+    return apply_renewables(parse_matpower(text.replace(one, two)),
+                            load_renewables_file(CASE_DIR / "case2_ramp_renewables.json"))
+
+
+def test_parallel_circuits_get_a_label_each():
+    # The 0.15 pu circuit carries two thirds of the flow, so its rating
+    # binds first: the report must say which circuit binds.
+    case = _two_circuit_case()
+    cfg = StudyConfig()
+    res = run(case, cfg, method="milp")
+    labels = [r.label for r in res.model.eq_rows + res.model.in_rows]
+    assert len(set(labels)) == len(labels)
+    assert "thermal limit of line 1-2 circuit 2 (reverse)" in labels
+    report = identify(res.model, res.region, np.array(case.forecast_mw) / case.base_mva,
+                      cfg)
+    named = {b.label for e in report.entries for b in e.bindings}
+    assert "thermal limit of line 1-2 circuit 1 (forward)" in named
+    assert not [label for label in named if "circuit 2" in label]
+
+
+@pytest.mark.parametrize("fixture", ["twobus", "pjm5", "ieee39"])
+def test_shipped_labels_are_unique_and_unnumbered(fixture, cfg, request):
+    # No shipped case has parallel circuits, so no label gets a circuit.
+    case = request.getfixturevalue(fixture)
+    m = build_compact(case, initial_dispatch(case, cfg))
+    labels = [r.label for r in m.eq_rows + m.in_rows]
+    assert len(set(labels)) == len(labels)
+    assert not [label for label in labels if "circuit" in label]

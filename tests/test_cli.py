@@ -112,7 +112,8 @@ def test_binding_from_region_json(tmp_path, capsys, monkeypatch):
 _BOX_2D = {"H": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
            "f_mw": [100.0, 100.0, 0.0, 0.0],
            "provenance": [{"kind": "InitialBox", "farm": farm, "bound": bound}
-                          for bound in ("upper", "lower") for farm in (0, 1)]}
+                          for bound in ("upper", "lower") for farm in (0, 1)],
+           "method": "milp"}
 
 
 @pytest.mark.parametrize("text, message", [
@@ -124,11 +125,15 @@ _BOX_2D = {"H": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
     (json.dumps({**_BOX_2D, "provenance": [{"kind": "Cut", "colour": 1}] * 4}),
      "not a region.json: TypeError"),
     (json.dumps([_BOX_2D]), "not a region.json: TypeError"),
+    (json.dumps({k: v for k, v in _BOX_2D.items() if k != "method"}),
+     "not a region.json: KeyError: 'method'"),
+    (json.dumps({**_BOX_2D, "method": "simplex"}),
+     "not a region.json: ValueError: unknown method 'simplex'"),
     (json.dumps({"H": [[1.0], [-1.0]], "f_mw": [100.0, 0.0],
-                 "provenance": _BOX_2D["provenance"][::2]}),
+                 "provenance": _BOX_2D["provenance"][::2], "method": "milp"}),
      "region of dimension 1 and forecast of 2 entries for a model with 2 farms"),
 ], ids=["not-json", "no-provenance", "lengths", "provenance-key", "array",
-        "wrong-dimension"])
+        "no-method", "unknown-method", "wrong-dimension"])
 def test_malformed_region_file_is_an_error(text, message, tmp_path, capsys):
     region = tmp_path / "region.json"
     region.write_text(text)
@@ -138,6 +143,65 @@ def test_malformed_region_file_is_an_error(text, message, tmp_path, capsys):
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
     assert not (tmp_path / "o" / "binding.json").exists()
+
+
+@pytest.mark.parametrize("method", ["milp", "iblp"])
+def test_binding_writes_the_binding_json_of_compute(method, tmp_path, capsys):
+    # One writer: the same bytes from compute, from binding's own run and
+    # from binding on compute's region.json, context (seed, method, config)
+    # included.
+    flags = ["--case", PJM, "--renewables", PJM_R, "--seed", "0"]
+    assert main(["compute", *flags, "--method", method, "--threads", "1",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert main(["binding", *flags, "--method", method, "--threads", "1",
+                 "--out", str(tmp_path / "run")]) == 0
+    # --method is left at its default: the region names its own.
+    assert main(["binding", *flags, "--region", str(tmp_path / "c" / "region.json"),
+                 "--out", str(tmp_path / "region")]) == 0
+    want = (tmp_path / "c" / "binding.json").read_bytes()
+    assert json.loads(want)["method"] == method
+    assert (tmp_path / "run" / "binding.json").read_bytes() == want
+    assert (tmp_path / "region" / "binding.json").read_bytes() == want
+
+
+def _close(a, b):
+    """Equal JSON values, floats to 1e-9 (MW)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_close(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_close, a, b))
+    if isinstance(a, float):
+        return b == pytest.approx(a, rel=1e-9, abs=1e-9)
+    return a == b
+
+
+def test_binding_from_region_json_agrees_to_rounding(tmp_path, capsys):
+    # region.json holds each bound in MW, and dividing by the base need not
+    # give back the last bit of the pu bound; on case2_ramp both bounds
+    # lose it, so the report from region.json agrees to rounding only.
+    assert main(["compute", "--case", TWO, "--renewables", TWO_R,
+                 "--out", str(tmp_path / "c")]) == 0
+    assert main(["binding", "--case", TWO, "--renewables", TWO_R,
+                 "--region", str(tmp_path / "c" / "region.json"),
+                 "--out", str(tmp_path / "r")]) == 0
+    want = json.loads((tmp_path / "c" / "binding.json").read_text())
+    got = json.loads((tmp_path / "r" / "binding.json").read_text())
+    assert _close(want, got)
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--threads", "2"], ["validate", "--verbose"],
+    ["validate", "--method", "iblp"], ["binding", "--verbose"]])
+def test_a_command_takes_no_flag_it_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--case", TWO, "--renewables", TWO_R])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_validate_reads_no_drr_threads(monkeypatch, capsys):
+    monkeypatch.setenv("DRR_THREADS", "abc")
+    assert main(["validate", "--case", TWO, "--renewables", TWO_R]) == 0
 
 
 def test_binding_without_region_builds_the_model_once(tmp_path, monkeypatch):

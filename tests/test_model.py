@@ -235,18 +235,13 @@ def test_twobus_feasibility_values(twobus, cfg):
                     "ramp-up limit of generator 2 at bus 2"}
 
 
-def test_feasibility_weights_steer_degenerate_optimum(twobus, cfg):
+def test_hard_equalities_leave_the_violation_unchanged(twobus, cfg):
     m = build_compact(twobus, initial_dispatch(twobus, cfg))
     base = feasibility_model(m, [0.44])
-    steered = feasibility_model(m, [0.44], weights={"FlowUpper": 3.0,
-                                                    "FlowLower": 3.0})
+    hard = feasibility_model(m, [0.44], hard={"NodalBalance", "FlowDefinition",
+                                              "AngleRef"})
     assert "thermal limit of line 1-2 (forward)" in base.slacks
-    assert "thermal limit of line 1-2 (forward)" not in steered.slacks
-    assert "ramp-up limit of generator 2 at bus 2" in steered.slacks
-    # Hard equalities leave the measured violation unchanged here.
-    hard = feasibility_model(m, [0.44], weights={"NodalBalance": math.inf,
-                                                 "FlowDefinition": math.inf,
-                                                 "AngleRef": math.inf})
+    assert hard.feasible
     assert hard.objective == pytest.approx(base.objective, abs=1e-9)
 
 
@@ -280,21 +275,21 @@ def test_feasibility_duals_bounded(pjm5, cfg):
         assert np.all(delta >= -1e-10) and np.all(delta <= 1 + 1e-8)
 
 
-def _linprog_feasibility(m, w, weights):
-    """Weighted slacked model assembled from the blocks and solved by
-    linprog: (objective or inf, inequality slacks or None)."""
-    eq_w = np.array([weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.eq_rows])
-    in_w = np.array([weights.get(r.label, weights.get(r.kind, 1.0)) for r in m.in_rows])
+def _linprog_feasibility(m, w, hard):
+    """Slacked model assembled from the blocks, the slacks of the rows whose
+    label or kind is in `hard` fixed at 0, and solved by linprog:
+    (objective or inf, inequality slacks or None)."""
+    eq_h = np.array([r.label in hard or r.kind in hard for r in m.eq_rows], dtype=bool)
+    in_h = np.array([r.label in hard or r.kind in hard for r in m.in_rows], dtype=bool)
     m_eq, m_in = m.b.size, m.d.size
     X_eq = np.hstack([m.B, m.C, m.D])
     nx = X_eq.shape[1]
     # x, then per equality row a surplus and a deficit, per inequality a deficit
     A_eq = np.hstack([X_eq, np.eye(m_eq), -np.eye(m_eq), np.zeros((m_eq, m_in))])
     A_ub = np.hstack([m.F, m.G, m.J, np.zeros((m_in, 2 * m_eq)), -np.eye(m_in)])
-    slack_w = np.concatenate([eq_w, eq_w, in_w])
-    hard = np.isinf(slack_w)
-    c = np.concatenate([np.zeros(nx), np.where(hard, 0.0, slack_w)])
-    bounds = [(None, None)] * nx + [(0.0, 0.0 if h else None) for h in hard]
+    held = np.concatenate([eq_h, eq_h, in_h])
+    c = np.concatenate([np.zeros(nx), np.ones(held.size)])
+    bounds = [(None, None)] * nx + [(0.0, 0.0 if h else None) for h in held]
     res = linprog(c, A_ub=A_ub, b_ub=m.d, A_eq=A_eq, b_eq=m.b - m.A @ w,
                   bounds=bounds, method="highs")
     if res.status == 2:
@@ -309,26 +304,25 @@ def test_feasibility_model_matches_linprog_reference(fixture, cfg, request):
     m = build_compact(case, initial_dispatch(case, cfg))
     rng = np.random.default_rng(7)
     ws = [rng.uniform(0.0, 1.5 * m.farm_capacity_pu) for _ in range(10)]
-    # Harden the inequality row that the hard-equality probes lean on most.
+    # Hold hard the inequality row that the hard-equality probes lean on most.
     lean = sum(_linprog_feasibility(m, w, _HARD_EQUALITIES)[1] for w in ws)
     assert lean.max() > 1e-6
     hard_row = m.in_rows[int(np.argmax(lean))].label
-    weightings = [{}, dict(_HARD_EQUALITIES),
-                  {**_HARD_EQUALITIES, hard_row: math.inf}]
+    hard_sets = [(), _HARD_EQUALITIES, _HARD_EQUALITIES | {hard_row}]
     kind_of = {r.label: r.kind for r in m.eq_rows + m.in_rows}
     infeasible = 0
-    for weights in weightings:
+    for hard in hard_sets:
         for w in ws:
-            ref, _ = _linprog_feasibility(m, w, weights)
-            got = feasibility_model(m, w, weights=weights or None)
+            ref, _ = _linprog_feasibility(m, w, hard)
+            got = feasibility_model(m, w, hard=hard)
             if math.isinf(ref):
                 infeasible += 1
                 assert not got.feasible and math.isinf(got.objective)
             else:
                 assert got.feasible
                 assert got.objective == pytest.approx(ref, rel=1e-7, abs=1e-8)
-                assert not [label for label in got.slacks if math.isinf(
-                    weights.get(label, weights.get(kind_of[label], 1.0)))]
+                assert not [label for label in got.slacks
+                            if label in hard or kind_of[label] in hard]
     assert infeasible < len(ws)   # the hardened row leaves probes to compare
 
 
