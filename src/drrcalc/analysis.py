@@ -134,9 +134,10 @@ def region_payload(result: DrrResult, w_bar_mw) -> dict:
     return payload
 
 
-def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str]:
-    """The region of a ``region.json`` and its method; ``f_mw / base_mva``
-    need not give back the last bit of the pu bounds that were written."""
+def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str, int]:
+    """The region of a ``region.json``, its method and its seed;
+    ``f_mw / base_mva`` need not give back the last bit of the pu bounds
+    that were written."""
     try:
         data = json.loads(path.read_text())
         H = np.array(data["H"], dtype=float)
@@ -145,7 +146,9 @@ def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str]:
         region = Polytope(H=H, f=f, provenance=tags)
         if data["method"] not in ("milp", "iblp"):
             raise ValueError(f"unknown method {data['method']!r}")
-        return region, data["method"]
+        if type(data["seed"]) is not int or data["seed"] < 0:
+            raise ValueError(f"seed {data['seed']!r} is not a nonnegative integer")
+        return region, data["method"], data["seed"]
     # JSONDecodeError is a ValueError; a missing key, a key of another
     # type or an unknown provenance field is a KeyError or TypeError.
     except (ValueError, KeyError, TypeError) as exc:

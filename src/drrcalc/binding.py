@@ -9,6 +9,14 @@ stays feasible is an initial-box bound, identified by provenance.
 The slack pattern of a degenerate optimum is solver-chosen, so every
 reported row is additionally classified: holding it hard as well makes
 the probe infeasible ("necessary") or reroutes the violation ("alternate").
+
+Each :func:`identify` call owns its worker threads: it enters
+:func:`~drrcalc.lp.worker_map` of ``cfg.thread_count`` and maps the
+facets onto it, so each thread explains whole facets (terminal points,
+probe, feasibility LP and necessity re-solves) on its own HiGHS
+instance.  Entries come back in facet order, so the report is the same
+for any thread count, and one thread solves every LP on the calling
+thread in facet order.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd, feasibility_model
 from .errors import AmbiguousFacet, DimensionMismatch, FacetInfeasible
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, LinearProgram, solve_lp, worker_map
 from .polytope import Polytope
 
 _HARD_EQUALITIES = frozenset({"NodalBalance", "FlowDefinition", "AngleRef"})
@@ -116,9 +124,8 @@ def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
             f"entries for a model with {m.n_w} farms")
 
     kind_of = {d.label: d.kind for d in m.in_rows}
-    entries: list[FacetBinding] = []
-    unresolved: list[int] = []
-    for i in range(W.n_facets):
+
+    def explain(i: int) -> FacetBinding:
         w_u, w_l = terminal_points(W, i)
         mid = (w_u + w_l) / 2.0
         probe = probe_point(w_u, w_l, w_bar, cfg.perturb_lambda)
@@ -145,9 +152,11 @@ def identify(m: CompactPsd, W: Polytope, w_bar, cfg: StudyConfig,
             tag = W.provenance[i]
             if tag.kind != "InitialBox" and not _matches_box(W, i, m):
                 entry.origin = ORIGIN_UNRESOLVED
-                unresolved.append(i)
-        entries.append(entry)
+        return entry
 
+    with worker_map(cfg.thread_count) as explain_all:
+        entries = list(explain_all(explain, range(W.n_facets)))
+    unresolved = [e.facet for e in entries if e.origin == ORIGIN_UNRESOLVED]
     if unresolved and not allow_unresolved:
         raise AmbiguousFacet(unresolved)
     return BindingReport(entries=entries, lam=cfg.perturb_lambda,

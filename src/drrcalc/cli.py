@@ -60,10 +60,9 @@ def _sha256(path: Path) -> str:
 
 def _resolve_config(args) -> StudyConfig:
     """Settings by precedence: the flags, ``DRR_THREADS`` (threads only),
-    the config file, the defaults (threads: the cores for iblp, else 1).
-    validate runs no oracle: it reads neither --threads nor DRR_THREADS."""
-    method = getattr(args, "method", None)
-    cfg = StudyConfig(thread_count=os.cpu_count() or 1 if method == "iblp" else 1)
+    the config file, the defaults (threads: the cores).  validate runs no
+    oracle: it reads neither --threads nor DRR_THREADS."""
+    cfg = StudyConfig(thread_count=os.cpu_count() or 1)
     if args.config:
         cfg = load_config_file(args.config, cfg)
     changes = {}
@@ -105,8 +104,6 @@ def cmd_compute(args) -> int:
             if p:
                 manifest["inputs"][str(p)] = _sha256(Path(p))
         cfg = _resolve_config(args)
-        if args.method == "milp" and cfg.thread_count > 1:
-            print("note: the exact oracle is serial; --threads ignored for milp")
         manifest["config"] = analysis._jsonable(dataclasses.asdict(cfg))
         case = _load_case(args.case, args.renewables)
 
@@ -165,10 +162,11 @@ def cmd_binding(args) -> int:
     cfg = _resolve_config(args)
     case = _load_case(args.case, args.renewables)
     if args.region:
-        W, method = analysis.region_from_json(Path(args.region), case.base_mva)
+        W, method, seed = analysis.region_from_json(Path(args.region), case.base_mva)
+        cfg = dataclasses.replace(cfg, seed=seed)
         m = build_compact(case, initial_dispatch(case, cfg))
     else:
-        result = engine.run(case, cfg, method=args.method)
+        result = engine.run(case, cfg, method=args.method or "milp")
         W, m, method = result.region, result.model, result.method
     w_bar_pu = np.array(case.forecast_mw) / case.base_mva
     try:
@@ -320,18 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "DC dispatch models")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def common(p, oracle=True):
+    def common(p, oracle=True, method="milp"):
         p.add_argument("--case", required=True, help="MATPOWER .m file")
         p.add_argument("--renewables", help="sidecar JSON designating farms")
         p.add_argument("--config", help="JSON file of study settings")
         p.add_argument("--seed", type=int, default=None)
         if oracle:  # validate runs none
-            p.add_argument("--method", choices=["milp", "iblp"], default="milp")
+            p.add_argument("--method", choices=["milp", "iblp"], default=method)
             p.add_argument("--threads", type=int, default=None,
-                           help="threads solving iblp LPs, at most one per core; from "
-                                "2 on, a pool of that many while this one waits "
-                                "(default: env DRR_THREADS, else the config file, "
-                                "else cores for iblp, 1 for milp)")
+                           help="threads solving iblp LPs and explaining binding "
+                                "facets, at most one per core; from 2 on, a pool "
+                                "of that many while this one waits (default: env "
+                                "DRR_THREADS, else the config file, else the cores)")
 
     p = sub.add_parser("compute", help="run the full region workflow")
     common(p)
@@ -340,8 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("binding", help="identify binding constraints per facet")
-    common(p)
-    p.add_argument("--region", help="region.json from a previous run")
+    # No --method default: with --region, the region.json names the method.
+    common(p, method=None)
+    p.add_argument("--region", help="region.json from a previous run, whose "
+                                    "method and seed are used (so no --method "
+                                    "or --seed with it)")
     p.add_argument("--out", help="directory for binding.json")
     p.add_argument("--allow-ambiguous", action="store_true")
     p.set_defaults(fn=cmd_binding)
@@ -365,7 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "region", None) and (args.seed is not None or args.method):
+        parser.error("argument --region: not allowed with --seed or --method: "
+                     "the region.json names both")
     try:
         return args.fn(args)
     except FileNotFoundError as exc:

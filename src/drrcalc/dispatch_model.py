@@ -35,7 +35,6 @@ _ANGLE_UNLIMITED = 360.0
 class ConstraintDescriptor:
     kind: str   # NodalBalance | FlowDefinition | AngleRef | FlowUpper |
                 # FlowLower | GenUpper | GenLower | AngleDiffUpper | AngleDiffLower
-    ref: int    # bus id, branch position (0-based), or 1-based gen row
     label: str
 
 
@@ -155,8 +154,7 @@ def _network_rows(net: _Net, case: CaseData, dp: DispatchPoint | None = None):
     ncol = n_p + n_l + n_b
     M_eq = np.zeros((n_b + n_l + 1, ncol))
     r_eq = np.zeros(n_b + n_l + 1)
-    eq_rows = [ConstraintDescriptor("NodalBalance", bus.id,
-                                    f"power balance at bus {bus.id}")
+    eq_rows = [ConstraintDescriptor("NodalBalance", f"power balance at bus {bus.id}")
                for bus in net.buses]
 
     for k, gi in enumerate(case.flexible):
@@ -171,23 +169,22 @@ def _network_rows(net: _Net, case: CaseData, dp: DispatchPoint | None = None):
         M_eq[rdef, n_p + n_l + f] = -1.0 / br.reactance_pu
         M_eq[rdef, n_p + n_l + t] = 1.0 / br.reactance_pu
         eq_rows.append(ConstraintDescriptor(
-            "FlowDefinition", li, f"flow definition of {net.line_names[li]}"))
+            "FlowDefinition", f"flow definition of {net.line_names[li]}"))
     M_eq[n_b + n_l, n_p + n_l + net.ref_pos] = 1.0
     ref_id = net.buses[net.ref_pos].id
-    eq_rows.append(ConstraintDescriptor(
-        "AngleRef", ref_id, f"reference angle at bus {ref_id}"))
+    eq_rows.append(ConstraintDescriptor("AngleRef", f"reference angle at bus {ref_id}"))
     r_eq[:n_b] = net.load_pu
 
     in_rows: list[ConstraintDescriptor] = []
     rows, rhs = [], []
 
-    def pair(kind, ref, cols, coefs, upper, lower):
+    def pair(kind, cols, coefs, upper, lower):
         """coefs @ x[cols] <= the rhs of `upper`, -coefs @ x[cols] <= the rhs
         of `lower`; each is (label, rhs)."""
         for suffix, sign, (label, r) in (("Upper", 1.0, upper), ("Lower", -1.0, lower)):
             row = np.zeros(ncol)
             row[cols] = sign * np.array(coefs)
-            in_rows.append(ConstraintDescriptor(kind + suffix, ref, label))
+            in_rows.append(ConstraintDescriptor(kind + suffix, label))
             rows.append(row)
             rhs.append(r)
 
@@ -195,14 +192,14 @@ def _network_rows(net: _Net, case: CaseData, dp: DispatchPoint | None = None):
         if br.rate_a_mw <= 0:
             continue
         name, rate = net.line_names[li], br.rate_a_mw / net.base
-        pair("Flow", li, [n_p + li], [1.0],
+        pair("Flow", [n_p + li], [1.0],
              (f"thermal limit of {name} (forward)", rate),
              (f"thermal limit of {name} (reverse)", rate))
     for k, gi in enumerate(case.flexible if dp is not None else ()):
         gen = case.gen(gi)
         up_kind = "ramp-up limit" if dp.hi[k] < gen.p_max_mw - 1e-9 else "output ceiling"
         dn_kind = "ramp-down limit" if dp.lo[k] > gen.p_min_mw + 1e-9 else "output floor"
-        pair("Gen", gi, [k], [1.0],
+        pair("Gen", [k], [1.0],
              (f"{up_kind} of generator {gi} at bus {gen.bus}", dp.hi[k] / net.base),
              (f"{dn_kind} of generator {gi} at bus {gen.bus}", -dp.lo[k] / net.base))
     for li, br in enumerate(net.branches):
@@ -210,7 +207,7 @@ def _network_rows(net: _Net, case: CaseData, dp: DispatchPoint | None = None):
             continue
         f, t = net.bus_pos[br.from_bus], net.bus_pos[br.to_bus]
         name = net.line_names[li]
-        pair("AngleDiff", li, [n_p + n_l + f, n_p + n_l + t], [1.0, -1.0],
+        pair("AngleDiff", [n_p + n_l + f, n_p + n_l + t], [1.0, -1.0],
              (f"angle spread of {name} (max)", math.radians(br.angle_max_deg)),
              (f"angle spread of {name} (min)", -math.radians(br.angle_min_deg)))
     M_in = np.array(rows) if rows else np.zeros((0, ncol))

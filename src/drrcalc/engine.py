@@ -100,7 +100,7 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
     all_cuts: list[Cut] = []
     termination = MAX_ITERATIONS
 
-    # One iblp oracle per run: its LP memo and thread pool outlive the
+    # One iblp oracle per run: its LP memo and worker threads outlive the
     # iterations, not the run.
     oracle = IblpOracle(m, cfg) if method == "iblp" else None
     with contextlib.nullcontext() if oracle is None else oracle:

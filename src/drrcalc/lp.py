@@ -52,6 +52,16 @@ discards the previous model and basis, so each solve is cold and returns
 what a new instance would.  HiGHS releases the GIL while it runs, so
 threads solve in parallel, each on its own instance.
 
+:func:`worker_map` is where drrcalc starts threads, and the caller that
+enters it owns them: the iblp oracle for a run, where each thread solves
+whole LPs of a half-step, and ``binding.identify`` for one call, where
+each thread explains whole facets.  It caps ``thread_count`` at the core
+count and gives ``map`` itself for one worker, so one worker solves on
+the calling thread in input order; from two on, a pool of that many
+threads solves while the calling thread waits.  Both give results in
+input order and raise the first failing input's own exception, so which
+thread solved what changes no result.
+
 The constructor assembles the matrix as ``passModel`` takes it: the CSC
 arrays of ``[M_in; M_eq]`` and the integrality vector, all read-only;
 a MIP renumbers these rows rather than assembling them again.
@@ -68,6 +78,8 @@ solve copies of one LP at once.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import importlib.machinery
 import importlib.util
 import os
@@ -256,6 +268,22 @@ def _highs_solver() -> _highs._Highs:
         _SOLVERS.highs.passOptions(_highs_options())
         _SOLVERS.pid = os.getpid()
     return _SOLVERS.highs
+
+
+@contextlib.contextmanager
+def worker_map(thread_count: int):
+    """``map`` for ``thread_count`` workers, capped at the core count: the
+    builtin for one, else the ``map`` of a pool of that many threads, shut
+    down when the block ends."""
+    workers = min(thread_count, os.cpu_count() or 1)
+    if workers == 1:
+        yield map
+        return
+    pool = concurrent.futures.ThreadPoolExecutor(workers)
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown()
 
 
 def _csc(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -20,19 +20,19 @@ not depend on the region), and a solve swaps in the costs or right-hand
 side that its vector gives with ``with_vectors``.  Starts converge onto
 the same few region vertices, so most steps repeat an LP already solved.
 Each half-step is one :meth:`IblpOracle.lookup`, which solves only the
-distinct LPs missing from the oracle's memo.  With N workers
-(``thread_count``, at most one per core) and N >= 2, a pool of N threads
-solves them in parallel while the calling thread waits, as HiGHS releases
-the GIL; each thread has its own HiGHS instance and each solve is cold
-(see :mod:`drrcalc.lp`).  With N = 1 the calling thread solves them
-alone.  Results come back in input order, so the LPs built and solved,
-the cuts and the output are the same for any N.
+distinct LPs missing from the oracle's memo.  The oracle owns its run's
+worker threads: it enters :func:`~drrcalc.lp.worker_map` of
+``thread_count`` for its ``with`` block, and each thread solves whole
+LPs, one distinct input at a time, on its own HiGHS instance and cold
+(see :mod:`drrcalc.lp`).  With N >= 2 workers (at most one per core) a
+pool of N threads solves in parallel while the calling thread waits, as
+HiGHS releases the GIL; with N = 1 the calling thread solves alone.
+Results come back in input order, so the LPs built and solved, the cuts
+and the output are the same for any N.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -41,7 +41,7 @@ import numpy as np
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
 from .errors import DegenerateCut, DrrError, NumericalFailure
-from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp
+from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp, worker_map
 from .maxmin_milp import DualizedMaxMin, MaxMinSolution, cut_vector
 from .polytope import Polytope
 
@@ -129,9 +129,10 @@ class IblpOracle:
     per kind, of which every solve takes a ``with_vectors`` copy.  Only
     the calling thread writes any of them, and only between lookups: when
     the region changes, the entries and LPs of ``_REGION_KINDS`` are
-    replaced.  ``workers`` is ``cfg.thread_count``, capped at the core
-    count; above 1, a pool of that many threads solves the LPs until the
-    ``with`` block ends.  ``counts`` is the last batch's accounting.
+    replaced.  The oracle's ``with`` block holds the run's
+    :func:`~drrcalc.lp.worker_map` of ``cfg.thread_count``, onto which
+    every lookup maps its missing inputs.  ``counts`` is the last batch's
+    accounting.
     """
 
     def __init__(self, m: CompactPsd, cfg: StudyConfig):
@@ -139,20 +140,17 @@ class IblpOracle:
         self.cfg = cfg
         self.entries: dict[str, dict] = {MULTIPLIER: {}, WSTEP: {}, PROJECTION: {}}
         self.counts: dict[str, int] = dict.fromkeys(_LOOKUP_COUNTERS, 0)
-        self.workers = min(cfg.thread_count, os.cpu_count() or 1)
         self._region: tuple[bytes, bytes] | None = None
         self._dmm: DualizedMaxMin | None = None
         self._lps: dict[str, LinearProgram] = {}
-        self._pool = (concurrent.futures.ThreadPoolExecutor(self.workers)
-                      if self.workers > 1 else None)
 
     def __enter__(self):
+        self._workers = worker_map(self.cfg.thread_count)
+        self._map = self._workers.__enter__()
         return self
 
     def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        return self._workers.__exit__(*exc)
 
     def _enter_region(self, W: Polytope) -> None:
         """Make W the current region, unless it is already: drop the entries
@@ -170,16 +168,14 @@ class IblpOracle:
 
     def lookup(self, kind: str, W: Polytope, inputs: list) -> list:
         """The entry of every input, in input order.  The distinct inputs
-        not held yet are solved by the pool's threads while the calling
-        thread waits, or by the calling thread when there is no pool."""
+        not held yet are mapped onto the oracle's workers."""
         self._enter_region(W)
         cache = self.entries[kind]
         keys = [v.tobytes() for v in inputs]
         missing = {key: v for key, v in zip(keys, inputs) if key not in cache}
         if missing:
-            solve = self._pool.map if self._pool else map
-            cache.update(zip(missing, solve(partial(self._solve, kind),
-                                            missing.values())))
+            cache.update(zip(missing, self._map(partial(self._solve, kind),
+                                                missing.values())))
         self.counts["lp_solves"] += len(missing)
         self.counts["memo_hits"] += len(inputs) - len(missing)
         if kind in _INPUT_COUNTERS:
@@ -264,7 +260,7 @@ def run_iblp(oracle: IblpOracle, W: Polytope,
 
     Failures are collected per scenario and only raised when no scenario
     succeeds.  The result order follows scenario order for any thread count.
-    ``oracle`` is the run's: its model, settings, memo and pool.
+    ``oracle`` is the run's: its model, settings, memo and workers.
     """
     m, cfg = oracle.m, oracle.cfg
     starts = scenarios.combined()

@@ -1,5 +1,8 @@
 """Perturbation-based binding-constraint identification."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,14 @@ def pjm_result():
     return case, cfg, run(case, cfg, method="milp")
 
 
+@pytest.fixture(scope="module")
+def ieee39_result():
+    from tests.conftest import load_case
+    case = load_case("case39_wind")
+    cfg = StudyConfig(seed=0)
+    return case, cfg, run(case, cfg, method="iblp")
+
+
 def unit_square():
     return Polytope(
         H=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -50,13 +61,39 @@ def test_terminal_points_1d_facet_is_point(two_result):
         assert w_u == pytest.approx(w_l, abs=1e-9)
 
 
-def test_terminal_points_infeasible_facet():
+def _square_with_an_empty_facet():
+    """The unit square and a fifth facet, w_0 <= 2, that no point of it reaches."""
     W = unit_square()
-    bogus = Polytope(H=np.vstack([W.H, [[1.0, 0.0]]]),
-                     f=np.concatenate([W.f, [2.0]]),
-                     provenance=W.provenance + (FacetProvenance("Cut", iteration=9),))
+    return Polytope(H=np.vstack([W.H, [[1.0, 0.0]]]),
+                    f=np.concatenate([W.f, [2.0]]),
+                    provenance=W.provenance + (FacetProvenance("Cut", iteration=9),))
+
+
+def test_terminal_points_infeasible_facet():
     with pytest.raises(FacetInfeasible):
-        terminal_points(bogus, 4)
+        terminal_points(_square_with_an_empty_facet(), 4)
+
+
+def test_facet_infeasible_in_a_worker_reaches_the_caller(pjm_result, monkeypatch):
+    # Two threads on any box: facet 4 of the region fails on a pool thread,
+    # and identify raises that FacetInfeasible.
+    case, _, res = pjm_result
+    terminal, failed_on = binding_mod.terminal_points, []
+
+    def recording(W, i):
+        try:
+            return terminal(W, i)
+        except FacetInfeasible:
+            failed_on.append(threading.get_ident())
+            raise
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(binding_mod, "terminal_points", recording)
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    with pytest.raises(FacetInfeasible, match="facet 4 admits no point"):
+        identify(res.model, _square_with_an_empty_facet(), w_bar,
+                 StudyConfig(thread_count=2), allow_unresolved=True)
+    assert failed_on and threading.get_ident() not in failed_on
 
 
 def test_probe_point_formula():
@@ -199,11 +236,8 @@ def test_report_serialization(two_result):
     assert len(payload["facets"]) == len(report.entries)
 
 
-def test_ieee39_binding_all_facets_resolved():
-    from tests.conftest import load_case
-    case = load_case("case39_wind")
-    cfg = StudyConfig()
-    res = run(case, cfg, method="iblp")
+def test_ieee39_binding_all_facets_resolved(ieee39_result):
+    case, cfg, res = ieee39_result
     w_bar = np.array(case.forecast_mw) / case.base_mva
     report = identify(res.model, res.region, w_bar, cfg)
     assert len(report.entries) == res.region.n_facets
@@ -251,3 +285,52 @@ def test_shipped_labels_are_unique_and_unnumbered(fixture, cfg, request):
     labels = [r.label for r in m.eq_rows + m.in_rows]
     assert len(set(labels)) == len(labels)
     assert not [label for label in labels if "circuit" in label]
+
+
+def test_ieee39_binding_json_is_byte_equal_for_1_2_and_4_threads(
+        ieee39_result, monkeypatch, tmp_path):
+    # Four cores whatever the box has: 1, 2 and 4 threads all really run.
+    from drrcalc.analysis import write_binding_json
+    case, _, res = ieee39_result
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    written = []
+    for threads in (1, 2, 4):
+        cfg = StudyConfig(seed=0, thread_count=threads)
+        report = identify(res.model, res.region, w_bar, cfg)
+        write_binding_json(report, tmp_path / str(threads), res.method, cfg.seed,
+                           cfg.algorithmic_echo())
+        written.append((tmp_path / str(threads) / "binding.json").read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
+def test_facets_are_explained_on_the_worker_threads(ieee39_result, monkeypatch):
+    # Two threads on any box.  Each thread's first feasibility LP waits at
+    # a barrier for another thread's, so two threads must explain facets,
+    # however the box schedules them; neither is the calling thread.
+    case, _, res = ieee39_result
+    feasibility, caller = binding_mod.feasibility_model, threading.get_ident()
+    both, ran_on = threading.Barrier(2, timeout=60), []
+
+    def recording(*args, **kwargs):
+        if threading.get_ident() not in ran_on:
+            ran_on.append(threading.get_ident())
+            both.wait()
+        return feasibility(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(binding_mod, "feasibility_model", recording)
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    identify(res.model, res.region, w_bar, StudyConfig(thread_count=2))
+    assert len(ran_on) == 2 and caller not in ran_on
+
+    # One thread: every feasibility LP on the calling thread.
+    serial = []
+
+    def on_this_thread(*args, **kwargs):
+        serial.append(threading.get_ident())
+        return feasibility(*args, **kwargs)
+
+    monkeypatch.setattr(binding_mod, "feasibility_model", on_this_thread)
+    identify(res.model, res.region, w_bar, StudyConfig(thread_count=1))
+    assert serial and set(serial) == {caller}

@@ -80,12 +80,22 @@ def test_compute_missing_case_exits_1(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path / "o")) == ["manifest.json"]
 
 
-def test_milp_threads_warning(tmp_path, capsys):
-    code = main(["compute", "--case", TWO, "--renewables", TWO_R,
-                 "--method", "milp", "--threads", "8",
-                 "--out", str(tmp_path / "o")])
-    assert code == 0
-    assert "serial" in capsys.readouterr().out
+def test_milp_threads_default_to_the_cores(tmp_path, monkeypatch, capsys):
+    # binding's facets run on the threads for either method, so milp reads
+    # --threads too and defaults to the cores, with the bytes of one thread.
+    monkeypatch.delenv("DRR_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for out, threads in (("cores", []), ("one", ["--threads", "1"])):
+        assert main(["compute", "--case", PJM, "--renewables", PJM_R,
+                     "--method", "milp", *threads,
+                     "--out", str(tmp_path / out)]) == 0
+    assert "note" not in capsys.readouterr().out
+    read = {out: json.loads((tmp_path / out / "manifest.json").read_text())
+            for out in ("cores", "one")}
+    assert read["cores"]["config"]["thread_count"] == 3
+    assert read["one"]["config"]["thread_count"] == 1
+    assert (tmp_path / "cores" / "binding.json").read_bytes() == \
+        (tmp_path / "one" / "binding.json").read_bytes()
 
 
 def test_binding_table(tmp_path, capsys):
@@ -113,7 +123,7 @@ _BOX_2D = {"H": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
            "f_mw": [100.0, 100.0, 0.0, 0.0],
            "provenance": [{"kind": "InitialBox", "farm": farm, "bound": bound}
                           for bound in ("upper", "lower") for farm in (0, 1)],
-           "method": "milp"}
+           "method": "milp", "seed": 0}
 
 
 @pytest.mark.parametrize("text, message", [
@@ -130,10 +140,15 @@ _BOX_2D = {"H": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
     (json.dumps({**_BOX_2D, "method": "simplex"}),
      "not a region.json: ValueError: unknown method 'simplex'"),
     (json.dumps({"H": [[1.0], [-1.0]], "f_mw": [100.0, 0.0],
-                 "provenance": _BOX_2D["provenance"][::2], "method": "milp"}),
+                 "provenance": _BOX_2D["provenance"][::2], "method": "milp",
+                 "seed": 0}),
      "region of dimension 1 and forecast of 2 entries for a model with 2 farms"),
+    (json.dumps({k: v for k, v in _BOX_2D.items() if k != "seed"}),
+     "not a region.json: KeyError: 'seed'"),
+    (json.dumps({**_BOX_2D, "seed": -1}),
+     "not a region.json: ValueError: seed -1 is not a nonnegative integer"),
 ], ids=["not-json", "no-provenance", "lengths", "provenance-key", "array",
-        "no-method", "unknown-method", "wrong-dimension"])
+        "no-method", "unknown-method", "wrong-dimension", "no-seed", "bad-seed"])
 def test_malformed_region_file_is_an_error(text, message, tmp_path, capsys):
     region = tmp_path / "region.json"
     region.write_text(text)
@@ -149,17 +164,17 @@ def test_malformed_region_file_is_an_error(text, message, tmp_path, capsys):
 def test_binding_writes_the_binding_json_of_compute(method, tmp_path, capsys):
     # One writer: the same bytes from compute, from binding's own run and
     # from binding on compute's region.json, context (seed, method, config)
-    # included.
-    flags = ["--case", PJM, "--renewables", PJM_R, "--seed", "0"]
-    assert main(["compute", *flags, "--method", method, "--threads", "1",
-                 "--out", str(tmp_path / "c")]) == 0
-    assert main(["binding", *flags, "--method", method, "--threads", "1",
-                 "--out", str(tmp_path / "run")]) == 0
-    # --method is left at its default: the region names its own.
-    assert main(["binding", *flags, "--region", str(tmp_path / "c" / "region.json"),
-                 "--out", str(tmp_path / "region")]) == 0
+    # included, at a seed other than the default.
+    case = ["--case", PJM, "--renewables", PJM_R]
+    run = [*case, "--seed", "5", "--method", method, "--threads", "1"]
+    assert main(["compute", *run, "--out", str(tmp_path / "c")]) == 0
+    assert main(["binding", *run, "--out", str(tmp_path / "run")]) == 0
+    # No --seed or --method: the region.json names both.
+    assert main(["binding", *case, "--region", str(tmp_path / "c" / "region.json"),
+                 "--threads", "2", "--out", str(tmp_path / "region")]) == 0
     want = (tmp_path / "c" / "binding.json").read_bytes()
     assert json.loads(want)["method"] == method
+    assert json.loads(want)["seed"] == 5
     assert (tmp_path / "run" / "binding.json").read_bytes() == want
     assert (tmp_path / "region" / "binding.json").read_bytes() == want
 
@@ -191,12 +206,19 @@ def test_binding_from_region_json_agrees_to_rounding(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["validate", "--threads", "2"], ["validate", "--verbose"],
-    ["validate", "--method", "iblp"], ["binding", "--verbose"]])
+    ["validate", "--method", "iblp"], ["binding", "--verbose"],
+    # The region.json names the method and seed.
+    ["binding", "--region", "region.json", "--seed", "5"],
+    ["binding", "--region", "region.json", "--method", "milp"]])
 def test_a_command_takes_no_flag_it_ignores(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--case", TWO, "--renewables", TWO_R])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if "--region" in argv:
+        assert "argument --region: not allowed with --seed or --method" in err
+    else:
+        assert "unrecognized arguments" in err
 
 
 def test_validate_reads_no_drr_threads(monkeypatch, capsys):

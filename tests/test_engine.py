@@ -143,6 +143,7 @@ def test_run_result_metadata(twobus):
 
 def test_iblp_one_pool_per_run_and_scenario_accounting(pjm5, monkeypatch):
     import concurrent.futures
+    import os
 
     import drrcalc.maxmin_iblp as iblp
     events = []
@@ -158,7 +159,7 @@ def test_iblp_one_pool_per_run_and_scenario_accounting(pjm5, monkeypatch):
             events.append("shutdown")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 2)  # two workers on any box
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any box
     module_state = dict(vars(iblp))
     res = run(pjm5, StudyConfig(s1_count=30, thread_count=2), method="iblp")
     assert res.iterations > 1

@@ -1,9 +1,10 @@
 """Worst-case oracles: dualization identities, exact MIP, alternation."""
 
+import os
+
 import numpy as np
 import pytest
 
-import drrcalc.maxmin_iblp as iblp
 from drrcalc.caseio import StudyConfig
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import init_w0, make_cut
@@ -360,16 +361,16 @@ def test_memo_entries_are_shared_and_read_only(two):
 def test_lookup_of_held_inputs_solves_nothing(two, monkeypatch):
     # Every input held: no LP to solve, so nothing is mapped onto the pool.
     _, m, W0, _ = two
-    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with IblpOracle(m, StudyConfig(thread_count=2)) as oracle:
-        assert oracle.workers == 2
+        assert oracle._map is not map
         w = np.array([0.5])
         (mult,) = oracle.lookup(MULTIPLIER, W0, [w])
 
         def no_map(*args, **kwargs):
             raise AssertionError("a lookup of held inputs used the pool")
 
-        monkeypatch.setattr(oracle._pool, "map", no_map)
+        monkeypatch.setattr(oracle, "_map", no_map)
         held = oracle.lookup(MULTIPLIER, W0, [w.copy(), w.copy()])
         assert all(sol is mult for sol in held)
         # solves, hits, multiplier steps, projections
@@ -397,10 +398,9 @@ def test_worker_count_is_capped_at_the_core_count(two, monkeypatch):
             pools.append("shutdown")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     ws = [np.array([x]) for x in np.linspace(0.05, 0.95, 10)]
     with IblpOracle(m, StudyConfig(thread_count=10_000)) as oracle:
-        assert oracle.workers == 3
         got = oracle.lookup(MULTIPLIER, W0, ws + [w.copy() for w in ws[:3]])
     assert pools == [3, "shutdown"]
     assert mapped == [w.tobytes() for w in ws]
@@ -425,13 +425,13 @@ def test_ieee39_oracle_entries_are_byte_equal_for_1_2_and_4_workers(ieee39, monk
     import threading
     import drrcalc.lp as lp_mod
     from drrcalc.engine import run
-    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     lookup, w_lp_at, csc = IblpOracle.lookup, DualizedMaxMin.w_lp_at, lp_mod._csc
     seen, wsteps, assembled = {}, {}, {}
 
     def recording(self, kind, W, inputs):
         got = lookup(self, kind, W, inputs)
-        seen[self.workers].extend(
+        seen[threads].extend(
             (kind, v.tobytes(), _entry_bytes(e)) for v, e in zip(inputs, got))
         return got
 
@@ -533,13 +533,13 @@ def test_oracle_is_freed_without_the_cycle_collector(two, workers, monkeypatch):
     import gc
     import weakref
     case, m, W0, _ = two
-    monkeypatch.setattr(iblp.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = StudyConfig(thread_count=workers)
     scen = make_scenarios(W0, W0, np.array(case.forecast_mw) / case.base_mva, cfg)
     gc.disable()
     try:
         with IblpOracle(m, cfg) as oracle:
-            assert oracle.workers == workers
+            assert (oracle._map is map) == (workers == 1)
             run_iblp(oracle, W0, scen)
         ref = weakref.ref(oracle)
         del oracle
