@@ -1,10 +1,10 @@
-"""Command-line workflow: compute, binding, validate, bench.
+"""Command-line workflow: compute, binding, validate.
 
-Exit codes are frozen for CI use: 0 converged, 1 any error, 2 empty region,
-3 iteration cap.  Each subcommand takes only the flags it reads.  Every
-``compute`` run writes ``manifest.json`` into the output directory (input
-hashes, resolved settings, artifact list, phase timings, per-iteration
-oracle counters), success or failure.
+Exit codes are frozen for CI use: 0 converged, 1 any error (a usage error
+included), 2 empty region, 3 iteration cap.  Each subcommand takes only the
+flags it reads.  Every ``compute`` run writes ``manifest.json`` into the
+output directory (input hashes, resolved settings, artifact list, phase
+timings, per-iteration oracle counters), success or failure.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import multiprocessing
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -34,8 +32,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY = 2
 EXIT_MAXITER = 3
-# bench --timeout's cap: Process.join polls with a C int of milliseconds.
-_MAX_TIMEOUT_S = (2**31 - 1) / 1000
 
 _TERMINATION_EXIT = {
     engine.CONVERGED: EXIT_OK,
@@ -245,74 +241,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
-def _bench_child(case_path, rens_path, method, threads, seed, queue):
-    cfg = StudyConfig(seed=seed, thread_count=threads)
-    case = _load_case(case_path, rens_path)
-    t0 = time.perf_counter()
-    result = engine.run(case, cfg, method=method)
-    queue.put((time.perf_counter() - t0, result.iterations))
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2, which here means an empty
+    region.  Subparsers are made of the same class."""
 
-
-def _bench_cell(case_path, rens_path, method, threads, seed, reps, timeout):
-    """Median seconds and iterations of ``reps`` runs, each in a forked child;
-    ``(None, None)`` if a run fails, or outlives ``timeout`` and is killed."""
-    times, iters = [], []
-    for _ in range(reps):
-        ctx = multiprocessing.get_context("fork")
-        queue = ctx.Queue()
-        proc = ctx.Process(target=_bench_child,
-                           args=(case_path, rens_path, method, threads, seed, queue))
-        proc.start()
-        try:
-            proc.join(timeout)
-        finally:  # a timeout or an interrupt kills the child
-            timed_out = proc.is_alive()
-            if timed_out:
-                proc.kill()
-                proc.join()
-        if timed_out or proc.exitcode != 0 or queue.empty():
-            return None, None
-        dt, it = queue.get()
-        times.append(dt)
-        iters.append(it)
-    return statistics.median(times), int(statistics.median(iters))
-
-
-def cmd_bench(args) -> int:
-    if args.reps < 1:
-        raise InvalidSetting(f"--reps must be at least 1, got {args.reps}")
-    if args.threads is not None and args.threads < 1:
-        raise InvalidSetting(f"--threads must be at least 1, got {args.threads}")
-    if args.seed < 0:
-        raise InvalidSetting(f"--seed must be at least 0, got {args.seed}")
-    if args.timeout is not None and not args.timeout > 0:
-        raise InvalidSetting(f"--timeout must be positive, got {args.timeout}")
-    if args.timeout is not None and not args.timeout <= _MAX_TIMEOUT_S:
-        raise InvalidSetting(f"--timeout must be at most {_MAX_TIMEOUT_S} s, "
-                             f"got {args.timeout}")
-    rows = ["case,method,threads,median_seconds,iterations"]
-    mt_threads = args.threads or os.cpu_count() or 1
-    for spec in args.cases:
-        case_path, _, rens_path = spec.partition(":")
-        name = Path(case_path).stem
-        for method, threads in (("milp", 1), ("iblp", 1), ("iblp", mt_threads)):
-            label = {("milp", 1): "milp",
-                     ("iblp", 1): "iblp-st"}.get((method, threads), "iblp-mt")
-            med, iters = _bench_cell(case_path, rens_path or None, method,
-                                     threads, args.seed, args.reps,
-                                     args.timeout)
-            cell = "-" if med is None else f"{med:.3f}"
-            icell = "-" if iters is None else str(iters)
-            rows.append(f"{name},{label},{threads},{cell},{icell}")
-            print(rows[-1])
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "bench.csv").write_text("\n".join(rows) + "\n")
-    return EXIT_OK
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="drrcalc",
         description="Admissible-region computation for renewable farms in "
                     "DC dispatch models")
@@ -352,16 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="comma-separated MW values to probe")
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("bench", help="timing table over a case list")
-    p.add_argument("--cases", nargs="+", required=True,
-                   metavar="CASE.m:RENEWABLES.json")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-run cap in seconds; timed-out cells print '-'")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", help="directory for bench.csv")
-    p.set_defaults(fn=cmd_bench)
     return top
 
 

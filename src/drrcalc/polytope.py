@@ -145,15 +145,3 @@ def remove_redundant(W: Polytope) -> Polytope:
             alive.remove(i)
     return work.select(alive) if len(alive) < work.n_facets else work
 
-
-def chebyshev_center(W: Polytope) -> tuple[np.ndarray, float]:
-    """Center and radius of the largest inscribed ball (rows are unit-norm)."""
-    n = W.dim
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    M = np.hstack([W.H, np.ones((W.n_facets, 1))])
-    lp = LinearProgram(c=c, sense="max", M_in=M, r_in=W.f)
-    sol = solve_lp(lp)
-    if sol.status != OPTIMAL:
-        raise EmptyRegionError("no Chebyshev center: region empty or unbounded")
-    return sol.x[:n], float(sol.x[-1])

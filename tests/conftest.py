@@ -1,9 +1,13 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from drrcalc.caseio import (StudyConfig, apply_renewables, load_renewables_file,
                             parse_matpower_file)
+from drrcalc.errors import EmptyRegionError
+from drrcalc.lp import OPTIMAL, LinearProgram, solve_lp
+from drrcalc.polytope import Polytope
 
 CASE_DIR = pathlib.Path(__file__).resolve().parent.parent / "cases"
 
@@ -12,6 +16,19 @@ def load_case(stem: str):
     raw = parse_matpower_file(CASE_DIR / f"{stem}.m")
     specs = load_renewables_file(CASE_DIR / f"{stem}_renewables.json")
     return apply_renewables(raw, specs)
+
+
+def chebyshev_center(W: Polytope) -> tuple[np.ndarray, float]:
+    """Center and radius of the largest inscribed ball (rows are unit-norm)."""
+    n = W.dim
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    M = np.hstack([W.H, np.ones((W.n_facets, 1))])
+    lp = LinearProgram(c=c, sense="max", M_in=M, r_in=W.f)
+    sol = solve_lp(lp)
+    if sol.status != OPTIMAL:
+        raise EmptyRegionError("no Chebyshev center: region empty or unbounded")
+    return sol.x[:n], float(sol.x[-1])
 
 
 @pytest.fixture(scope="session")

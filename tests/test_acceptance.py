@@ -19,8 +19,7 @@ from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dis
 from drrcalc.engine import CONVERGED, init_w0, run
 from drrcalc.lp import solve_lp
 from drrcalc.maxmin_milp import DualizedMaxMin, solve_maxmin_milp
-from drrcalc.polytope import chebyshev_center
-from tests.conftest import load_case
+from tests.conftest import chebyshev_center, load_case
 
 
 def _report(num, name, ok, detail=""):
@@ -283,6 +282,38 @@ def test_criterion_06_cut_soundness(pjm5_runs, ieee39_runs):
         details.append(f"{name}: {len(cuts)} cuts x {len(pts)} pts, "
                        f"worst {worst:.2e}")
     _report(6, "no cut excludes a certified dispatchable point", ok,
+            "; ".join(details))
+
+
+def test_criterion_06_cut_soundness_by_weak_duality(pjm5_runs, ieee39_runs):
+    # Exact, where criterion 06 samples.  If B'alpha = F'delta, C'alpha =
+    # G'delta, D'alpha = J'delta and delta >= 0, any dispatch (p, l, v) of w
+    # gives alpha'(b - Aw) = delta'(Fp + Gl + Jv) <= delta'd: the cut built
+    # from (alpha, delta) keeps every dispatchable w.
+    ok = True
+    details = []
+    for name, runs in (("pjm5", pjm5_runs), ("ieee39", ieee39_runs)):
+        residual = tied = 0.0
+        delta_min = np.inf
+        for res in (runs["milp"], runs["iblp"]):
+            m = res.model
+            for cut in res.all_cuts:
+                a, d = cut.alpha, cut.delta
+                for X, Y in ((m.B, m.F), (m.C, m.G), (m.D, m.J)):
+                    residual = max(residual, np.abs(X.T @ a - Y.T @ d).max())
+                delta_min = min(delta_min, d.min())
+                # The cut is the one (a, d) certify, scaled to a unit normal:
+                # -a'A w <= -(a'b - d'm.d).
+                normal = -(a @ m.A)
+                scale = np.linalg.norm(normal)
+                tied = max(tied, np.abs(cut.normal - normal / scale).max(),
+                           abs(cut.offset + (a @ m.b - d @ m.d) / scale))
+        ok &= residual <= 1e-9 and delta_min >= -1e-9 and tied <= 1e-9
+        cuts = len(runs["milp"].all_cuts) + len(runs["iblp"].all_cuts)
+        details.append(f"{name}: {cuts} cuts, coupling residual "
+                       f"{residual:.2e}, min delta {delta_min:.2e}, "
+                       f"cut mismatch {tied:.2e}")
+    _report(6, "every cut's multipliers are dual feasible", ok,
             "; ".join(details))
 
 

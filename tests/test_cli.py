@@ -2,9 +2,7 @@
 
 import json
 import math
-import multiprocessing
 import os
-import time
 
 import numpy as np
 import pytest
@@ -213,12 +211,30 @@ def test_binding_from_region_json_agrees_to_rounding(tmp_path, capsys):
 def test_a_command_takes_no_flag_it_ignores(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--case", TWO, "--renewables", TWO_R])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     err = capsys.readouterr().err
     if "--region" in argv:
         assert "argument --region: not allowed with --seed or --method" in err
     else:
         assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compute", "--case", TWO, "--bogus"],
+     "drrcalc: error: unrecognized arguments: --bogus"),
+    (["compute"], "drrcalc compute: error: the following arguments are "
+                  "required: --case"),
+    # perfbench/run.py times runs; the manifest's phase_seconds times one.
+    (["bench", "--cases", f"{TWO}:{TWO_R}"],
+     "drrcalc: error: argument cmd: invalid choice: 'bench'"),
+], ids=["top-level", "subcommand", "no-bench"])
+def test_a_usage_error_exits_1_not_the_empty_region_code(argv, message,
+                                                         tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_reads_no_drr_threads(monkeypatch, capsys):
@@ -294,36 +310,6 @@ def test_seed_reproducibility(tmp_path):
     assert ba == (tmp_path / "b" / "binding.json").read_bytes()
 
 
-def test_bench_shape_and_timeout(tmp_path, capsys):
-    code = main(["bench", "--cases", f"{TWO}:{TWO_R}", "--reps", "1",
-                 "--seed", "0", "--threads", "2",
-                 "--out", str(tmp_path)])
-    assert code == 0
-    rows = (tmp_path / "bench.csv").read_text().strip().splitlines()
-    assert rows[0] == "case,method,threads,median_seconds,iterations"
-    assert len(rows) == 4  # milp, iblp-st, iblp-mt
-    labels = [r.split(",")[1] for r in rows[1:]]
-    assert labels == ["milp", "iblp-st", "iblp-mt"]
-    # A vanishing timeout forces the '-' cell.
-    capsys.readouterr()
-    code = main(["bench", "--cases", f"{TWO}:{TWO_R}", "--reps", "1",
-                 "--timeout", "0.01"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert ",-,-" in out
-
-
-def test_bench_timeout_kills_the_child(monkeypatch):
-    def fake_run(case, cfg, method):
-        time.sleep(60)
-
-    monkeypatch.setattr(cli.engine, "run", fake_run)
-    t0 = time.monotonic()
-    assert cli._bench_cell(TWO, TWO_R, "iblp", 2, 0, 1, 1) == (None, None)
-    assert time.monotonic() - t0 < 30
-    assert multiprocessing.active_children() == []
-
-
 def test_env_thread_default(tmp_path, monkeypatch):
     monkeypatch.setenv("DRR_THREADS", "2")
     code = main(["compute", "--case", TWO, "--renewables", TWO_R,
@@ -344,30 +330,6 @@ def test_config_file_thread_count_is_kept(tmp_path, monkeypatch):
     assert code == 0
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["config"]["thread_count"] == 3
-
-
-def test_bench_rejects_zero_reps(capsys):
-    assert main(["bench", "--cases", f"{TWO}:{TWO_R}", "--reps", "0"]) == 1
-    assert capsys.readouterr().err == "error: --reps must be at least 1, got 0\n"
-
-
-@pytest.mark.parametrize("flag, value, message", [
-    ("--seed", "-1", "--seed must be at least 0, got -1"),
-    ("--timeout", "0", "--timeout must be positive, got 0.0"),
-    ("--timeout", "-2", "--timeout must be positive, got -2.0"),
-    # Process.join would raise OverflowError: its poll takes a C int of ms.
-    ("--timeout", "inf", "--timeout must be at most 2147483.647 s, got inf"),
-    ("--timeout", "1e7",
-     "--timeout must be at most 2147483.647 s, got 10000000.0"),
-], ids=["seed-negative", "timeout-zero", "timeout-negative", "timeout-inf",
-        "timeout-1e7"])
-def test_bench_rejects_a_bad_seed_or_timeout_before_any_run(flag, value, message,
-                                                          monkeypatch, capsys):
-    started = []
-    monkeypatch.setattr(cli, "_bench_cell", lambda *args: started.append(args))
-    assert main(["bench", "--cases", f"{TWO}:{TWO_R}", flag, value]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert started == []
 
 
 def test_bad_env_threads_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys):
@@ -414,12 +376,6 @@ def test_negative_seed_flag_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["exit_status"] == 1
-
-
-def test_bench_rejects_zero_threads(capsys):
-    # 0 would otherwise read as "all cores".
-    assert main(["bench", "--cases", f"{TWO}:{TWO_R}", "--threads", "0"]) == 1
-    assert capsys.readouterr().err == "error: --threads must be at least 1, got 0\n"
 
 
 # Wrong types, and values that would otherwise fail deep inside a run (a

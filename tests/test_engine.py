@@ -178,8 +178,8 @@ def test_iblp_one_pool_per_run_and_scenario_accounting(pjm5, monkeypatch):
 
 
 def test_iblp_run_and_binding_start_no_process(pjm5, monkeypatch):
-    # drrcalc bench kills a timed-out run by killing its one child process;
-    # that is enough only while no run forks.
+    # README's contract: every run is one process.  The worker pool is
+    # threads, in the run's own process, at any worker count.
     import os
 
     from drrcalc.binding import identify

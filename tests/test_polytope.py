@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from drrcalc.errors import EmptyRegionError, ZeroNormal
-from drrcalc.polytope import (FacetProvenance, Polytope, box,
-                              chebyshev_center, remove_redundant)
+from drrcalc.polytope import FacetProvenance, Polytope, box, remove_redundant
+from tests.conftest import chebyshev_center
 
 
 def _tags(n, kind="Cut"):
