@@ -17,8 +17,7 @@ from .binding import BindingReport, identify, probe_point, terminal_points
 from .analysis import (RampEvent, export_artifacts, high_risk_event,
                        vertices_2d)
 from .maxmin_iblp import IblpOracle, ScenarioSet, gen_s1, gen_s2, run_iblp
-from .maxmin_milp import (DualizedMaxMin, MaxMinSolution, build_kkt_mip,
-                          solve_maxmin_milp)
+from .maxmin_milp import MaxMinSolution, build_kkt_mip, solve_maxmin_milp
 from .polytope import FacetProvenance, Polytope, remove_redundant
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ from . import analysis, binding, engine
 from .caseio import (StudyConfig, apply_renewables, load_config_file,
                      load_renewables_file, parse_matpower_file)
 from .dispatch_model import build_compact, build_ptdf, feasibility_model, initial_dispatch
-from .errors import AmbiguousFacet, DrrError, InvalidSetting
+from .errors import AmbiguousFacet, DrrError, InvalidSetting, NoRenewables
 from .lp import solve_lp
-from .maxmin_milp import DualizedMaxMin
+from .maxmin_milp import multiplier_lp
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -189,6 +189,8 @@ def cmd_validate(args) -> int:
             raise InvalidSetting(
                 f"--w must be comma-separated finite numbers, got {args.w!r}")
     case = _load_case(args.case, args.renewables)
+    if not case.renewable:
+        raise NoRenewables("case has no designated renewable farms")
     if args.w is not None and w_mw.size != len(case.renewable):
         raise InvalidSetting(f"--w has {w_mw.size} entries, the case has "
                              f"{len(case.renewable)} farms")
@@ -216,13 +218,10 @@ def cmd_validate(args) -> int:
     checks.append(("forecast_dispatchable", feas0 <= cfg.eps_slack,
                    f"violation {feas0:.2e} pu"))
 
-    W0 = engine.init_w0(case)
-    dmm = DualizedMaxMin(m, W0)
-    lo, hi = W0.box_bounds()
     gap = 0.0
     for _ in range(10):
-        w = rng.uniform(lo, hi)
-        dual = solve_lp(dmm.multiplier_lp_at(w)).objective
+        w = rng.uniform(0.0, m.farm_capacity_pu)
+        dual = solve_lp(multiplier_lp(m, w)).objective
         feas = feasibility_model(m, w).objective
         gap = max(gap, abs(dual - feas))
     checks.append(("strong_duality", gap <= cfg.eps_dual,

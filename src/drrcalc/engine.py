@@ -92,8 +92,7 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
     if method not in ("milp", "iblp"):
         raise ValueError(f"method must be 'milp' or 'iblp', got {method!r}")
     m = build_compact(case, initial_dispatch(case, cfg))
-    W0 = init_w0(case)
-    W = W0
+    W = init_w0(case)
     w_bar = np.array(case.forecast_mw) / case.base_mva
 
     trace: list[IterationRecord] = []
@@ -109,7 +108,7 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
             if method == "milp":
                 sols = [solve_maxmin_milp(m, W, cfg)]
             else:
-                scenarios = make_scenarios(W0, W, w_bar, cfg)
+                scenarios = make_scenarios(m.farm_capacity_pu, W, w_bar, cfg)
                 sols = run_iblp(oracle, W, scenarios)
             oracle_ms = (time.perf_counter() - t0) * 1e3
 

@@ -6,27 +6,28 @@ bilinear objective over their own block, so the value sequence is
 nondecreasing and the final multiplier step leaves the reported violation
 equal to the exact fixed-w dual value.
 
-Scenario starts come from a fixed uniform sample of the initial box (drawn
-once per run from the seed) plus per-iteration projections of the forecast
-onto every current facet.
+Scenario starts come from a uniform sample of the capacity box (the same
+sample every iteration, drawn from the seed) plus per-iteration projections
+of the forecast onto every current facet.
 
 The scenarios of a batch move in lockstep: starts outside W are projected
 first, then each round is one multiplier half-step and one w-step
 half-step.  Each LP depends on one vector of farm space: w, the w-step
 cost ``-alpha' A`` (delta has no part in it) or the start w0.  The oracle
-holds one :class:`~drrcalc.lp.LinearProgram` per kind, built when the
-region changes (the multiplier LP once per run, as its feasible set does
-not depend on the region), and a solve swaps in the costs or right-hand
-side that its vector gives with ``with_vectors``.  Starts converge onto
-the same few region vertices, so most steps repeat an LP already solved.
-Each half-step is one :meth:`IblpOracle.lookup`, which solves only the
-distinct LPs missing from the oracle's memo.  The oracle owns its run's
-worker threads: it enters :func:`~drrcalc.lp.worker_map` of
-``thread_count`` for its ``with`` block, and each thread solves whole
-LPs, one distinct input at a time, on its own HiGHS instance and cold
-(see :mod:`drrcalc.lp`).  With N >= 2 workers (at most one per core) a
-pool of N threads solves in parallel while the calling thread waits, as
-HiGHS releases the GIL; with N = 1 the calling thread solves alone.
+holds one :class:`~drrcalc.lp.LinearProgram` per kind: the multiplier LP,
+a function of the model alone, is built with the oracle, and the w-step
+and projection LPs each time the region changes.  A solve swaps in the
+costs or right-hand side that its vector gives with ``with_vectors``.
+Starts converge onto the same few region vertices, so most steps repeat
+an LP already solved.  Each half-step is one :meth:`IblpOracle.lookup`,
+which solves only the distinct LPs missing from the oracle's memo.  The
+oracle owns its run's worker threads: it enters
+:func:`~drrcalc.lp.worker_map` of ``thread_count`` for its ``with``
+block, and each thread solves whole LPs, one distinct input at a time,
+on its own HiGHS instance and cold (see :mod:`drrcalc.lp`).  With N >= 2
+workers (at most one per core) a pool of N threads solves in parallel
+while the calling thread waits, as HiGHS releases the GIL; with N = 1 the
+calling thread solves alone.
 Results come back in input order, so the LPs built and solved, the cuts
 and the output are the same for any N.
 """
@@ -42,7 +43,8 @@ from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
 from .errors import DegenerateCut, DrrError, NumericalFailure
 from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp, worker_map
-from .maxmin_milp import DualizedMaxMin, MaxMinSolution, cut_vector
+from .maxmin_milp import (MaxMinSolution, cut_vector, multiplier_cost,
+                          multiplier_lp, w_cost)
 from .polytope import Polytope
 
 _CUT_DEDUPE_TOL = 1e-6
@@ -69,13 +71,12 @@ class ScenarioSet:
         return list(self.s1) + list(self.s2)
 
 
-def gen_s1(W0: Polytope, n: int, seed: int) -> list[np.ndarray]:
-    """Uniform per-coordinate sample of the initial box; fixed across a run."""
-    lo, hi = W0.box_bounds()
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("initial region must be a bounded box")
+def gen_s1(caps: np.ndarray, n: int, seed: int) -> list[np.ndarray]:
+    """Uniform per-coordinate sample of the capacity box [0, caps]; the
+    same for a given seed."""
+    lo, hi = np.zeros(caps.size), caps
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(size=(n, W0.dim))
+    pts = rng.uniform(size=(n, caps.size))
     return [lo + p * (hi - lo) for p in pts]
 
 
@@ -90,9 +91,16 @@ def gen_s2(W: Polytope, w_bar) -> list[np.ndarray]:
     return pts
 
 
-def make_scenarios(W0: Polytope, W: Polytope, w_bar, cfg: StudyConfig) -> ScenarioSet:
-    return ScenarioSet(s1=tuple(gen_s1(W0, cfg.s1_count, cfg.seed)),
+def make_scenarios(caps: np.ndarray, W: Polytope, w_bar, cfg: StudyConfig) -> ScenarioSet:
+    return ScenarioSet(s1=tuple(gen_s1(caps, cfg.s1_count, cfg.seed)),
                        s2=tuple(gen_s2(W, w_bar)))
+
+
+def _wstep_lp(m: CompactPsd, W: Polytope) -> LinearProgram:
+    """LP over w in W and the capacity box; swap in ``c = w_cost(m, alpha)``
+    to step w at the multipliers alpha."""
+    return LinearProgram(c=np.zeros(m.n_w), sense="max", M_in=W.H, r_in=W.f,
+                         lb=np.zeros(m.n_w), ub=m.farm_capacity_pu)
 
 
 def _projection_lp(W: Polytope) -> LinearProgram:
@@ -125,11 +133,11 @@ class IblpOracle:
     ``entries`` is the memo: per kind, keyed by the bytes of its input,
     each LP's :class:`LpSolution` (status, read-only x, objective) or the
     DrrError that stopped it, so a hit cannot change any result.  The
-    oracle holds the current region's :class:`DualizedMaxMin` and one LP
-    per kind, of which every solve takes a ``with_vectors`` copy.  Only
-    the calling thread writes any of them, and only between lookups: when
-    the region changes, the entries and LPs of ``_REGION_KINDS`` are
-    replaced.  The oracle's ``with`` block holds the run's
+    oracle holds the current region and one LP per kind, of which every
+    solve takes a ``with_vectors`` copy.  The multiplier LP is built with
+    the oracle; the LPs of ``_REGION_KINDS`` and their entries are replaced
+    when the region changes.  Only the calling thread writes any of them,
+    and only between lookups.  The oracle's ``with`` block holds the run's
     :func:`~drrcalc.lp.worker_map` of ``cfg.thread_count``, onto which
     every lookup maps its missing inputs.  ``counts`` is the last batch's
     accounting.
@@ -141,8 +149,8 @@ class IblpOracle:
         self.entries: dict[str, dict] = {MULTIPLIER: {}, WSTEP: {}, PROJECTION: {}}
         self.counts: dict[str, int] = dict.fromkeys(_LOOKUP_COUNTERS, 0)
         self._region: tuple[bytes, bytes] | None = None
-        self._dmm: DualizedMaxMin | None = None
-        self._lps: dict[str, LinearProgram] = {}
+        self._W: Polytope | None = None
+        self._lps = {MULTIPLIER: multiplier_lp(m, np.zeros(m.n_w))}
 
     def __enter__(self):
         self._workers = worker_map(self.cfg.thread_count)
@@ -154,17 +162,15 @@ class IblpOracle:
 
     def _enter_region(self, W: Polytope) -> None:
         """Make W the current region, unless it is already: drop the entries
-        of ``_REGION_KINDS`` and build W's LPs (the multiplier LP only once)."""
+        of ``_REGION_KINDS`` and build W's LPs."""
         region = (W.H.tobytes(), W.f.tobytes())
         if region == self._region:
             return
         for k in _REGION_KINDS:
             self.entries[k].clear()
-        self._region, self._dmm = region, DualizedMaxMin(self.m, W)
-        self._lps[WSTEP] = self._dmm.w_lp_at(np.zeros(self._dmm.n_alpha))
+        self._region, self._W = region, W
+        self._lps[WSTEP] = _wstep_lp(self.m, W)
         self._lps[PROJECTION] = _projection_lp(W)
-        if MULTIPLIER not in self._lps:
-            self._lps[MULTIPLIER] = self._dmm.multiplier_lp_at(np.zeros(self.m.n_w))
 
     def lookup(self, kind: str, W: Polytope, inputs: list) -> list:
         """The entry of every input, in input order.  The distinct inputs
@@ -184,12 +190,12 @@ class IblpOracle:
 
     def _solve(self, kind: str, v: np.ndarray):
         """The entry of one input; it only reads the oracle, so threads share it."""
-        lp, dmm = self._lps[kind], self._dmm
+        lp = self._lps[kind]
         try:
             if kind == PROJECTION:
-                sol = LpSolution(OPTIMAL, _project_into(dmm.W, v, lp))
+                sol = LpSolution(OPTIMAL, _project_into(self._W, v, lp))
             else:
-                c = dmm.multiplier_cost(v) if kind == MULTIPLIER else v
+                c = multiplier_cost(self.m, v) if kind == MULTIPLIER else v
                 sol = solve_lp(lp.with_vectors(c=c))
                 if sol.status != OPTIMAL:
                     raise NumericalFailure(f"{kind} returned {sol.status}")
@@ -205,8 +211,6 @@ class IblpOracle:
         cfg, m = self.cfg, self.m
         na = m.b.size
         self.counts = dict.fromkeys(_LOOKUP_COUNTERS, 0)
-        self._enter_region(W)
-        w_cost = self._dmm.w_cost
 
         w = [np.asarray(w0, dtype=float) for w0 in starts]
         out: list = [None] * len(w)
@@ -242,7 +246,7 @@ class IblpOracle:
                     F_prev[i] = F
                     going.append(i)
             active = []
-            costs = [w_cost(mult[i].x[:na]) for i in going]
+            costs = [w_cost(m, mult[i].x[:na]) for i in going]
             for i, sol in zip(going, self.lookup(WSTEP, W, costs)):
                 if isinstance(sol, DrrError):
                     out[i] = sol

@@ -24,64 +24,38 @@ from .polytope import Polytope
 _ZERO_NORMAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DualizedMaxMin:
-    """Shapes of the dualized problem tied to one model and one region."""
-    m: CompactPsd
-    W: Polytope
+def coupling(m: CompactPsd) -> np.ndarray:
+    """Rows over (alpha, delta), each = 0: B'a - F'd, C'a - G'd, D'a - J'd."""
+    return np.vstack([
+        np.hstack([m.B.T, -m.F.T]),
+        np.hstack([m.C.T, -m.G.T]),
+        np.hstack([m.D.T, -m.J.T]),
+    ])
 
-    def __post_init__(self):
-        if self.W.dim != self.m.n_w:
-            raise DimensionMismatch(
-                f"region dimension {self.W.dim} != model farms {self.m.n_w}")
-        if self.W.n_facets == 0:
-            raise DimensionMismatch("region must have at least one facet")
 
-    @property
-    def n_alpha(self):
-        return self.m.b.size
+def multiplier_cost(m: CompactPsd, w: np.ndarray) -> np.ndarray:
+    """Objective of ``multiplier_lp(m, w)``, the only part that moves with w."""
+    w = np.asarray(w, dtype=float)
+    # 0.0 - d rather than -d: a zero entry stays +0.0, not -0.0.
+    return np.concatenate([m.b - m.A @ w, 0.0 - m.d])
 
-    @property
-    def n_delta(self):
-        return self.m.d.size
 
-    def coupling(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows over (alpha, delta): B'a - F'd = 0, C'a - G'd = 0, D'a - J'd = 0."""
-        m = self.m
-        M = np.vstack([
-            np.hstack([m.B.T, -m.F.T]),
-            np.hstack([m.C.T, -m.G.T]),
-            np.hstack([m.D.T, -m.J.T]),
-        ])
-        return M, np.zeros(M.shape[0])
+def multiplier_lp(m: CompactPsd, w: np.ndarray) -> LinearProgram:
+    """LP over (alpha, delta) at fixed w; optimum equals the violation.  Its
+    feasible set depends on neither w nor the region."""
+    M_eq = coupling(m)
+    na, nd = m.b.size, m.d.size
+    return LinearProgram(c=multiplier_cost(m, w), sense="max",
+                         M_eq=M_eq, r_eq=np.zeros(M_eq.shape[0]),
+                         lb=np.concatenate([-np.ones(na), np.zeros(nd)]),
+                         ub=np.ones(na + nd))
 
-    def multiplier_cost(self, w: np.ndarray) -> np.ndarray:
-        """Objective of ``multiplier_lp_at(w)``, the only part that moves with w."""
-        m = self.m
-        w = np.asarray(w, dtype=float)
-        # 0.0 - d rather than -d: a zero entry stays +0.0, not -0.0.
-        return np.concatenate([m.b - m.A @ w, 0.0 - m.d])
 
-    def multiplier_lp_at(self, w: np.ndarray) -> LinearProgram:
-        """LP over (alpha, delta) at fixed w; optimum equals the violation."""
-        M_eq, r_eq = self.coupling()
-        lb = np.concatenate([-np.ones(self.n_alpha), np.zeros(self.n_delta)])
-        ub = np.ones(self.n_alpha + self.n_delta)
-        return LinearProgram(c=self.multiplier_cost(w), sense="max",
-                             M_eq=M_eq, r_eq=r_eq, lb=lb, ub=ub)
-
-    def w_cost(self, alpha: np.ndarray) -> np.ndarray:
-        """Objective of ``w_lp_at(alpha)``, the only part that moves.  w
-        enters only the balance rows, so delta has no term."""
-        # 0.0 - x rather than -x: a zero entry stays +0.0, not -0.0.
-        return 0.0 - alpha @ self.m.A
-
-    def w_lp_at(self, alpha: np.ndarray) -> LinearProgram:
-        """LP over w at fixed multipliers, constrained to the current region."""
-        m = self.m
-        return LinearProgram(c=self.w_cost(alpha), sense="max",
-                             M_in=self.W.H, r_in=self.W.f,
-                             lb=np.zeros(m.n_w), ub=m.farm_capacity_pu)
+def w_cost(m: CompactPsd, alpha: np.ndarray) -> np.ndarray:
+    """Objective over w at fixed multipliers.  w enters only the balance
+    rows, so delta has no term."""
+    # 0.0 - x rather than -x: a zero entry stays +0.0, not -0.0.
+    return 0.0 - alpha @ m.A
 
 
 @dataclass
@@ -98,8 +72,7 @@ class MaxMinSolution:
 def cut_vector(sol: MaxMinSolution, m: CompactPsd) -> tuple[np.ndarray, float]:
     """Cut (normal, offset) with a unit normal: normal @ w <= offset is
     valid.  DegenerateCut if the normal vanishes."""
-    # 0.0 - x rather than -x: a zero entry stays +0.0, not -0.0.
-    normal = 0.0 - sol.alpha @ m.A
+    normal = w_cost(m, sol.alpha)
     offset = -(sol.alpha @ m.b - sol.delta @ m.d)
     norm = float(np.linalg.norm(normal))
     if norm < _ZERO_NORMAL_TOL:
@@ -127,12 +100,13 @@ def default_big_m(m: CompactPsd, W: Polytope) -> float:
     )
 
 
-def build_kkt_mip(dmm: DualizedMaxMin, M: float) -> MixedProgram:
+def build_kkt_mip(m: CompactPsd, W: Polytope, M: float) -> MixedProgram:
     """Binarized stationarity/complementarity form over (alpha, delta, w, theta)."""
     if M <= 0:
         raise ValueError("big-M must be positive")
-    m, W = dmm.m, dmm.W
-    na, nd, nw, k = dmm.n_alpha, dmm.n_delta, m.n_w, W.n_facets
+    if W.dim != m.n_w:
+        raise DimensionMismatch(f"region dimension {W.dim} != model farms {m.n_w}")
+    na, nd, nw, k = m.b.size, m.d.size, m.n_w, W.n_facets
     nvar = na + nd + nw + 2 * k   # alpha, delta, w, theta, lambda
 
     sl = {
@@ -147,7 +121,7 @@ def build_kkt_mip(dmm: DualizedMaxMin, M: float) -> MixedProgram:
     c[sl["d"]] = -m.d
     c[sl["t"]] = W.f
 
-    coup, _ = dmm.coupling()
+    coup = coupling(m)
     M_eq = np.zeros((coup.shape[0] + nw, nvar))
     M_eq[:coup.shape[0], :na + nd] = coup
     # Stationarity of the w subproblem: A'a + H't = 0.
@@ -178,11 +152,12 @@ def build_kkt_mip(dmm: DualizedMaxMin, M: float) -> MixedProgram:
 
 def solve_maxmin_milp(m: CompactPsd, W: Polytope, cfg: StudyConfig) -> MaxMinSolution:
     """Globally solve the worst-case problem over the current region."""
-    dmm = DualizedMaxMin(m, W)
+    if W.dim != m.n_w:  # before the big-M arithmetic broadcasts W against m
+        raise DimensionMismatch(f"region dimension {W.dim} != model farms {m.n_w}")
     M = cfg.big_m if cfg.big_m is not None else default_big_m(m, W)
     theta_max = np.inf
     for attempt in range(2):
-        sol, theta_max = _solve_once(dmm, M, cfg)
+        sol, theta_max = _solve_once(m, W, M, cfg)
         if sol is not None:
             return sol
         if attempt == 0:
@@ -190,18 +165,16 @@ def solve_maxmin_milp(m: CompactPsd, W: Polytope, cfg: StudyConfig) -> MaxMinSol
     raise BigMTooSmall(theta_max=theta_max, big_m=M)
 
 
-def _solve_once(dmm: DualizedMaxMin, M: float, cfg: StudyConfig):
-    m, W = dmm.m, dmm.W
+def _solve_once(m: CompactPsd, W: Polytope, M: float, cfg: StudyConfig):
     if facet_slack_ranges(m, W).max(initial=0.0) >= 0.99 * M:
         return None, np.inf   # the w-side caps would clip legitimate points
-    mp = build_kkt_mip(dmm, M)
+    mp = build_kkt_mip(m, W, M)
     res = solve_mip(mp, node_limit=cfg.node_limit)
     if res.status == INFEASIBLE:
         return None, np.inf   # only a clipped big-M can make this infeasible
     if res.status != OPTIMAL:
         raise NumericalFailure(f"worst-case MIP returned {res.status}")
-    na, nd, nw = dmm.n_alpha, dmm.n_delta, m.n_w
-    k = W.n_facets
+    na, nd, nw, k = m.b.size, m.d.size, m.n_w, W.n_facets
     alpha = res.x[:na]
     delta = res.x[na:na + nd]
     w = res.x[na + nd:na + nd + nw]

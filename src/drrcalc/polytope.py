@@ -81,21 +81,6 @@ class Polytope:
         return Polytope(H=self.H[keep], f=self.f[keep],
                         provenance=tuple(self.provenance[i] for i in keep))
 
-    def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate bounds implied by the axis-aligned facets."""
-        lo = np.full(self.dim, -np.inf)
-        hi = np.full(self.dim, np.inf)
-        for i in range(self.n_facets):
-            row = self.H[i]
-            j = int(np.argmax(np.abs(row)))
-            if abs(abs(row[j]) - 1.0) > 1e-12 or np.abs(np.delete(row, j)).max(initial=0.0) > 1e-12:
-                continue
-            if row[j] > 0:
-                hi[j] = min(hi[j], self.f[i])
-            else:
-                lo[j] = max(lo[j], -self.f[i])
-        return lo, hi
-
 
 def box(lo, hi, tags_upper, tags_lower) -> Polytope:
     """Axis-aligned box as upper rows then lower rows, per coordinate."""

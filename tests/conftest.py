@@ -31,6 +31,22 @@ def chebyshev_center(W: Polytope) -> tuple[np.ndarray, float]:
     return sol.x[:n], float(sol.x[-1])
 
 
+def box_bounds(W: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """Per-coordinate bounds implied by the axis-aligned facets of W."""
+    lo = np.full(W.dim, -np.inf)
+    hi = np.full(W.dim, np.inf)
+    for i in range(W.n_facets):
+        row = W.H[i]
+        j = int(np.argmax(np.abs(row)))
+        if abs(abs(row[j]) - 1.0) > 1e-12 or np.abs(np.delete(row, j)).max(initial=0.0) > 1e-12:
+            continue
+        if row[j] > 0:
+            hi[j] = min(hi[j], W.f[i])
+        else:
+            lo[j] = max(lo[j], -W.f[i])
+    return lo, hi
+
+
 @pytest.fixture(scope="session")
 def twobus():
     return load_case("case2_ramp")

@@ -18,8 +18,8 @@ from drrcalc.caseio import (StudyConfig, apply_renewables, parse_matpower,
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import CONVERGED, init_w0, run
 from drrcalc.lp import solve_lp
-from drrcalc.maxmin_milp import DualizedMaxMin, solve_maxmin_milp
-from tests.conftest import chebyshev_center, load_case
+from drrcalc.maxmin_milp import multiplier_lp, solve_maxmin_milp
+from tests.conftest import box_bounds, chebyshev_center, load_case
 
 
 def _report(num, name, ok, detail=""):
@@ -117,7 +117,7 @@ def test_criterion_01_twobus_analytic(two):
                 "thermal limit of line 1-2 (forward)"}
     for method, res in results.items():
         ok &= res.termination == CONVERGED
-        lo, hi = res.region.box_bounds()
+        lo, hi = box_bounds(res.region)
         ok &= abs(lo[0] * 100.0 - 45.0) <= 1e-6
         ok &= abs(hi[0] * 100.0 - 65.0) <= 1e-6
         detail += f"; {method} [{lo[0]*100:.8f}, {hi[0]*100:.8f}] MW"
@@ -166,7 +166,7 @@ mpc.gencost = [
 
 
 def _grid_disagreement(case, res_a, res_b, n=200):
-    lo, hi = init_w0(case).box_bounds()
+    lo, hi = box_bounds(init_w0(case))
     axes = [np.linspace(lo[d], hi[d], n) for d in range(len(lo))]
     G = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(lo))
     in_a = np.all(G @ res_a.region.H.T <= res_a.region.f + 1e-6, axis=1)
@@ -207,7 +207,7 @@ def test_criterion_03_bruteforce_membership(pjm5m, pjm5_runs):
     res = pjm5_runs["milp"]
     m = res.model
     W = res.region
-    lo, hi = init_w0(pjm5m).box_bounds()
+    lo, hi = box_bounds(init_w0(pjm5m))
     t0 = time.perf_counter()
     xs = np.linspace(lo[0], hi[0], 100)
     ys = np.linspace(lo[1], hi[1], 100)
@@ -235,13 +235,12 @@ def test_criterion_04_strong_duality(two, pjm5m, ieee39m):
     for name, case in (("two", two), ("pjm5", pjm5m), ("ieee39", ieee39m)):
         cfg = StudyConfig()
         m = build_compact(case, initial_dispatch(case, cfg))
-        dmm = DualizedMaxMin(m, init_w0(case))
-        lo, hi = init_w0(case).box_bounds()
+        lo, hi = box_bounds(init_w0(case))
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(20):
             w = rng.uniform(lo, hi)
-            dual = solve_lp(dmm.multiplier_lp_at(w)).objective
+            dual = solve_lp(multiplier_lp(m, w)).objective
             feas = feasibility_model(m, w).objective
             worst = max(worst, abs(dual - feas))
         ok &= worst <= 1e-6
@@ -322,7 +321,7 @@ def test_criterion_07_monotonicity(pjm5m, pjm5_runs):
     Fs = [t.F for t in res.trace]
     ok = all(b <= a + 1e-9 for a, b in zip(Fs, Fs[1:]))
     ok &= all(F >= -1e-9 for F in Fs)
-    lo, hi = init_w0(pjm5m).box_bounds()
+    lo, hi = box_bounds(init_w0(pjm5m))
     rng = np.random.default_rng(5)
     pts = rng.uniform(lo, hi, size=(100, len(lo)))
     for prev, nxt in zip(res.trace, res.trace[1:]):

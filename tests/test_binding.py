@@ -157,6 +157,22 @@ def test_pjm5_box_facets_identified(pjm_result):
             assert b.kind in ("FlowUpper", "FlowLower", "GenUpper", "GenLower")
 
 
+@pytest.mark.parametrize("fixture", ["pjm_result", "ieee39_result"])
+def test_a_cut_on_a_capacity_bound_is_a_box_facet(fixture, request):
+    # Facet 0, farm 0's capacity bound, relabeled as a cut: its probe stays
+    # feasible, and the facet lies on the box, so its origin is the box.
+    case, cfg, res = request.getfixturevalue(fixture)
+    W = res.region
+    assert W.provenance[0].label() == "initial upper bound of farm 0"
+    relabeled = Polytope(H=W.H, f=W.f, provenance=(
+        FacetProvenance("Cut", iteration=99),) + W.provenance[1:])
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    entry = identify(res.model, relabeled, w_bar, cfg).entries[0]
+    assert entry.provenance == "cut from iteration 99"
+    assert entry.origin == ORIGIN_BOX
+    assert entry.bindings == []
+
+
 def test_identify_assembles_the_slacked_model_once(pjm_result, monkeypatch):
     # build_compact assembles the slacked LP's matrix when it builds the LP.
     # Every feasibility solve of an identify call is a with_vectors copy of

@@ -298,6 +298,16 @@ def test_validate_rejects_zero_reactance(tmp_path, capsys):
     assert "zero reactance" in capsys.readouterr().err
 
 
+def test_validate_without_renewable_farms_exits_1(capsys):
+    # No renewables sidecar: the case has no farm, so no strong-duality
+    # check can run, and validate fails rather than passing the others.
+    code = main(["validate", "--case", TWO])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: case has no designated renewable farms\n"
+
+
 def test_seed_reproducibility(tmp_path):
     for sub in ("a", "b"):
         assert main(["compute", "--case", PJM, "--renewables", PJM_R,

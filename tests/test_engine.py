@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+from drrcalc.analysis import vertices_2d
 from drrcalc.caseio import StudyConfig
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import (CONVERGED, EMPTY_REGION, init_w0, make_cut,
                             run)
 from drrcalc.errors import DegenerateCut, NoRenewables
 from drrcalc.maxmin_milp import MaxMinSolution, solve_maxmin_milp
+from tests.conftest import box_bounds
 
 
 def test_init_w0_twobus(twobus):
     W0 = init_w0(twobus)
-    lo, hi = W0.box_bounds()
+    lo, hi = box_bounds(W0)
     assert lo == pytest.approx([0.0])
     assert hi == pytest.approx([1.0])  # 100 MW installed on a 100 MVA base
     assert all(p.kind == "InitialBox" for p in W0.provenance)
@@ -62,7 +64,7 @@ def test_twobus_run_converges_to_band(twobus, method):
     res = run(twobus, cfg, method=method)
     assert res.termination == CONVERGED
     base = twobus.base_mva
-    lo, hi = res.region.box_bounds()
+    lo, hi = box_bounds(res.region)
     assert lo[0] * base == pytest.approx(45.0, abs=1e-6)
     assert hi[0] * base == pytest.approx(65.0, abs=1e-6)
     assert res.trace[-1].F <= cfg.eps_term
@@ -76,7 +78,7 @@ def test_milp_trace_monotone_and_nested(pjm5, cfg):
     assert all(F >= -1e-9 for F in Fs)
     # Nesting on sampled points: anything outside W_k stays outside W_{k+1}.
     rng = np.random.default_rng(0)
-    lo, hi = init_w0(pjm5).box_bounds()
+    lo, hi = box_bounds(init_w0(pjm5))
     pts = rng.uniform(lo, hi, size=(100, 2))
     for prev, nxt in zip(res.trace, res.trace[1:]):
         Hp, fp = prev.region_after
@@ -90,7 +92,7 @@ def test_cut_soundness_on_certified_points(pjm5, cfg):
     res = run(pjm5, cfg, method="milp")
     m = res.model
     rng = np.random.default_rng(8)
-    lo, hi = res.region.box_bounds()
+    lo, hi = box_bounds(res.region)
     kept = 0
     for _ in range(200):
         w = rng.uniform(lo, hi)
@@ -217,11 +219,11 @@ def test_iblp_projected_and_deduplicated_scenarios(pjm5):
     from drrcalc.polytope import FacetProvenance, Polytope
     cfg = StudyConfig(seed=0)
     res = run(pjm5, cfg, method="iblp")
-    W0 = W = init_w0(pjm5)
+    W = init_w0(pjm5)
     w_bar = np.array(pjm5.forecast_mw) / pjm5.base_mva
     for rec in res.trace:
         d = rec.oracle_diag
-        starts = make_scenarios(W0, W, w_bar, cfg).combined()
+        starts = make_scenarios(res.model.farm_capacity_pu, W, w_bar, cfg).combined()
         assert d["scenarios_projected"] == sum(not W.contains(w, tol=1e-9)
                                                for w in starts)
         # Every positive scenario is kept (degenerate cuts included) or
@@ -250,7 +252,7 @@ def test_zero_capacity_farm_degenerate_box(twobus):
     res = run(case, StudyConfig(s1_count=5), method="milp")
     assert res.termination == CONVERGED
     assert res.iterations == 1
-    lo, hi = res.region.box_bounds()
+    lo, hi = box_bounds(res.region)
     assert lo[0] == hi[0] == 0.0
 
 
@@ -259,8 +261,8 @@ def test_cut_batch_cap_limits_cuts_per_iteration(pjm5):
     assert capped.termination == CONVERGED
     assert all(t.cuts_added <= 1 for t in capped.trace)
     free = run(pjm5, StudyConfig(s1_count=30), method="iblp")
-    # Same converged region either way, possibly after more iterations.
-    lo_a, hi_a = capped.region.box_bounds()
-    lo_b, hi_b = free.region.box_bounds()
-    assert np.allclose(lo_a, lo_b, atol=1e-6)
-    assert np.allclose(hi_a, hi_b, atol=1e-6)
+    # Same converged region either way, possibly after more iterations:
+    # PJM-5 is 2-D, so the two regions are equal when their vertices are.
+    a, b = vertices_2d(capped.region), vertices_2d(free.region)
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= 1e-9

@@ -9,12 +9,14 @@ from drrcalc.caseio import StudyConfig
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import init_w0, make_cut
 from drrcalc.errors import DegenerateCut, DimensionMismatch, NumericalFailure
-from drrcalc.lp import solve_lp
+from drrcalc.lp import LinearProgram, solve_lp
 from drrcalc.maxmin_iblp import (MULTIPLIER, WSTEP, IblpOracle, ScenarioSet,
                                  gen_s1, gen_s2, make_scenarios, run_iblp)
-from drrcalc.maxmin_milp import (DualizedMaxMin, MaxMinSolution, build_kkt_mip,
-                                 cut_vector, default_big_m, solve_maxmin_milp)
+from drrcalc.maxmin_milp import (MaxMinSolution, build_kkt_mip, coupling,
+                                 cut_vector, default_big_m, multiplier_lp,
+                                 solve_maxmin_milp, w_cost)
 from drrcalc.polytope import FacetProvenance, Polytope
+from tests.conftest import box_bounds
 
 
 @pytest.fixture(scope="module")
@@ -27,12 +29,10 @@ def two():
 
 
 def test_zero_multipliers_feasible(two):
-    _, m, W0, _ = two
-    dmm = DualizedMaxMin(m, W0)
-    M_eq, r_eq = dmm.coupling()
-    zero = np.zeros(dmm.n_alpha + dmm.n_delta)
-    assert np.abs(M_eq @ zero - r_eq).max(initial=0.0) == 0.0
-    lp = dmm.multiplier_lp_at(np.array([0.5]))
+    _, m, _, _ = two
+    zero = np.zeros(m.b.size + m.d.size)
+    assert np.abs(coupling(m) @ zero).max(initial=0.0) == 0.0
+    lp = multiplier_lp(m, np.array([0.5]))
     assert lp.c @ zero == 0.0  # alpha'b - delta'd vanishes at the zero point
 
 
@@ -41,30 +41,38 @@ def test_dimension_guard(two):
     bad = Polytope(H=[[1.0, 0.0]], f=[1.0],
                    provenance=(FacetProvenance("Cut", iteration=0),))
     with pytest.raises(DimensionMismatch):
-        DualizedMaxMin(m, bad)
+        build_kkt_mip(m, bad, M=20.0)
+
+
+def test_milp_oracle_rejects_a_region_of_another_dimension(pjm5, cfg):
+    # A 3-D region on a 2-farm model: the oracle raises the typed error
+    # before its big-M arithmetic, with or without a configured big-M.
+    m = build_compact(pjm5, initial_dispatch(pjm5, cfg))
+    bad = Polytope(H=np.eye(3), f=np.ones(3),
+                   provenance=(FacetProvenance("Cut", iteration=0),) * 3)
+    for big_m in (None, 20.0):
+        with pytest.raises(DimensionMismatch):
+            solve_maxmin_milp(m, bad, StudyConfig(big_m=big_m))
 
 
 @pytest.mark.parametrize("fixture", ["twobus", "pjm5", "ieee39"])
 def test_strong_duality_random_points(fixture, cfg, request):
     case = request.getfixturevalue(fixture)
     m = build_compact(case, initial_dispatch(case, cfg))
-    W0 = init_w0(case)
-    dmm = DualizedMaxMin(m, W0)
-    lo, hi = W0.box_bounds()
+    lo, hi = box_bounds(init_w0(case))
     rng = np.random.default_rng(7)
     for _ in range(20):
         w = rng.uniform(lo, hi)
-        dual = solve_lp(dmm.multiplier_lp_at(w)).objective
+        dual = solve_lp(multiplier_lp(m, w)).objective
         feas = feasibility_model(m, w).objective
         assert dual == pytest.approx(feas, abs=1e-6)
 
 
 def test_kkt_mip_structure(two):
     _, m, W0, _ = two
-    dmm = DualizedMaxMin(m, W0)
-    mp = build_kkt_mip(dmm, M=20.0)
+    mp = build_kkt_mip(m, W0, M=20.0)
     assert len(mp.binary_index) == W0.n_facets
-    na, nd, nw, k = dmm.n_alpha, dmm.n_delta, m.n_w, W0.n_facets
+    na, nd, nw, k = m.b.size, m.d.size, m.n_w, W0.n_facets
     assert mp.lp.nvar == na + nd + nw + 2 * k
 
 
@@ -72,7 +80,6 @@ def test_kkt_rearrangement_identity(two):
     # At any MIP-feasible point, stationarity turns the bilinear objective
     # term into theta'Hw.
     _, m, W0, cfg = two
-    dmm = DualizedMaxMin(m, W0)
     sol = solve_maxmin_milp(m, W0, cfg)
     lhs = -(sol.alpha @ m.A) @ sol.w_star
     rhs = sol.theta @ (W0.H @ sol.w_star)
@@ -107,7 +114,7 @@ def test_milp_F_dominates_samples(pjm5, cfg):
     m = build_compact(pjm5, initial_dispatch(pjm5, cfg))
     W0 = init_w0(pjm5)
     sol = solve_maxmin_milp(m, W0, cfg)
-    lo, hi = W0.box_bounds()
+    lo, hi = box_bounds(W0)
     rng = np.random.default_rng(3)
     for _ in range(50):
         w = rng.uniform(lo, hi)
@@ -152,22 +159,21 @@ def test_big_m_watchdog_escalates_and_raises(two):
 
 
 def test_gen_s1_count_seeded(two):
-    _, _, W0, _ = two
-    pts = gen_s1(W0, 100, seed=4)
+    _, m, W0, _ = two
+    caps = m.farm_capacity_pu
+    pts = gen_s1(caps, 100, seed=4)
     assert len(pts) == 100
-    lo, hi = W0.box_bounds()
+    lo, hi = box_bounds(W0)
     for p in pts:
         assert np.all(p >= lo - 1e-12) and np.all(p <= hi + 1e-12)
-    assert all(np.array_equal(a, b) for a, b in zip(pts, gen_s1(W0, 100, seed=4)))
-    assert not np.array_equal(pts[0], gen_s1(W0, 100, seed=5)[0])
+    assert all(np.array_equal(a, b) for a, b in zip(pts, gen_s1(caps, 100, seed=4)))
+    assert not np.array_equal(pts[0], gen_s1(caps, 100, seed=5)[0])
 
 
 def test_gen_s1_degenerate_box():
-    W = Polytope(H=[[1.0], [-1.0]], f=[0.3, -0.3],
-                 provenance=(FacetProvenance("InitialBox", farm=0, bound="upper"),
-                             FacetProvenance("InitialBox", farm=0, bound="lower")))
-    pts = gen_s1(W, 1, seed=0)
-    assert pts[0] == pytest.approx([0.3], abs=1e-12)
+    # A farm of zero capacity: its side of the box is the point 0.
+    pts = gen_s1(np.array([0.0, 0.3]), 5, seed=0)
+    assert all(p[0] == 0.0 and 0.0 <= p[1] <= 0.3 for p in pts)
 
 
 def test_gen_s2_projection_formula():
@@ -214,7 +220,7 @@ def test_alternate_matches_duality_at_fixed_w(two):
 def test_alternate_sequence_nondecreasing(pjm5, cfg):
     m = build_compact(pjm5, initial_dispatch(pjm5, cfg))
     W0 = init_w0(pjm5)
-    lo, hi = W0.box_bounds()
+    lo, hi = box_bounds(W0)
     rng = np.random.default_rng(5)
     with IblpOracle(m, cfg) as oracle:
         sols = oracle.alternate(W0, [rng.uniform(lo, hi) for _ in range(5)])
@@ -232,7 +238,7 @@ def _run_iblp(m, W, scenarios, cfg):
 def test_run_iblp_filters_and_dedupes(two):
     case, m, W0, cfg = two
     w_bar = np.array(case.forecast_mw) / case.base_mva
-    sols = _run_iblp(m, W0, make_scenarios(W0, W0, w_bar, cfg), cfg)
+    sols = _run_iblp(m, W0, make_scenarios(m.farm_capacity_pu, W0, w_bar, cfg), cfg)
     assert all(s.F > cfg.eps_term for s in sols)
     # 1-D problem: at most the two distinct worst-case directions remain.
     assert 1 <= len(sols) <= 2
@@ -247,7 +253,7 @@ def test_run_iblp_filters_and_dedupes(two):
 def test_run_iblp_thread_count_invariance(two):
     case, m, W0, cfg = two
     w_bar = np.array(case.forecast_mw) / case.base_mva
-    scen = make_scenarios(W0, W0, w_bar, cfg)
+    scen = make_scenarios(m.farm_capacity_pu, W0, w_bar, cfg)
     serial = _run_iblp(m, W0, scen, StudyConfig(thread_count=1))
     parallel = _run_iblp(m, W0, scen, StudyConfig(thread_count=4))
     assert len(serial) == len(parallel)
@@ -265,7 +271,7 @@ def test_run_iblp_aggregates_failures(two, monkeypatch):
         raise NumericalFailure("injected")
 
     monkeypatch.setattr(mod, "solve_lp", boom)
-    scen = make_scenarios(W0, W0, np.array([0.5]), cfg)
+    scen = make_scenarios(m.farm_capacity_pu, W0, np.array([0.5]), cfg)
     with pytest.raises(Exception, match="all scenarios failed: "
                                         "scenario 0: injected; scenario 1: injected"):
         _run_iblp(m, W0, scen, StudyConfig(thread_count=1))
@@ -278,7 +284,7 @@ def test_run_iblp_projection_failure_stops_only_its_scenarios(two, monkeypatch):
                  provenance=(FacetProvenance("Cut", iteration=1),
                              FacetProvenance("Cut", iteration=2)))
     w_bar = np.array(case.forecast_mw) / case.base_mva
-    scen = make_scenarios(W0, W, w_bar, cfg)
+    scen = make_scenarios(m.farm_capacity_pu, W, w_bar, cfg)
     outside = sum(not W.contains(w, tol=1e-9) for w in scen.combined())
     assert 0 < outside < len(scen.combined())
     solve = mod.solve_lp
@@ -339,12 +345,11 @@ def _totals(oracle):
 
 def test_memo_entries_are_shared_and_read_only(two):
     _, m, W0, cfg = two
-    dmm = DualizedMaxMin(m, W0)
     with IblpOracle(m, cfg) as oracle:
         w = np.array([0.5])
         mult, again = oracle.lookup(MULTIPLIER, W0, [w, w.copy()])
         assert again is mult
-        cost = dmm.w_cost(mult.x[:dmm.n_alpha])
+        cost = w_cost(m, mult.x[:m.b.size])
         (wstep,) = oracle.lookup(WSTEP, W0, [cost])
         assert oracle.lookup(WSTEP, W0, [cost.copy()])[0] is wstep
         # solves, hits, multiplier steps, projections
@@ -424,9 +429,10 @@ def test_ieee39_oracle_entries_are_byte_equal_for_1_2_and_4_workers(ieee39, monk
     # thread.
     import threading
     import drrcalc.lp as lp_mod
+    import drrcalc.maxmin_iblp as mod
     from drrcalc.engine import run
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    lookup, w_lp_at, csc = IblpOracle.lookup, DualizedMaxMin.w_lp_at, lp_mod._csc
+    lookup, wstep_lp, csc = IblpOracle.lookup, mod._wstep_lp, lp_mod._csc
     seen, wsteps, assembled = {}, {}, {}
 
     def recording(self, kind, W, inputs):
@@ -435,9 +441,9 @@ def test_ieee39_oracle_entries_are_byte_equal_for_1_2_and_4_workers(ieee39, monk
             (kind, v.tobytes(), _entry_bytes(e)) for v, e in zip(inputs, got))
         return got
 
-    def counting_w_lp_at(self, alpha):
+    def counting_wstep_lp(m, W):
         wsteps[threads] += 1
-        return w_lp_at(self, alpha)
+        return wstep_lp(m, W)
 
     def recording_csc(A):
         assembled[threads].append(threading.current_thread() is caller)
@@ -445,7 +451,7 @@ def test_ieee39_oracle_entries_are_byte_equal_for_1_2_and_4_workers(ieee39, monk
 
     caller = threading.current_thread()
     monkeypatch.setattr(IblpOracle, "lookup", recording)
-    monkeypatch.setattr(DualizedMaxMin, "w_lp_at", counting_w_lp_at)
+    monkeypatch.setattr(mod, "_wstep_lp", counting_wstep_lp)
     monkeypatch.setattr(lp_mod, "_csc", recording_csc)
     iterations = set()
     for threads in (1, 2, 4):
@@ -479,29 +485,29 @@ def test_alternation_ends_once_no_scenario_is_left(pjm5, monkeypatch):
 
 def test_wstep_memo_is_keyed_by_its_cost(two):
     _, m, W0, cfg = two
-    dmm = DualizedMaxMin(m, W0)
-    na = dmm.n_alpha
+    na = m.b.size
     with IblpOracle(m, cfg) as oracle:
         # Two farm outputs on the same side of the band share one multiplier vertex.
         m1, m2 = oracle.lookup(MULTIPLIER, W0, [np.array([0.1]), np.array([0.3])])
         assert m1 is not m2 and m1.x.tobytes() == m2.x.tobytes()
-        cost = dmm.w_cost(m2.x[:na])
+        cost = w_cost(m, m2.x[:na])
         assert cost.shape == (m.n_w,)
-        wstep, shared = oracle.lookup(WSTEP, W0, [dmm.w_cost(m1.x[:na]), cost])
+        wstep, shared = oracle.lookup(WSTEP, W0, [w_cost(m, m1.x[:na]), cost])
         assert shared is wstep
         # solves, hits, multiplier steps, projections
         assert _totals(oracle) == (3, 1, 2, 0)
         # delta has no part in the cost: same alpha, other delta is the same LP.
-        other = np.concatenate([m1.x[:na], np.zeros(dmm.n_delta)])
+        other = np.concatenate([m1.x[:na], np.zeros(m.d.size)])
         assert other.tobytes() != m1.x.tobytes()
-        assert oracle.lookup(WSTEP, W0, [dmm.w_cost(other[:na])])[0] is wstep
+        assert oracle.lookup(WSTEP, W0, [w_cost(m, other[:na])])[0] is wstep
         assert _totals(oracle) == (3, 2, 2, 0)
         # A new region drops the entries; the next w-step is solved on it.
         W1 = _cut_region()
         (again,) = oracle.lookup(WSTEP, W1, [cost])
         assert len(oracle.entries[WSTEP]) == 1
         assert _totals(oracle) == (4, 2, 2, 0)
-    fresh = solve_lp(DualizedMaxMin(m, W1).w_lp_at(m2.x[:na]))
+    fresh = solve_lp(LinearProgram(c=cost, sense="max", M_in=W1.H, r_in=W1.f,
+                                   lb=np.zeros(m.n_w), ub=m.farm_capacity_pu))
     assert again.x.tobytes() == fresh.x.tobytes() != wstep.x.tobytes()
 
 
@@ -535,7 +541,8 @@ def test_oracle_is_freed_without_the_cycle_collector(two, workers, monkeypatch):
     case, m, W0, _ = two
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = StudyConfig(thread_count=workers)
-    scen = make_scenarios(W0, W0, np.array(case.forecast_mw) / case.base_mva, cfg)
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    scen = make_scenarios(m.farm_capacity_pu, W0, w_bar, cfg)
     gc.disable()
     try:
         with IblpOracle(m, cfg) as oracle:
@@ -551,7 +558,7 @@ def test_oracle_is_freed_without_the_cycle_collector(two, workers, monkeypatch):
 def test_iblp_memo_solves_fewer_lps_than_steps(two):
     case, m, W0, cfg = two
     w_bar = np.array(case.forecast_mw) / case.base_mva
-    scen = make_scenarios(W0, W0, w_bar, cfg)
+    scen = make_scenarios(m.farm_capacity_pu, W0, w_bar, cfg)
     with IblpOracle(m, cfg) as oracle:
         kept = run_iblp(oracle, W0, scen)
         counts = oracle.counts

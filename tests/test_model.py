@@ -256,7 +256,7 @@ def test_forecast_point_is_dispatchable(fixture, cfg, request):
 def test_feasibility_duals_bounded(pjm5, cfg):
     # The unweighted feasibility LP (m.slacked at w) has its equality duals
     # in [-1, 1] and its inequality duals in [0, 1]: the box of the
-    # multipliers that DualizedMaxMin searches.
+    # multipliers that maxmin_milp.multiplier_lp searches.
     m = build_compact(pjm5, initial_dispatch(pjm5, cfg))
     rng = np.random.default_rng(1)
     for _ in range(5):

@@ -5,7 +5,7 @@ import pytest
 
 from drrcalc.errors import EmptyRegionError, ZeroNormal
 from drrcalc.polytope import FacetProvenance, Polytope, box, remove_redundant
-from tests.conftest import chebyshev_center
+from tests.conftest import box_bounds, chebyshev_center
 
 
 def _tags(n, kind="Cut"):
@@ -33,7 +33,7 @@ def test_contains_and_box_bounds():
     W = unit_square()
     assert W.contains([0.5, 0.5])
     assert not W.contains([1.5, 0.5])
-    lo, hi = W.box_bounds()
+    lo, hi = box_bounds(W)
     assert lo == pytest.approx([0.0, 0.0])
     assert hi == pytest.approx([1.0, 1.0])
 
