@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .binding import BindingReport
-from .engine import DrrResult
+from .caseio import StudyConfig
+from .engine import EMPTY_REGION, DrrResult
 from .errors import DimensionTooHigh, EmptyRegionError, MalformedCase
 from .polytope import FacetProvenance, Polytope
 
@@ -134,10 +135,10 @@ def region_payload(result: DrrResult, w_bar_mw) -> dict:
     return payload
 
 
-def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str, int]:
-    """The region of a ``region.json``, its method and its seed;
-    ``f_mw / base_mva`` need not give back the last bit of the pu bounds
-    that were written."""
+def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str, StudyConfig]:
+    """The region of a ``region.json``, its method and the settings of its
+    config echo; ``f_mw / base_mva`` need not give back the last bit of the
+    pu bounds that were written.  An empty region is an error."""
     try:
         data = json.loads(path.read_text())
         H = np.array(data["H"], dtype=float)
@@ -146,12 +147,13 @@ def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str, int]:
         region = Polytope(H=H, f=f, provenance=tags)
         if data["method"] not in ("milp", "iblp"):
             raise ValueError(f"unknown method {data['method']!r}")
-        if type(data["seed"]) is not int or data["seed"] < 0:
-            raise ValueError(f"seed {data['seed']!r} is not a nonnegative integer")
-        return region, data["method"], data["seed"]
-    # JSONDecodeError is a ValueError; a missing key, a key of another
-    # type or an unknown provenance field is a KeyError or TypeError.
-    except (ValueError, KeyError, TypeError) as exc:
+        cfg = StudyConfig.from_echo(data["config"])
+        if data["termination"] == EMPTY_REGION:
+            raise EmptyRegionError(f"{path}: the region is empty: no facet to explain")
+        return region, data["method"], cfg
+    # JSONDecodeError and InvalidSetting are ValueErrors; a missing key, a key
+    # of another type or an unknown field is a Key-, Type- or AttributeError.
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise MalformedCase(
             f"{path}: not a region.json: {type(exc).__name__}: {exc}") from exc
 
@@ -170,15 +172,15 @@ def _dump(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_jsonable(payload), indent=1, sort_keys=True) + "\n")
 
 
-def _context(method: str, seed: int, config_echo: dict) -> dict:
+def _context(method: str, config_echo: dict) -> dict:
     """What binding.json and event.json repeat of the run behind them."""
-    return {"method": method, "seed": seed, "config": config_echo}
+    return {"method": method, "seed": config_echo["seed"], "config": config_echo}
 
 
 def write_binding_json(report: BindingReport, out_dir: Path, method: str,
-                       seed: int, config_echo: dict) -> None:
+                       config_echo: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    _dump(out_dir / "binding.json", report.to_json() | _context(method, seed, config_echo))
+    _dump(out_dir / "binding.json", report.to_json() | _context(method, config_echo))
 
 
 def write_trace_csv(result: DrrResult, path: Path) -> None:
@@ -207,12 +209,11 @@ def export_artifacts(result: DrrResult, report: BindingReport | None,
     files["region"] = "region.json"
 
     if report is not None:
-        write_binding_json(report, out, result.method, result.seed,
-                           result.config_echo)
+        write_binding_json(report, out, result.method, result.config_echo)
         files["binding"] = "binding.json"
     if event is not None:
-        _dump(out / "event.json", event.to_json()
-              | _context(result.method, result.seed, result.config_echo))
+        _dump(out / "event.json",
+              event.to_json() | _context(result.method, result.config_echo))
         files["event"] = "event.json"
 
     if result.region.dim != 2:

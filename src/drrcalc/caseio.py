@@ -191,6 +191,15 @@ class StudyConfig:
         return {**{k: v for k, v in vars(self).items() if k not in skip},
                 **_SOLVER_ECHO}
 
+    @classmethod
+    def from_echo(cls, echo: dict) -> StudyConfig:
+        """The settings whose :meth:`algorithmic_echo` is ``echo``, at one
+        thread; an echo with a key missing, added or changed is an error."""
+        cfg = cls(**{k: v for k, v in echo.items() if k not in _SOLVER_ECHO})
+        if cfg.algorithmic_echo() != echo:
+            raise InvalidSetting(f"not a config echo: {echo}")
+        return cfg
+
 
 # --- parsing -------------------------------------------------------------------
 

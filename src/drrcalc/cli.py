@@ -24,7 +24,8 @@ from . import analysis, binding, engine
 from .caseio import (StudyConfig, apply_renewables, load_config_file,
                      load_renewables_file, parse_matpower_file)
 from .dispatch_model import build_compact, build_ptdf, feasibility_model, initial_dispatch
-from .errors import AmbiguousFacet, DrrError, InvalidSetting, NoRenewables
+from .errors import (AmbiguousFacet, DrrError, EmptyRegionError, InvalidSetting,
+                     NoRenewables)
 from .lp import solve_lp
 from .maxmin_milp import multiplier_lp
 
@@ -54,28 +55,16 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _resolve_config(args) -> StudyConfig:
-    """Settings by precedence: the flags, ``DRR_THREADS`` (threads only),
-    the config file, the defaults (threads: the cores).  validate runs no
-    oracle: it reads neither --threads nor DRR_THREADS."""
-    cfg = StudyConfig(thread_count=os.cpu_count() or 1)
-    if args.config:
+def _resolve_config(args, base: StudyConfig) -> StudyConfig:
+    """Settings by precedence: the flags, the config file, ``base`` (the
+    defaults, or binding's region.json), with the cores as the thread
+    count.  Each command has only the flags it reads."""
+    cfg = dataclasses.replace(base, thread_count=os.cpu_count() or 1)
+    if vars(args).get("config"):
         cfg = load_config_file(args.config, cfg)
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    threads = getattr(args, "threads", None)
-    env = os.environ.get("DRR_THREADS") if "threads" in args else None
-    if threads is None and env is not None:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise InvalidSetting(
-                f"DRR_THREADS must be an integer, got {env!r}") from None
-    if threads is not None:
-        changes["thread_count"] = threads
+    flags = {"seed": vars(args).get("seed"), "thread_count": vars(args).get("threads")}
     # replace, not assignment, so that StudyConfig checks the new values.
-    return dataclasses.replace(cfg, **changes)
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_case(case_path, rens_path):
@@ -99,7 +88,7 @@ def cmd_compute(args) -> int:
         for p in (args.case, args.renewables, args.config):
             if p:
                 manifest["inputs"][str(p)] = _sha256(Path(p))
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(args, StudyConfig())
         manifest["config"] = analysis._jsonable(dataclasses.asdict(cfg))
         case = _load_case(args.case, args.renewables)
 
@@ -155,15 +144,14 @@ def cmd_compute(args) -> int:
 
 
 def cmd_binding(args) -> int:
-    cfg = _resolve_config(args)
     case = _load_case(args.case, args.renewables)
-    if args.region:
-        W, method, seed = analysis.region_from_json(Path(args.region), case.base_mva)
-        cfg = dataclasses.replace(cfg, seed=seed)
-        m = build_compact(case, initial_dispatch(case, cfg))
-    else:
-        result = engine.run(case, cfg, method=args.method or "milp")
-        W, m, method = result.region, result.model, result.method
+    try:
+        W, method, cfg = analysis.region_from_json(Path(args.region), case.base_mva)
+    except EmptyRegionError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_EMPTY
+    cfg = _resolve_config(args, cfg)
+    m = build_compact(case, initial_dispatch(case, cfg))
     w_bar_pu = np.array(case.forecast_mw) / case.base_mva
     try:
         report = binding.identify(m, W, w_bar_pu, cfg,
@@ -173,13 +161,13 @@ def cmd_binding(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     print(report.table())
-    analysis.write_binding_json(report, Path(args.out or "."), method, cfg.seed,
+    analysis.write_binding_json(report, Path(args.out or "."), method,
                                 cfg.algorithmic_echo())
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, StudyConfig())
     if args.w is not None:  # before any model work, so a bad value fails at once
         try:
             w_mw = np.array([float(v) for v in args.w.split(",")])
@@ -256,31 +244,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "DC dispatch models")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def common(p, oracle=True, method="milp"):
+    def common(p, settings=True, oracle=True):
         p.add_argument("--case", required=True, help="MATPOWER .m file")
         p.add_argument("--renewables", help="sidecar JSON designating farms")
-        p.add_argument("--config", help="JSON file of study settings")
-        p.add_argument("--seed", type=int, default=None)
+        if settings:  # binding reads them from the region.json
+            p.add_argument("--config", help="JSON file of study settings")
+            p.add_argument("--seed", type=int, default=None)
         if oracle:  # validate runs none
-            p.add_argument("--method", choices=["milp", "iblp"], default=method)
-            p.add_argument("--threads", type=int, default=None,
-                           help="threads solving iblp LPs and explaining binding "
-                                "facets, at most one per core; from 2 on, a pool "
-                                "of that many while this one waits (default: env "
-                                "DRR_THREADS, else the config file, else the cores)")
+            p.add_argument("--threads", type=int, help=(
+                "threads solving iblp LPs and explaining binding facets, at most "
+                "one per core; from 2 on, a pool of that many while this one "
+                "waits (default: compute's config file, else the cores)"))
 
     p = sub.add_parser("compute", help="run the full region workflow")
     common(p)
+    p.add_argument("--method", choices=["milp", "iblp"], default="milp")
     p.add_argument("--verbose", action="store_true")
     p.add_argument("--out", required=True, help="artifact directory")
     p.set_defaults(fn=cmd_compute)
 
-    p = sub.add_parser("binding", help="identify binding constraints per facet")
-    # No --method default: with --region, the region.json names the method.
-    common(p, method=None)
-    p.add_argument("--region", help="region.json from a previous run, whose "
-                                    "method and seed are used (so no --method "
-                                    "or --seed with it)")
+    p = sub.add_parser("binding", help="explain each facet of a computed region")
+    common(p, settings=False)
+    p.add_argument("--region", required=True,
+                   help="region.json of a compute run on this case, whose "
+                        "method and config echo are used")
     p.add_argument("--out", help="directory for binding.json")
     p.add_argument("--allow-ambiguous", action="store_true")
     p.set_defaults(fn=cmd_binding)
@@ -294,17 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "region", None) and (args.seed is not None or args.method):
-        parser.error("argument --region: not allowed with --seed or --method: "
-                     "the region.json names both")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except DrrError as exc:
+    except (FileNotFoundError, DrrError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

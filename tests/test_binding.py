@@ -314,7 +314,7 @@ def test_ieee39_binding_json_is_byte_equal_for_1_2_and_4_threads(
     for threads in (1, 2, 4):
         cfg = StudyConfig(seed=0, thread_count=threads)
         report = identify(res.model, res.region, w_bar, cfg)
-        write_binding_json(report, tmp_path / str(threads), res.method, cfg.seed,
+        write_binding_json(report, tmp_path / str(threads), res.method,
                            cfg.algorithmic_echo())
         written.append((tmp_path / str(threads) / "binding.json").read_bytes())
     assert written[0] == written[1] == written[2]

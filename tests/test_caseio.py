@@ -219,6 +219,18 @@ def test_config_echo_excludes_scheduling():
     assert echo["mip_gap"] == 1e-9
 
 
+def test_from_echo_inverts_the_config_echo():
+    cfg = StudyConfig(seed=5, ramp_fraction=0.2, big_m=40.0)
+    assert StudyConfig.from_echo(cfg.algorithmic_echo()) == cfg
+    # Only the solver keys are dropped; anything else off the echo is an
+    # error, not a setting taken at its default or a thread count.
+    echo = cfg.algorithmic_echo()
+    for bad in ({k: v for k, v in echo.items() if k != "ramp_fraction"},
+                {**echo, "thread_count": 4}, {**echo, "mip_gap": 0.0}):
+        with pytest.raises(InvalidSetting, match="not a config echo"):
+            StudyConfig.from_echo(bad)
+
+
 def test_ieee39_forecasts(ieee39):
     assert ieee39.forecast_mw == (343.0, 290.0, 282.0, 432.0, 550.0)
     assert [ieee39.gen(i).bus for i in ieee39.renewable] == [1, 5, 10, 15, 20]

@@ -81,7 +81,6 @@ def test_compute_missing_case_exits_1(tmp_path, capsys):
 def test_milp_threads_default_to_the_cores(tmp_path, monkeypatch, capsys):
     # binding's facets run on the threads for either method, so milp reads
     # --threads too and defaults to the cores, with the bytes of one thread.
-    monkeypatch.delenv("DRR_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for out, threads in (("cores", []), ("one", ["--threads", "1"])):
         assert main(["compute", "--case", PJM, "--renewables", PJM_R,
@@ -97,7 +96,11 @@ def test_milp_threads_default_to_the_cores(tmp_path, monkeypatch, capsys):
 
 
 def test_binding_table(tmp_path, capsys):
+    assert main(["compute", "--case", TWO, "--renewables", TWO_R,
+                 "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
     code = main(["binding", "--case", TWO, "--renewables", TWO_R,
+                 "--region", str(tmp_path / "c" / "region.json"),
                  "--out", str(tmp_path / "b")])
     assert code == 0
     out = capsys.readouterr().out
@@ -121,7 +124,8 @@ _BOX_2D = {"H": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
            "f_mw": [100.0, 100.0, 0.0, 0.0],
            "provenance": [{"kind": "InitialBox", "farm": farm, "bound": bound}
                           for bound in ("upper", "lower") for farm in (0, 1)],
-           "method": "milp", "seed": 0}
+           "method": "milp", "termination": "Converged",
+           "config": StudyConfig().algorithmic_echo()}
 
 
 @pytest.mark.parametrize("text, message", [
@@ -137,16 +141,20 @@ _BOX_2D = {"H": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
      "not a region.json: KeyError: 'method'"),
     (json.dumps({**_BOX_2D, "method": "simplex"}),
      "not a region.json: ValueError: unknown method 'simplex'"),
-    (json.dumps({"H": [[1.0], [-1.0]], "f_mw": [100.0, 0.0],
-                 "provenance": _BOX_2D["provenance"][::2], "method": "milp",
-                 "seed": 0}),
+    (json.dumps({**_BOX_2D, "H": [[1.0], [-1.0]], "f_mw": [100.0, 0.0],
+                 "provenance": _BOX_2D["provenance"][::2]}),
      "region of dimension 1 and forecast of 2 entries for a model with 2 farms"),
-    (json.dumps({k: v for k, v in _BOX_2D.items() if k != "seed"}),
-     "not a region.json: KeyError: 'seed'"),
-    (json.dumps({**_BOX_2D, "seed": -1}),
-     "not a region.json: ValueError: seed -1 is not a nonnegative integer"),
+    (json.dumps({k: v for k, v in _BOX_2D.items() if k != "config"}),
+     "not a region.json: KeyError: 'config'"),
+    # Each setting comes from the echo, so every key of it must be one.
+    (json.dumps({**_BOX_2D, "config": {**_BOX_2D["config"], "colour": 1}}),
+     "not a region.json: TypeError: StudyConfig.__init__() got an unexpected "
+     "keyword argument 'colour'"),
+    (json.dumps({**_BOX_2D, "config": {**_BOX_2D["config"], "seed": -1}}),
+     "not a region.json: InvalidSetting: seed must be at least 0, got -1"),
 ], ids=["not-json", "no-provenance", "lengths", "provenance-key", "array",
-        "no-method", "unknown-method", "wrong-dimension", "no-seed", "bad-seed"])
+        "no-method", "unknown-method", "wrong-dimension", "no-config",
+        "config-unknown-key", "config-bad-value"])
 def test_malformed_region_file_is_an_error(text, message, tmp_path, capsys):
     region = tmp_path / "region.json"
     region.write_text(text)
@@ -160,20 +168,22 @@ def test_malformed_region_file_is_an_error(text, message, tmp_path, capsys):
 
 @pytest.mark.parametrize("method", ["milp", "iblp"])
 def test_binding_writes_the_binding_json_of_compute(method, tmp_path, capsys):
-    # One writer: the same bytes from compute, from binding's own run and
-    # from binding on compute's region.json, context (seed, method, config)
-    # included, at a seed other than the default.
+    # One writer, one model: binding on compute's region.json writes
+    # compute's bytes, context (seed, method, config) included, at a seed
+    # and with settings other than the defaults.  At the default ramp,
+    # facet 2 of this region reads as bound by line 4-5, not as a box facet.
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"ramp_fraction": 0.2, "perturb_lambda": 0.02}))
     case = ["--case", PJM, "--renewables", PJM_R]
-    run = [*case, "--seed", "5", "--method", method, "--threads", "1"]
-    assert main(["compute", *run, "--out", str(tmp_path / "c")]) == 0
-    assert main(["binding", *run, "--out", str(tmp_path / "run")]) == 0
-    # No --seed or --method: the region.json names both.
+    assert main(["compute", *case, "--config", str(cfgp), "--seed", "5",
+                 "--method", method, "--threads", "2",
+                 "--out", str(tmp_path / "c")]) == 0
     assert main(["binding", *case, "--region", str(tmp_path / "c" / "region.json"),
                  "--threads", "2", "--out", str(tmp_path / "region")]) == 0
     want = (tmp_path / "c" / "binding.json").read_bytes()
     assert json.loads(want)["method"] == method
     assert json.loads(want)["seed"] == 5
-    assert (tmp_path / "run" / "binding.json").read_bytes() == want
+    assert json.loads(want)["config"]["ramp_fraction"] == 0.2
     assert (tmp_path / "region" / "binding.json").read_bytes() == want
 
 
@@ -204,19 +214,17 @@ def test_binding_from_region_json_agrees_to_rounding(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["validate", "--threads", "2"], ["validate", "--verbose"],
-    ["validate", "--method", "iblp"], ["binding", "--verbose"],
-    # The region.json names the method and seed.
+    ["validate", "--method", "iblp"],
+    ["binding", "--region", "region.json", "--verbose"],
+    # The region.json names the method and every setting.
     ["binding", "--region", "region.json", "--seed", "5"],
-    ["binding", "--region", "region.json", "--method", "milp"]])
+    ["binding", "--region", "region.json", "--method", "milp"],
+    ["binding", "--region", "region.json", "--config", "cfg.json"]])
 def test_a_command_takes_no_flag_it_ignores(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--case", TWO, "--renewables", TWO_R])
     assert exc.value.code == 1
-    err = capsys.readouterr().err
-    if "--region" in argv:
-        assert "argument --region: not allowed with --seed or --method" in err
-    else:
-        assert "unrecognized arguments" in err
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -227,7 +235,10 @@ def test_a_command_takes_no_flag_it_ignores(argv, capsys):
     # perfbench/run.py times runs; the manifest's phase_seconds times one.
     (["bench", "--cases", f"{TWO}:{TWO_R}"],
      "drrcalc: error: argument cmd: invalid choice: 'bench'"),
-], ids=["top-level", "subcommand", "no-bench"])
+    # binding explains a computed region; compute is the one engine run.
+    (["binding", "--case", TWO, "--renewables", TWO_R],
+     "drrcalc binding: error: the following arguments are required: --region"),
+], ids=["top-level", "subcommand", "no-bench", "binding-without-region"])
 def test_a_usage_error_exits_1_not_the_empty_region_code(argv, message,
                                                          tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -235,26 +246,6 @@ def test_a_usage_error_exits_1_not_the_empty_region_code(argv, message,
     assert exc.value.code == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-def test_validate_reads_no_drr_threads(monkeypatch, capsys):
-    monkeypatch.setenv("DRR_THREADS", "abc")
-    assert main(["validate", "--case", TWO, "--renewables", TWO_R]) == 0
-
-
-def test_binding_without_region_builds_the_model_once(tmp_path, monkeypatch):
-    from drrcalc import dispatch_model
-    built = []
-
-    def counting(case, dp):
-        built.append(case)
-        return dispatch_model.build_compact(case, dp)
-
-    monkeypatch.setattr(cli, "build_compact", counting)
-    monkeypatch.setattr(cli.engine, "build_compact", counting)
-    assert main(["binding", "--case", TWO, "--renewables", TWO_R,
-                 "--out", str(tmp_path)]) == 0
-    assert len(built) == 1
 
 
 def test_validate_passes_and_probes(capsys):
@@ -320,18 +311,8 @@ def test_seed_reproducibility(tmp_path):
     assert ba == (tmp_path / "b" / "binding.json").read_bytes()
 
 
-def test_env_thread_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("DRR_THREADS", "2")
-    code = main(["compute", "--case", TWO, "--renewables", TWO_R,
-                 "--method", "iblp", "--out", str(tmp_path / "o")])
-    assert code == 0
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["config"]["thread_count"] == 2
-
-
-def test_config_file_thread_count_is_kept(tmp_path, monkeypatch):
-    # Precedence: --threads, DRR_THREADS, the config file, the default.
-    monkeypatch.delenv("DRR_THREADS", raising=False)
+def test_config_file_thread_count_is_kept(tmp_path):
+    # Precedence: --threads, the config file, the cores.
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"thread_count": 3}))
     code = main(["compute", "--case", TWO, "--renewables", TWO_R,
@@ -342,40 +323,35 @@ def test_config_file_thread_count_is_kept(tmp_path, monkeypatch):
     assert manifest["config"]["thread_count"] == 3
 
 
-def test_bad_env_threads_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DRR_THREADS", "abc")
-    code = main(["compute", "--case", TWO, "--renewables", TWO_R,
-                 "--method", "iblp", "--out", str(tmp_path / "o")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == "error: DRR_THREADS must be an integer, got 'abc'\n"
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["exit_status"] == 1
-
-
 @pytest.mark.parametrize("source, message", [
     ("config", "thread_count must be at least 1, got 0"),
-    ("env", "thread_count must be at least 1, got 0"),
     ("flag", "thread_count must be at least 1, got -3"),
-], ids=["config", "env", "flag"])
-def test_thread_count_below_1_is_an_error(source, message, tmp_path,
-                                          monkeypatch, capsys):
-    # Each source of the thread count is checked; none falls back to 1.
-    monkeypatch.delenv("DRR_THREADS", raising=False)
+    ("binding", "thread_count must be at least 1, got 0"),
+], ids=["config", "flag", "binding"])
+def test_thread_count_below_1_is_an_error(source, message, tmp_path, capsys):
+    # Each source of the thread count is checked; none falls back to 1,
+    # and --threads 0 is not taken for "the cores".
     argv = ["compute", "--case", TWO, "--renewables", TWO_R, "--method", "iblp",
             "--out", str(tmp_path / "o")]
     if source == "config":
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"thread_count": 0}))
         argv += ["--config", str(cfgp)]
-    elif source == "env":
-        monkeypatch.setenv("DRR_THREADS", "0")
-    else:
+    elif source == "flag":
         argv += ["--threads", "-3"]
+    else:
+        assert main([*argv, "--threads", "1"]) == 0
+        capsys.readouterr()
+        argv = ["binding", "--case", TWO, "--renewables", TWO_R, "--threads", "0",
+                "--region", str(tmp_path / "o" / "region.json"),
+                "--out", str(tmp_path / "b")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-    assert manifest["exit_status"] == 1
+    if source == "binding":
+        assert not (tmp_path / "b").exists()
+    else:
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["exit_status"] == 1
 
 
 def test_negative_seed_flag_is_an_error(tmp_path, capsys):
@@ -429,6 +405,12 @@ def test_bad_config_value_is_an_error_not_a_traceback(command, settings, message
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(settings))
     argv = [command, "--case", TWO, "--renewables", TWO_R, "--config", str(cfgp)]
+    if command == "binding":  # its settings are the region.json's config echo
+        region = tmp_path / "region.json"
+        region.write_text(json.dumps(
+            {**_BOX_2D, "config": {**_BOX_2D["config"], **settings}}))
+        argv = [command, "--case", PJM, "--renewables", PJM_R, "--region", str(region)]
+        message = f"{region}: not a region.json: InvalidSetting: {message}"
     if command != "validate":
         argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == 1
@@ -474,6 +456,23 @@ def test_compute_empty_region_exits_2(paths, fixture, bus_pos, request, tmp_path
     assert region["vertices_mw"] == []
     if fixture == "pjm5":
         assert manifest["notes"] == ["svg_skipped: region has no vertices"]
+
+
+def test_binding_on_an_empty_region_exits_2(pjm5, tmp_path, capsys, monkeypatch):
+    # An empty region has no facet to explain: binding gets compute's exit
+    # code for it and writes nothing, rather than failing on facet 0.
+    _contradicting_oracle(monkeypatch, pjm5, 3)
+    case = ["--case", PJM, "--renewables", PJM_R]
+    assert main(["compute", *case, "--method", "milp",
+                 "--out", str(tmp_path / "c")]) == 2
+    capsys.readouterr()
+    region = tmp_path / "c" / "region.json"
+    assert main(["binding", *case, "--region", str(region),
+                 "--out", str(tmp_path / "b")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{region}: the region is empty: no facet to explain\n"
+    assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("text, message", [
