@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs iblp on the PJM 5-bus and IEEE 39-bus cases at 1, 2 and 4 workers
 # and checks that the 2- and 4-worker runs give the 1-worker region.json,
-# binding.json, manifest oracle counters, iteration count and termination.
+# binding.json, manifest oracle records, iteration count and termination.
 # Then runs milp on both cases at 1 and 2 workers, whose binding report
 # explains its facets on the workers, and checks that both runs give the
 # same region.json and binding.json.  Needs the drrcalc console script;

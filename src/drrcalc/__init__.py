@@ -10,8 +10,8 @@ from .caseio import (CaseData, RawCase, RenewableSpec, StudyConfig,
                      apply_renewables, load_config_file, load_renewables_file,
                      parse_matpower, parse_matpower_file)
 from .dispatch_model import (CompactPsd, ConstraintDescriptor, DispatchPoint,
-                             PtdfMatrix, build_compact, build_ptdf,
-                             feasibility_model, initial_dispatch)
+                             build_compact, build_ptdf, feasibility_model,
+                             initial_dispatch)
 from .engine import DrrResult, init_w0, make_cut, run
 from .binding import BindingReport, identify, probe_point, terminal_points
 from .analysis import (RampEvent, export_artifacts, high_risk_event,

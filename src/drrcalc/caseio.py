@@ -2,9 +2,9 @@
 
 The parser covers the MATLAB subset MATPOWER cases actually use: scalar
 assignments (``mpc.baseMVA = 100;``), matrix literals with ``;`` row breaks,
-``%`` comments, and an optional ``function mpc = name`` header.  Everything
-is kept exactly as written (per-unit and MW fields untouched) so a parsed
-case serializes back to an equivalent file.
+``%`` comments, and an optional ``function mpc = name`` header.  The
+fields the model reads are kept exactly as written (per-unit and MW fields
+untouched); the others are not kept.
 
 Renewable farms are designated in a sidecar JSON file rather than inside the
 ``.m`` file, so standard case files can be consumed unmodified:
@@ -37,7 +37,6 @@ class Bus:
     id: int
     type: int          # 1 PQ, 2 PV, 3 reference
     load_mw: float
-    load_mvar: float
 
 
 @dataclass(frozen=True)
@@ -325,8 +324,7 @@ def parse_matpower(text: str) -> RawCase:
         if bid in seen_bus:
             raise MalformedCase(f"duplicate bus id {bid}")
         seen_bus.add(bid)
-        buses.append(Bus(id=bid, type=int(row[1]), load_mw=row[2],
-                         load_mvar=row[3]))
+        buses.append(Bus(id=bid, type=int(row[1]), load_mw=row[2]))
 
     branches = []
     for r, row in enumerate(matrices["branch"], start=1):
@@ -400,36 +398,6 @@ def parse_matpower(text: str) -> RawCase:
 
 def parse_matpower_file(path: str | Path) -> RawCase:
     return parse_matpower(Path(path).read_text())
-
-
-def to_case_text(raw: RawCase) -> str:
-    """Serialize back to MATPOWER format; reparsing yields an equal RawCase."""
-    out = [f"function mpc = {raw.name}", "mpc.version = '2';",
-           f"mpc.baseMVA = {raw.base_mva!r};", "", "mpc.bus = ["]
-    for b in raw.buses:
-        out.append(f"\t{b.id}\t{b.type}\t{b.load_mw!r}\t{b.load_mvar!r}"
-                   "\t0\t0\t1\t1\t0\t0\t1\t1.1\t0.9;")
-    out.append("];")
-    out.append("")
-    out.append("mpc.gen = [")
-    for g in raw.generators:
-        out.append(f"\t{g.bus}\t0\t0\t0\t0\t1\t{raw.base_mva!r}\t{g.status}"
-                   f"\t{g.p_max_mw!r}\t{g.p_min_mw!r};")
-    out.append("];")
-    out.append("")
-    out.append("mpc.branch = [")
-    for br in raw.branches:
-        out.append(f"\t{br.from_bus}\t{br.to_bus}\t0\t{br.reactance_pu!r}\t0"
-                   f"\t{br.rate_a_mw!r}\t0\t0\t0\t0\t{br.status}"
-                   f"\t{br.angle_min_deg!r}\t{br.angle_max_deg!r};")
-    out.append("];")
-    out.append("")
-    out.append("mpc.gencost = [")
-    for c in raw.gencost:
-        coeffs = "\t".join(repr(x) for x in c.coeffs)
-        out.append(f"\t{c.model}\t0\t0\t{len(c.coeffs)}\t{coeffs};")
-    out.append("];")
-    return "\n".join(out) + "\n"
 
 
 # --- renewable designation -------------------------------------------------------

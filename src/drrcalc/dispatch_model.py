@@ -51,14 +51,6 @@ class DispatchPoint:
             raise DimensionMismatch("dispatch point outside its own envelope")
 
 
-@dataclass(frozen=True)
-class PtdfMatrix:
-    """Line-flow sensitivities to bus injections; reference column zeroed."""
-    matrix: np.ndarray          # lines x buses
-    pre_shift: np.ndarray       # same, before zeroing the reference column
-    ref_bus: int
-
-
 @dataclass
 class CompactPsd:
     A: np.ndarray
@@ -276,8 +268,9 @@ def build_compact(case: CaseData, dp: DispatchPoint) -> CompactPsd:
                       base_mva=net.base, farm_capacity_pu=caps, slacked=slacked)
 
 
-def build_ptdf(case: CaseData) -> PtdfMatrix:
-    """Injection-to-flow sensitivities; validation oracle for the angle model."""
+def build_ptdf(case: CaseData) -> np.ndarray:
+    """Line-flow sensitivities to bus injections (lines x buses), the
+    reference column zeroed; validation oracle for the angle model."""
     net = _Net(case)
     n_b, n_l = net.n_b, net.n_l
     Bbus = np.zeros((n_b, n_b))
@@ -300,9 +293,7 @@ def build_ptdf(case: CaseData) -> PtdfMatrix:
     rank = np.linalg.matrix_rank(Bbus, tol=1e-9)
     if rank < n_b - 1:
         raise SingularNetwork("network susceptance matrix is rank deficient")
-    pi = pre - pre[:, [net.ref_pos]]
-    return PtdfMatrix(matrix=pi, pre_shift=pre,
-                      ref_bus=net.buses[net.ref_pos].id)
+    return pre - pre[:, [net.ref_pos]]
 
 
 # --- feasibility model --------------------------------------------------------------

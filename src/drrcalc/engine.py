@@ -35,9 +35,6 @@ class Cut:
     alpha: np.ndarray
     delta: np.ndarray
 
-    def violation_at(self, w) -> float:
-        return float(self.normal @ np.asarray(w) - self.offset)
-
 
 @dataclass
 class IterationRecord:

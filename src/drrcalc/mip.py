@@ -11,7 +11,7 @@ other; the integrality of every column; and the equality rows first.
 Those rows come from the arrays of ``[M_in; M_eq]`` that the LP's
 constructor assembled (``lp._model``), renumbered and re-sorted within
 each column, which gives the arrays of ``[M_eq; M_in]`` byte for byte.  So
-x, the node count and the dual bound are milp's bit for bit.  A model
+x and the node count are milp's bit for bit.  A model
 HiGHS rejects, or a failed run, raises :class:`NumericalFailure`, never
 INFEASIBLE, which the big-M watchdog would read as a clipped big-M.
 """
@@ -51,7 +51,6 @@ class MipSolution:
     x: np.ndarray | None = None
     objective: float = np.nan
     nodes: int = 0
-    bound: float = np.nan   # best dual bound at termination
 
 
 def solve_mip(mp: MixedProgram, node_limit: int) -> MipSolution:
@@ -92,8 +91,5 @@ def solve_mip(mp: MixedProgram, node_limit: int) -> MipSolution:
         raise NumericalFailure(
             f"HiGHS MILP failed: {h.modelStatusToString(status)}")
     x = np.array(h.getSolution().col_value)
-    info = h.getInfo()
-    sign = 1.0 if lp.sense == "min" else -1.0
     return MipSolution(status=OPTIMAL, x=x, objective=float(lp.c @ x),
-                       nodes=int(info.mip_node_count),
-                       bound=float(sign * info.mip_dual_bound))
+                       nodes=int(h.getInfo().mip_node_count))

@@ -48,25 +48,48 @@ def test_compute_iblp_trace_rows(tmp_path):
     assert len(trace) == 1 + manifest["iterations"]
 
 
-def test_manifest_oracle_counters_per_iteration(tmp_path):
-    for method, keys in (
-            ("iblp", {"scenarios_started", "scenarios_projected",
-                      "scenarios_failed", "scenarios_positive",
-                      "scenarios_deduplicated", "scenarios_kept", "lp_solves",
-                      "memo_hits", "multiplier_steps"}),
-            ("milp", {"mip_nodes", "big_m_margin"})):
-        out = tmp_path / method
+def test_manifest_oracle_counters_per_iteration(tmp_path, monkeypatch):
+    # Each manifest "oracle" entry is its iteration's whole record but the
+    # wall time: the trace's values, then every key of oracle_diag.
+    record = {"k", "F_pu", "cuts", "facets", "w_star"}
+    counters = {"scenarios_started", "scenarios_projected", "scenarios_failed",
+                "scenarios_positive", "scenarios_deduplicated",
+                "scenarios_kept", "lp_solves", "memo_hits", "multiplier_steps"}
+    worst = {"iblp": {"rounds", "sequence", "scenario"},
+             "milp": {"big_m", "big_m_margin", "kkt_residual",
+                      "complementarity_residual", "mip_nodes"}}
+    runs, run = [], cli.engine.run
+
+    def recording_run(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli.engine, "run", recording_run)
+    oracles = {}
+    for method, threads in (("iblp", "1"), ("iblp", "2"), ("milp", "1")):
+        out = tmp_path / f"{method}-{threads}"
         assert main(["compute", "--case", TWO, "--renewables", TWO_R,
-                     "--method", method, "--threads", "1",
+                     "--method", method, "--threads", threads,
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        oracle = manifest["oracle"]
+        oracle = oracles[method, threads] = manifest["oracle"]
+        trace = runs[-1].trace
         assert [e["k"] for e in oracle] == list(range(1, manifest["iterations"] + 1))
-        assert all(set(e) == {"k"} | keys for e in oracle)
+        for e, rec in zip(oracle, trace, strict=True):
+            # An iblp iteration that keeps no cut has no worst solution,
+            # only the oracle's counters.
+            keys = record | (counters if method == "iblp" else set())
+            if rec.w_star is not None:
+                keys |= worst[method]
+            assert set(e) == keys
+            assert (e["F_pu"], e["cuts"], e["facets"]) == \
+                (rec.F, rec.cuts_added, rec.facets_after)
+            assert e["w_star"] == (None if rec.w_star is None else rec.w_star.tolist())
         for name in ("region.json", "binding.json", "trace.csv"):
             text = (out / name).read_text()
             assert not any(key in text for key in ("lp_solves", "scenarios_projected",
                                                    "scenarios_deduplicated"))
+    assert oracles["iblp", "1"] == oracles["iblp", "2"]
 
 
 def test_compute_missing_case_exits_1(tmp_path, capsys):
@@ -219,7 +242,9 @@ def test_binding_from_region_json_agrees_to_rounding(tmp_path, capsys):
     # The region.json names the method and every setting.
     ["binding", "--region", "region.json", "--seed", "5"],
     ["binding", "--region", "region.json", "--method", "milp"],
-    ["binding", "--region", "region.json", "--config", "cfg.json"]])
+    ["binding", "--region", "region.json", "--config", "cfg.json"],
+    # The manifest's "oracle" list holds each iteration's record.
+    ["compute", "--out", "o", "--verbose"]])
 def test_a_command_takes_no_flag_it_ignores(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--case", TWO, "--renewables", TWO_R])
@@ -255,6 +280,25 @@ def test_validate_passes_and_probes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
     assert "violation 5.000000 MW" in out
+
+
+@pytest.mark.parametrize("entry", [(2, 3), (4, 0)], ids=["reference-column", "other"])
+def test_validate_fails_a_ptdf_with_one_perturbed_entry(entry, monkeypatch, capsys):
+    # The check compares the two maps whole on the zero-sum injections, so
+    # one entry off by 1e-6 fails it, one in the zeroed reference column
+    # (bus 4 of PJM-5) too.
+    build_ptdf = cli.build_ptdf
+
+    def perturbed(case):
+        pi = build_ptdf(case)
+        pi[entry] += 1e-6
+        return pi
+
+    monkeypatch.setattr(cli, "build_ptdf", perturbed)
+    assert main(["validate", "--case", PJM, "--renewables", PJM_R]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  ptdf_angle_equivalence" in out
+    assert out.count("PASS") == 2
 
 
 @pytest.mark.parametrize("w", ["abc", "nan", "inf", "70,x"])

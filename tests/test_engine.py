@@ -42,7 +42,7 @@ def test_make_cut_separates_worst_point(twobus, cfg):
     sol = solve_maxmin_milp(m, W0, cfg)
     cut = make_cut(sol, m)
     assert np.linalg.norm(cut.normal) == pytest.approx(1.0)
-    assert cut.violation_at(sol.w_star) > 1e-9
+    assert cut.normal @ sol.w_star - cut.offset > 1e-9
     # Pre-normalization, the violation at w* equals the oracle objective.
     raw_violation = -(sol.alpha @ m.A) @ sol.w_star \
         + (sol.alpha @ m.b - sol.delta @ m.d)
@@ -102,7 +102,7 @@ def test_cut_soundness_on_certified_points(pjm5, cfg):
             continue
         kept += 1
         for cut in res.all_cuts:
-            assert cut.violation_at(w) <= 1e-6
+            assert cut.normal @ w - cut.offset <= 1e-6
     assert kept >= 50
 
 

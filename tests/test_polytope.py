@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from drrcalc import engine
+from drrcalc.caseio import StudyConfig
 from drrcalc.errors import EmptyRegionError, ZeroNormal
 from drrcalc.polytope import FacetProvenance, Polytope, box, remove_redundant
-from tests.conftest import box_bounds, chebyshev_center
+from tests.conftest import box_bounds, chebyshev_center, pruning_reference
 
 
 def _tags(n, kind="Cut"):
@@ -86,6 +88,86 @@ def test_random_pruning_preserves_vertex_set():
         # Removed rows are certified redundant: every kept-region vertex obeys them.
         for v in _vertices_bruteforce(R):
             assert W.contains(np.array(v), tol=1e-6)
+
+
+# Seeded 3- to 5-D polytopes for the pruning rule; each row is tagged by
+# its position, so the kept tags name the kept rows.
+
+
+def _cube_rows(d):
+    return np.vstack([np.eye(d), -np.eye(d)]), np.concatenate([np.ones(d), np.zeros(d)])
+
+
+def _box_with_cuts(d, rng):
+    # Cuts a random distance past the centre, so some cut and some miss.
+    H, f = _cube_rows(d)
+    normals = rng.normal(size=(int(rng.integers(3, 9)), d))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = normals @ np.full(d, 0.5) + rng.uniform(0.05, 1.2, size=len(normals))
+    return np.vstack([H, normals]), np.concatenate([f, offsets])
+
+
+def _duplicate_row(d, rng):
+    H, f = _box_with_cuts(d, rng)
+    return np.vstack([H, H[-1]]), np.append(f, f[-1])
+
+
+def _plane_touching_cube_vertex(d, rng):
+    # sum(w) <= d meets the unit cube only at its vertex (1, ..., 1): a
+    # weakly redundant row, which today's rule keeps.
+    H, f = _cube_rows(d)
+    return np.vstack([H, np.ones(d)]), np.append(f, float(d))
+
+
+def _pyramid(d, rng):
+    # Base [0, 1]^(d-1) at w_d = 0, apex (0.5, ..., 0.5, 1) on the 2(d-1)
+    # side rows and on w_d <= 1; w_d <= 2 misses it.
+    rows, rhs = [-np.eye(d)[-1]], [0.0]
+    for j in range(d - 1):
+        for sign, r in ((-1.0, 0.0), (1.0, 1.0)):
+            row = 0.5 * np.eye(d)[-1]
+            row[j] = sign
+            rows.append(row)
+            rhs.append(r)
+    rows += [np.eye(d)[-1]] * 2
+    rhs += [1.0, 2.0]
+    return np.array(rows), np.array(rhs)
+
+
+@pytest.mark.parametrize("make", [_box_with_cuts, _duplicate_row,
+                                  _plane_touching_cube_vertex, _pyramid])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_pruning_keeps_the_reference_rows(make, d):
+    rng = np.random.default_rng(d)
+    for _ in range(4):
+        H, f = make(d, rng)
+        order = rng.permutation(len(f))
+        W = Polytope(H=H[order], f=f[order], provenance=_tags(len(f)))
+        want = pruning_reference(W)
+        assert want is not None
+        assert remove_redundant(W).provenance == tuple(W.provenance[i] for i in want)
+
+
+@pytest.mark.parametrize("fixture", ["pjm5", "ieee39"])
+def test_engine_pruning_keeps_the_reference_rows(fixture, request, monkeypatch):
+    # Every pruning call of a seed-0 milp run whose rows have at most
+    # 20,000 d-subsets.
+    calls = []
+
+    def recording(W):
+        calls.append((W, remove_redundant(W)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(engine, "remove_redundant", recording)
+    engine.run(request.getfixturevalue(fixture), StudyConfig(seed=0), method="milp")
+    checked = 0
+    for W, R in calls:
+        assert len(set(W.provenance)) == W.n_facets
+        want = pruning_reference(W)
+        if want is not None:
+            assert R.provenance == tuple(W.provenance[i] for i in want)
+            checked += 1
+    assert checked, "no pruning call small enough to check"
 
 
 def test_chebyshev_center_of_square():
