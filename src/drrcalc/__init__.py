@@ -12,7 +12,7 @@ from .caseio import (CaseData, RawCase, RenewableSpec, StudyConfig,
 from .dispatch_model import (CompactPsd, ConstraintDescriptor, DispatchPoint,
                              build_compact, build_ptdf, feasibility_model,
                              initial_dispatch)
-from .engine import DrrResult, init_w0, make_cut, run
+from .engine import DrrResult, init_w0, run
 from .binding import BindingReport, identify, probe_point, terminal_points
 from .analysis import (RampEvent, export_artifacts, high_risk_event,
                        vertices_2d)

@@ -124,14 +124,13 @@ def region_payload(result: DrrResult, w_bar_mw) -> dict:
         "method": result.method,
         "termination": result.termination,
         "iterations": result.iterations,
-        "seed": result.seed,
+        "seed": result.config_echo["seed"],
         "config": _jsonable(result.config_echo),
     }
     if W.dim <= 2:
-        try:
-            payload["vertices_mw"] = [list(v * base) for v in vertices_2d(W)]
-        except EmptyRegionError:
-            payload["vertices_mw"] = []
+        # After EmptyRegion, W is the last non-empty region, not the answer.
+        payload["vertices_mw"] = ([] if result.termination == EMPTY_REGION else
+                                  [list(v * base) for v in vertices_2d(W)])
     return payload
 
 
@@ -204,8 +203,7 @@ def export_artifacts(result: DrrResult, report: BindingReport | None,
     write_trace_csv(result, out / "trace.csv")
     files["trace"] = "trace.csv"
 
-    payload = region_payload(result, w_bar_mw)
-    _dump(out / "region.json", payload)
+    _dump(out / "region.json", region_payload(result, w_bar_mw))
     files["region"] = "region.json"
 
     if report is not None:
@@ -216,10 +214,10 @@ def export_artifacts(result: DrrResult, report: BindingReport | None,
               event.to_json() | _context(result.method, result.config_echo))
         files["event"] = "event.json"
 
-    if result.region.dim != 2:
+    if result.termination == EMPTY_REGION:
+        notes.append("svg_skipped: region is empty")
+    elif result.region.dim != 2:
         notes.append("svg_skipped: region dimension is not 2")
-    elif not payload["vertices_mw"]:
-        notes.append("svg_skipped: region has no vertices")
     else:
         svg = render_region_svg(result.region, np.asarray(w_bar_mw) / base,
                                 event, base)

@@ -6,6 +6,13 @@ the oracle's multipliers; the exact oracle contributes one cut, the
 multi-start heuristic contributes its whole deduplicated batch.  Redundant
 facets are pruned every iteration, and a zero-direction cut with positive
 violation is a certificate that no dispatchable point exists at all.
+
+A :class:`DrrResult` holds what the outputs read: the region, one record
+per iteration (violation, cuts added, facets after pruning, worst point,
+oracle diagnostics and wall time), the termination, the method, the config
+echo (the seed included) and the model.  Cuts and multipliers are not kept;
+each cut is a ``Cut`` row of the region until pruning drops it.  After
+``EmptyRegion`` the region is the last non-empty W, not an answer.
 """
 
 from __future__ import annotations
@@ -20,20 +27,12 @@ from .caseio import CaseData, StudyConfig
 from .dispatch_model import CompactPsd, build_compact, initial_dispatch
 from .errors import DegenerateCut, EmptyRegionError, NoRenewables
 from .maxmin_iblp import IblpOracle, make_scenarios, run_iblp
-from .maxmin_milp import MaxMinSolution, cut_vector, solve_maxmin_milp
+from .maxmin_milp import cut_vector, solve_maxmin_milp
 from .polytope import FacetProvenance, Polytope, box, remove_redundant
 
 CONVERGED = "Converged"
 MAX_ITERATIONS = "MaxIterations"
 EMPTY_REGION = "EmptyRegion"
-
-
-@dataclass(frozen=True)
-class Cut:
-    normal: np.ndarray        # unit norm
-    offset: float
-    alpha: np.ndarray
-    delta: np.ndarray
 
 
 @dataclass
@@ -43,7 +42,6 @@ class IterationRecord:
     cuts_added: int
     oracle_ms: float
     facets_after: int
-    region_after: tuple[np.ndarray, np.ndarray]  # (H, f) snapshot
     oracle_diag: dict = field(default_factory=dict)
     w_star: np.ndarray | None = None
 
@@ -54,10 +52,8 @@ class DrrResult:
     trace: list[IterationRecord]
     termination: str
     method: str
-    seed: int
     config_echo: dict
     model: CompactPsd
-    all_cuts: list[Cut] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -76,13 +72,6 @@ def init_w0(case: CaseData) -> Polytope:
     return box(np.zeros(n), caps_pu, upper, lower)
 
 
-def make_cut(sol: MaxMinSolution, m: CompactPsd) -> Cut:
-    """Normalized separating halfspace from the oracle multipliers."""
-    normal, offset = cut_vector(sol, m)
-    return Cut(normal=normal, offset=offset,
-               alpha=sol.alpha.copy(), delta=sol.delta.copy())
-
-
 def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
     """Full region computation; see the module docstring for the loop."""
     method = method.lower()
@@ -93,7 +82,6 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
     w_bar = np.array(case.forecast_mw) / case.base_mva
 
     trace: list[IterationRecord] = []
-    all_cuts: list[Cut] = []
     termination = MAX_ITERATIONS
 
     # One iblp oracle per run: its LP memo and worker threads outlive the
@@ -124,17 +112,16 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
                 rows, offsets, tags = [], [], []
                 for s in batch:
                     try:
-                        cut = make_cut(s, m)
+                        normal, offset = cut_vector(s, m)
                     except DegenerateCut:
                         # Zero direction with positive violation: the dual
                         # value is F for every w, so no point is dispatchable.
                         stop = EMPTY_REGION
                         break
-                    rows.append(cut.normal)
-                    offsets.append(cut.offset)
+                    rows.append(normal)
+                    offsets.append(offset)
                     tags.append(FacetProvenance("Cut", iteration=k,
                                                 scenario=s.diagnostics.get("scenario")))
-                    all_cuts.append(cut)
                 if stop is None:
                     W = W.with_rows(np.array(rows), np.array(offsets), tags)
                     cuts_added = len(rows)
@@ -146,13 +133,11 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
             trace.append(IterationRecord(k=k, F=F_k, cuts_added=cuts_added,
                                          oracle_ms=oracle_ms,
                                          facets_after=W.n_facets,
-                                         region_after=(W.H.copy(), W.f.copy()),
                                          oracle_diag=diag, w_star=w_star))
             if stop is not None:
                 termination = stop
                 break
 
     return DrrResult(region=W, trace=trace, termination=termination,
-                     method=method, seed=cfg.seed,
-                     config_echo=cfg.algorithmic_echo(), model=m,
-                     all_cuts=all_cuts)
+                     method=method, config_echo=cfg.algorithmic_echo(),
+                     model=m)

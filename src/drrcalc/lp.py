@@ -63,8 +63,8 @@ input order and raise the first failing input's own exception, so which
 thread solved what changes no result.
 
 The constructor assembles the matrix as ``passModel`` takes it: the CSC
-arrays of ``[M_in; M_eq]`` and the integrality vector, all read-only;
-a MIP renumbers these rows rather than assembling them again.
+arrays of ``[M_in; M_eq]`` and the integrality vector, all read-only.
+A MIP assembles its own ``[M_eq; M_in]`` (``mip.solve_mip``).
 Loops that solve one structure many times swap vectors into one
 LinearProgram: ``lp.with_vectors(c=..., r_eq=..., r_in=..., ub=...)``
 checks the new vectors as the constructor does and returns a copy that

@@ -239,7 +239,6 @@ class IblpOracle:
                     # Always stop on a multiplier step.
                     out[i] = MaxMinSolution(
                         F=float(F), w_star=w[i], alpha=sol.x[:na], delta=sol.x[na:],
-                        theta=None, method="iblp",
                         diagnostics={"rounds": rounds, "sequence": sequence[i],
                                      "scenario": i})
                 else:

@@ -64,8 +64,6 @@ class MaxMinSolution:
     w_star: np.ndarray
     alpha: np.ndarray
     delta: np.ndarray
-    theta: np.ndarray | None
-    method: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -197,5 +195,4 @@ def _solve_once(m: CompactPsd, W: Polytope, M: float, cfg: StudyConfig):
         "mip_nodes": res.nodes,
     }
     return MaxMinSolution(F=float(res.objective), w_star=w, alpha=alpha,
-                          delta=delta, theta=theta, method="milp",
-                          diagnostics=diag), stress
+                          delta=delta, diagnostics=diag), stress

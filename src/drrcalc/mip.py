@@ -7,13 +7,11 @@ branch-and-cut solver through ``lp._pass_and_run``, as LP solves do.
 HiGHS is given exactly what ``scipy.optimize.milp`` gives it for the same
 program: a new HiGHS instance per MIP; the options
 ``log_to_console=False``, ``mip_max_nodes`` and ``mip_rel_gap=0`` and no
-other; the integrality of every column; and the equality rows first.
-Those rows come from the arrays of ``[M_in; M_eq]`` that the LP's
-constructor assembled (``lp._model``), renumbered and re-sorted within
-each column, which gives the arrays of ``[M_eq; M_in]`` byte for byte.  So
-x and the node count are milp's bit for bit.  A model
-HiGHS rejects, or a failed run, raises :class:`NumericalFailure`, never
-INFEASIBLE, which the big-M watchdog would read as a clipped big-M.
+other; the integrality of every column; and the matrix ``[M_eq; M_in]``,
+equality rows first, which ``lp._csc`` assembles for each MIP.  So x and
+the node count are milp's bit for bit.  A model HiGHS rejects, or a failed
+run, raises :class:`NumericalFailure`, never INFEASIBLE, which the big-M
+watchdog would read as a clipped big-M.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NodeLimitExceeded, NumericalFailure
-from .lp import INFEASIBLE, OPTIMAL, LinearProgram, _highs, _pass_and_run
+from .lp import INFEASIBLE, OPTIMAL, LinearProgram, _csc, _highs, _pass_and_run
 
 
 @dataclass
@@ -58,15 +56,8 @@ def solve_mip(mp: MixedProgram, node_limit: int) -> MipSolution:
     :class:`NodeLimitExceeded` when the search needs more than
     `node_limit` branch-and-bound nodes."""
     lp = mp.lp
-    m_in, m_eq = lp.r_in.size, lp.r_eq.size
-    # milp's row order, r_eq <= M_eq x <= r_eq first, then M_in x <= r_in:
-    # renumber the rows of lp._model ([M_in; M_eq]) and sort each column
-    # by its new row index.
-    start, index, value, _ = lp._model
-    row = np.where(index < m_in, index + m_eq, index - m_in)
-    col = np.repeat(np.arange(lp.nvar), np.diff(np.append(start, index.size)))
-    order = np.lexsort((row, col))
-    row_lower = np.concatenate([lp.r_eq, np.full(m_in, -np.inf)])
+    # milp's row order: r_eq <= M_eq x <= r_eq first, then M_in x <= r_in.
+    row_lower = np.concatenate([lp.r_eq, np.full(lp.r_in.size, -np.inf)])
     row_upper = np.concatenate([lp.r_eq, lp.r_in])
     integrality = np.zeros(lp.nvar, np.int32)
     integrality[mp.binary_index] = int(_highs.HighsVarType.kInteger)
@@ -80,7 +71,7 @@ def solve_mip(mp: MixedProgram, node_limit: int) -> MipSolution:
     if h.passOptions(opts) == _highs.HighsStatus.kError:
         raise NumericalFailure(
             f"HiGHS rejected the MIP options (node limit {node_limit})")
-    run_ok, status = _pass_and_run(h, lp, start, row[order], value[order],
+    run_ok, status = _pass_and_run(h, lp, *_csc(np.vstack([lp.M_eq, lp.M_in])),
                                    integrality, row_lower, row_upper)
     if run_ok and status == _highs.HighsModelStatus.kInfeasible:
         return MipSolution(status=INFEASIBLE)

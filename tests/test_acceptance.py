@@ -18,8 +18,8 @@ from drrcalc.caseio import (StudyConfig, apply_renewables, parse_matpower,
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import CONVERGED, init_w0, run
 from drrcalc.lp import solve_lp
-from drrcalc.maxmin_milp import multiplier_lp, solve_maxmin_milp
-from tests.conftest import box_bounds, chebyshev_center, load_case
+from drrcalc.maxmin_milp import cut_vector, multiplier_lp, solve_maxmin_milp
+from tests.conftest import box_bounds, chebyshev_center, load_case, recorded_run
 
 
 def _report(num, name, ok, detail=""):
@@ -45,21 +45,22 @@ def ieee39m():
     return load_case("case39_wind")
 
 
-@pytest.fixture(scope="module")
-def pjm5_runs(pjm5m):
-    cfg = StudyConfig()
-    t0 = time.perf_counter()
-    runs = {"milp": run(pjm5m, cfg, method="milp"),
-            "iblp": run(pjm5m, cfg, method="iblp")}
-    runs["seconds"] = time.perf_counter() - t0
-    return runs
+def _runs(stem):
+    """Both methods at the default settings, recorded (tests.conftest)."""
+    recs = {method: recorded_run(stem, method) for method in ("milp", "iblp")}
+    return {**{method: rec.result for method, rec in recs.items()},
+            "recorded": recs,
+            "seconds": sum(rec.seconds for rec in recs.values())}
 
 
 @pytest.fixture(scope="module")
-def ieee39_runs(ieee39m):
-    cfg = StudyConfig()
-    return {"milp": run(ieee39m, cfg, method="milp"),
-            "iblp": run(ieee39m, cfg, method="iblp")}
+def pjm5_runs():
+    return _runs("case5_wind")
+
+
+@pytest.fixture(scope="module")
+def ieee39_runs():
+    return _runs("case39_wind")
 
 
 def _interior_points(result, count, seed):
@@ -273,10 +274,10 @@ def test_criterion_06_cut_soundness(pjm5_runs, ieee39_runs):
         pts = _interior_points(runs["milp"], 500, seed=23)
         ok &= len(pts) == 500
         worst = 0.0
-        cuts = runs["milp"].all_cuts + runs["iblp"].all_cuts
-        for cut in cuts:
+        cuts = runs["recorded"]["milp"].cuts() + runs["recorded"]["iblp"].cuts()
+        for normal, offset, _ in cuts:
             for p in pts:
-                worst = max(worst, cut.normal @ p - cut.offset)
+                worst = max(worst, normal @ p - offset)
         ok &= worst <= 1e-6
         details.append(f"{name}: {len(cuts)} cuts x {len(pts)} pts, "
                        f"worst {worst:.2e}")
@@ -288,30 +289,39 @@ def test_criterion_06_cut_soundness_by_weak_duality(pjm5_runs, ieee39_runs):
     # Exact, where criterion 06 samples.  If B'alpha = F'delta, C'alpha =
     # G'delta, D'alpha = J'delta and delta >= 0, any dispatch (p, l, v) of w
     # gives alpha'(b - Aw) = delta'(Fp + Gl + Jv) <= delta'd: the cut built
-    # from (alpha, delta) keeps every dispatchable w.
+    # from (alpha, delta) keeps every dispatchable w.  Every cut a run added,
+    # and every Cut row of its final region, is cut_vector of the recorded
+    # solution its provenance names (iteration, and scenario for iblp).
     ok = True
     details = []
     for name, runs in (("pjm5", pjm5_runs), ("ieee39", ieee39_runs)):
         residual = tied = 0.0
         delta_min = np.inf
-        for res in (runs["milp"], runs["iblp"]):
-            m = res.model
-            for cut in res.all_cuts:
-                a, d = cut.alpha, cut.delta
+        cuts = final = 0
+        for rec in runs["recorded"].values():
+            res, m = rec.result, rec.result.model
+            solutions = {(k, s.diagnostics.get("scenario")): s
+                         for k, call in enumerate(rec.calls, start=1)
+                         for s in call.solutions}
+            rows = rec.cuts()
+            cuts += len(rows)
+            kept = [(h, f, tag) for h, f, tag in zip(res.region.H, res.region.f,
+                                                      res.region.provenance)
+                    if tag.kind == "Cut"]
+            final += len(kept)
+            for h, f, tag in rows + kept:
+                s = solutions[(tag.iteration, tag.scenario)]
+                a, d = s.alpha, s.delta
                 for X, Y in ((m.B, m.F), (m.C, m.G), (m.D, m.J)):
                     residual = max(residual, np.abs(X.T @ a - Y.T @ d).max())
                 delta_min = min(delta_min, d.min())
-                # The cut is the one (a, d) certify, scaled to a unit normal:
-                # -a'A w <= -(a'b - d'm.d).
-                normal = -(a @ m.A)
-                scale = np.linalg.norm(normal)
-                tied = max(tied, np.abs(cut.normal - normal / scale).max(),
-                           abs(cut.offset + (a @ m.b - d @ m.d) / scale))
-        ok &= residual <= 1e-9 and delta_min >= -1e-9 and tied <= 1e-9
-        cuts = len(runs["milp"].all_cuts) + len(runs["iblp"].all_cuts)
-        details.append(f"{name}: {cuts} cuts, coupling residual "
-                       f"{residual:.2e}, min delta {delta_min:.2e}, "
-                       f"cut mismatch {tied:.2e}")
+                normal, offset = cut_vector(s, m)
+                tied = max(tied, np.abs(h - normal).max(), abs(f - offset))
+        ok &= residual <= 1e-9 and delta_min >= -1e-9 and tied <= 1e-12
+        ok &= 0 < final < cuts
+        details.append(f"{name}: {cuts} cuts, {final} in the region, "
+                       f"coupling residual {residual:.2e}, min delta "
+                       f"{delta_min:.2e}, cut mismatch {tied:.2e}")
     _report(6, "every cut's multipliers are dual feasible", ok,
             "; ".join(details))
 
@@ -324,11 +334,12 @@ def test_criterion_07_monotonicity(pjm5m, pjm5_runs):
     lo, hi = box_bounds(init_w0(pjm5m))
     rng = np.random.default_rng(5)
     pts = rng.uniform(lo, hi, size=(100, len(lo)))
-    for prev, nxt in zip(res.trace, res.trace[1:]):
-        Hp, fp = prev.region_after
-        Hn, fn = nxt.region_after
-        in_prev = np.all(pts @ Hp.T <= fp + 1e-9, axis=1)
-        in_next = np.all(pts @ Hn.T <= fn + 1e-9, axis=1)
+    # The region each oracle call searched, W_0 to W_{K-1}, then W_K.
+    regions = [call.region for call in pjm5_runs["recorded"]["milp"].calls] + [res.region]
+    ok &= len(regions) == res.iterations + 1
+    for prev, nxt in zip(regions, regions[1:]):
+        in_prev = np.all(pts @ prev.H.T <= prev.f + 1e-9, axis=1)
+        in_next = np.all(pts @ nxt.H.T <= nxt.f + 1e-9, axis=1)
         ok &= not bool(np.any(in_next & ~in_prev))
     _report(7, "exact-path objective monotone, regions nested", ok,
             "F trace " + ">".join(f"{F:.3f}" for F in Fs))

@@ -466,20 +466,24 @@ def test_bad_config_value_is_an_error_not_a_traceback(command, settings, message
 
 def _contradicting_oracle(monkeypatch, case, bus_pos):
     """Make every milp oracle call return one valid-looking cut that asks
-    farm 0 for the load of the bus at ``bus_pos``, more than its capacity."""
+    farm 0 for the load of the bus at ``bus_pos``, more than its capacity;
+    with ``bus_pos`` None, a cut with no direction at a positive violation."""
     import drrcalc.engine as eng
     m = build_compact(case, initial_dispatch(case, StudyConfig()))
     alpha = np.zeros(m.b.size)
-    alpha[bus_pos] = 1.0  # the balance row of farm 0's bus: w_0 >= its load
+    if bus_pos is not None:
+        alpha[bus_pos] = 1.0  # the balance row of farm 0's bus: w_0 >= its load
     fake = MaxMinSolution(F=0.5, w_star=np.zeros(m.n_w), alpha=alpha,
-                          delta=np.zeros(m.d.size), theta=None, method="milp")
+                          delta=np.zeros(m.d.size))
     monkeypatch.setattr(eng, "solve_maxmin_milp", lambda *a, **k: fake)
 
 
 @pytest.mark.parametrize("paths, fixture, bus_pos", [
     ((TWO, TWO_R), "twobus", 1),   # 150 MW load against 100 MW installed
     ((PJM, PJM_R), "pjm5", 3),     # 400 MW load against 150 MW installed
-], ids=["case2_ramp", "pjm5"])
+    # The run stops on the zero direction with the box still its region.
+    ((PJM, PJM_R), "pjm5", None),
+], ids=["case2_ramp", "pjm5", "pjm5-zero-direction"])
 def test_compute_empty_region_exits_2(paths, fixture, bus_pos, request, tmp_path,
                                       capsys, monkeypatch):
     _contradicting_oracle(monkeypatch, request.getfixturevalue(fixture), bus_pos)
@@ -488,8 +492,8 @@ def test_compute_empty_region_exits_2(paths, fixture, bus_pos, request, tmp_path
                  "--method", "milp", "--out", str(out)])
     assert code == 2
     assert "EmptyRegion after 1 iterations" in capsys.readouterr().out
-    # No binding.json or event.json for a region without facets to explain,
-    # and no region.svg for one without vertices.
+    # No binding.json, event.json or region.svg for an empty region, and no
+    # vertices in its region.json.
     assert sorted(os.listdir(out)) == ["manifest.json", "region.json", "trace.csv"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_status"] == 2
@@ -498,8 +502,7 @@ def test_compute_empty_region_exits_2(paths, fixture, bus_pos, request, tmp_path
     region = json.loads((out / "region.json").read_text())
     assert region["termination"] == "EmptyRegion"
     assert region["vertices_mw"] == []
-    if fixture == "pjm5":
-        assert manifest["notes"] == ["svg_skipped: region has no vertices"]
+    assert manifest["notes"] == ["svg_skipped: region is empty"]
 
 
 def test_binding_on_an_empty_region_exits_2(pjm5, tmp_path, capsys, monkeypatch):

@@ -6,11 +6,10 @@ import pytest
 from drrcalc.analysis import vertices_2d
 from drrcalc.caseio import StudyConfig
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
-from drrcalc.engine import (CONVERGED, EMPTY_REGION, init_w0, make_cut,
-                            run)
+from drrcalc.engine import CONVERGED, EMPTY_REGION, init_w0, run
 from drrcalc.errors import DegenerateCut, NoRenewables
-from drrcalc.maxmin_milp import MaxMinSolution, solve_maxmin_milp
-from tests.conftest import box_bounds
+from drrcalc.maxmin_milp import MaxMinSolution, cut_vector, solve_maxmin_milp
+from tests.conftest import box_bounds, recorded_run
 
 
 def test_init_w0_twobus(twobus):
@@ -36,26 +35,25 @@ def test_init_w0_requires_renewables(twobus):
         init_w0(bare)
 
 
-def test_make_cut_separates_worst_point(twobus, cfg):
+def test_cut_vector_separates_worst_point(twobus, cfg):
     m = build_compact(twobus, initial_dispatch(twobus, cfg))
     W0 = init_w0(twobus)
     sol = solve_maxmin_milp(m, W0, cfg)
-    cut = make_cut(sol, m)
-    assert np.linalg.norm(cut.normal) == pytest.approx(1.0)
-    assert cut.normal @ sol.w_star - cut.offset > 1e-9
+    normal, offset = cut_vector(sol, m)
+    assert np.linalg.norm(normal) == pytest.approx(1.0)
+    assert normal @ sol.w_star - offset > 1e-9
     # Pre-normalization, the violation at w* equals the oracle objective.
     raw_violation = -(sol.alpha @ m.A) @ sol.w_star \
         + (sol.alpha @ m.b - sol.delta @ m.d)
     assert raw_violation == pytest.approx(sol.F, abs=1e-8)
 
 
-def test_make_cut_rejects_zero_duals(twobus, cfg):
+def test_cut_vector_rejects_zero_duals(twobus, cfg):
     m = build_compact(twobus, initial_dispatch(twobus, cfg))
     sol = MaxMinSolution(F=1.0, w_star=np.array([0.5]),
-                         alpha=np.zeros(m.b.size), delta=np.zeros(m.d.size),
-                         theta=None, method="milp")
+                         alpha=np.zeros(m.b.size), delta=np.zeros(m.d.size))
     with pytest.raises(DegenerateCut):
-        make_cut(sol, m)
+        cut_vector(sol, m)
 
 
 @pytest.mark.parametrize("method", ["milp", "iblp"])
@@ -70,27 +68,31 @@ def test_twobus_run_converges_to_band(twobus, method):
     assert res.trace[-1].F <= cfg.eps_term
 
 
-def test_milp_trace_monotone_and_nested(pjm5, cfg):
-    res = run(pjm5, cfg, method="milp")
+def test_milp_trace_monotone_and_nested(pjm5):
+    rec = recorded_run("case5_wind", "milp")
+    res = rec.result
     assert res.termination == CONVERGED
     Fs = [t.F for t in res.trace]
     assert all(b <= a + 1e-9 for a, b in zip(Fs, Fs[1:]))
     assert all(F >= -1e-9 for F in Fs)
-    # Nesting on sampled points: anything outside W_k stays outside W_{k+1}.
+    # Nesting on sampled points: anything outside W_k stays outside W_{k+1},
+    # from the box W_0 that the first oracle call searched to the result.
     rng = np.random.default_rng(0)
     lo, hi = box_bounds(init_w0(pjm5))
     pts = rng.uniform(lo, hi, size=(100, 2))
-    for prev, nxt in zip(res.trace, res.trace[1:]):
-        Hp, fp = prev.region_after
-        Hn, fn = nxt.region_after
-        in_prev = np.all(pts @ Hp.T <= fp + 1e-9, axis=1)
-        in_next = np.all(pts @ Hn.T <= fn + 1e-9, axis=1)
+    regions = [call.region for call in rec.calls] + [res.region]
+    assert len(regions) == res.iterations + 1
+    for prev, nxt in zip(regions, regions[1:]):
+        in_prev = np.all(pts @ prev.H.T <= prev.f + 1e-9, axis=1)
+        in_next = np.all(pts @ nxt.H.T <= nxt.f + 1e-9, axis=1)
         assert not np.any(in_next & ~in_prev)
 
 
-def test_cut_soundness_on_certified_points(pjm5, cfg):
-    res = run(pjm5, cfg, method="milp")
-    m = res.model
+def test_cut_soundness_on_certified_points():
+    rec = recorded_run("case5_wind", "milp")
+    res, m = rec.result, rec.result.model
+    cuts = rec.cuts()
+    assert len(cuts) == sum(t.cuts_added for t in res.trace)
     rng = np.random.default_rng(8)
     lo, hi = box_bounds(res.region)
     kept = 0
@@ -101,8 +103,8 @@ def test_cut_soundness_on_certified_points(pjm5, cfg):
         if feasibility_model(m, w).objective > 1e-9:
             continue
         kept += 1
-        for cut in res.all_cuts:
-            assert cut.normal @ w - cut.offset <= 1e-6
+        for normal, offset, _ in cuts:
+            assert normal @ w - offset <= 1e-6
     assert kept >= 50
 
 
@@ -115,7 +117,7 @@ def test_empty_region_via_contradicting_cut(twobus, cfg, monkeypatch):
     alpha = np.zeros(m.b.size)
     alpha[1] = 1.0  # balance row of the farm bus: b = 1.5 pu load there
     fake = MaxMinSolution(F=0.5, w_star=np.array([1.0]), alpha=alpha,
-                          delta=np.zeros(m.d.size), theta=None, method="milp")
+                          delta=np.zeros(m.d.size))
     monkeypatch.setattr(eng, "solve_maxmin_milp", lambda *a, **k: fake)
     res = eng.run(twobus, cfg, method="milp")
     assert res.termination == EMPTY_REGION
@@ -126,8 +128,7 @@ def test_empty_region_via_zero_direction_certificate(twobus, cfg, monkeypatch):
     import drrcalc.engine as eng
     m = build_compact(twobus, initial_dispatch(twobus, cfg))
     fake = MaxMinSolution(F=0.5, w_star=np.array([1.0]),
-                          alpha=np.zeros(m.b.size), delta=np.zeros(m.d.size),
-                          theta=None, method="milp")
+                          alpha=np.zeros(m.b.size), delta=np.zeros(m.d.size))
     monkeypatch.setattr(eng, "solve_maxmin_milp", lambda *a, **k: fake)
     res = eng.run(twobus, cfg, method="milp")
     assert res.termination == EMPTY_REGION
@@ -137,7 +138,7 @@ def test_run_result_metadata(twobus):
     cfg = StudyConfig(s1_count=25, seed=3, thread_count=2)
     res = run(twobus, cfg, method="iblp")
     assert res.method == "iblp"
-    assert res.seed == 3
+    assert res.config_echo["seed"] == 3
     assert "thread_count" not in res.config_echo
     assert res.config_echo["s1_count"] == 25
     assert res.iterations == len(res.trace)
@@ -216,22 +217,20 @@ def test_iblp_same_bytes_and_lps_for_any_worker_count(pjm5, tmp_path):
 
 def test_iblp_projected_and_deduplicated_scenarios(pjm5):
     from drrcalc.maxmin_iblp import make_scenarios
-    from drrcalc.polytope import FacetProvenance, Polytope
     cfg = StudyConfig(seed=0)
-    res = run(pjm5, cfg, method="iblp")
-    W = init_w0(pjm5)
+    recorded = recorded_run("case5_wind", "iblp", seed=0)
+    res = recorded.result
     w_bar = np.array(pjm5.forecast_mw) / pjm5.base_mva
-    for rec in res.trace:
+    assert len(recorded.calls) == res.iterations
+    for rec, call in zip(res.trace, recorded.calls):
         d = rec.oracle_diag
+        W = call.region
         starts = make_scenarios(res.model.farm_capacity_pu, W, w_bar, cfg).combined()
         assert d["scenarios_projected"] == sum(not W.contains(w, tol=1e-9)
                                                for w in starts)
         # Every positive scenario is kept (degenerate cuts included) or
         # dropped as a duplicate cut.
         assert d["scenarios_kept"] + d["scenarios_deduplicated"] == d["scenarios_positive"]
-        H, f = rec.region_after
-        W = Polytope(H=H, f=f,
-                     provenance=(FacetProvenance("Cut", iteration=rec.k),) * f.size)
     assert sum(rec.oracle_diag["scenarios_projected"] for rec in res.trace) > 0
     assert sum(rec.oracle_diag["scenarios_deduplicated"] for rec in res.trace) > 0
 

@@ -7,14 +7,15 @@ import pytest
 
 from drrcalc.caseio import StudyConfig
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
-from drrcalc.engine import init_w0, make_cut
+from drrcalc.engine import init_w0
 from drrcalc.errors import DegenerateCut, DimensionMismatch, NumericalFailure
-from drrcalc.lp import LinearProgram, solve_lp
+from drrcalc.lp import OPTIMAL, LinearProgram, solve_lp
 from drrcalc.maxmin_iblp import (MULTIPLIER, WSTEP, IblpOracle, ScenarioSet,
                                  gen_s1, gen_s2, make_scenarios, run_iblp)
 from drrcalc.maxmin_milp import (MaxMinSolution, build_kkt_mip, coupling,
                                  cut_vector, default_big_m, multiplier_lp,
                                  solve_maxmin_milp, w_cost)
+from drrcalc.mip import solve_mip
 from drrcalc.polytope import FacetProvenance, Polytope
 from tests.conftest import box_bounds
 
@@ -78,11 +79,18 @@ def test_kkt_mip_structure(two):
 
 def test_kkt_rearrangement_identity(two):
     # At any MIP-feasible point, stationarity turns the bilinear objective
-    # term into theta'Hw.
+    # term into theta'Hw.  The oracle solves this MIP and keeps no theta,
+    # so read it from the MIP's own x.
     _, m, W0, cfg = two
-    sol = solve_maxmin_milp(m, W0, cfg)
-    lhs = -(sol.alpha @ m.A) @ sol.w_star
-    rhs = sol.theta @ (W0.H @ sol.w_star)
+    res = solve_mip(build_kkt_mip(m, W0, default_big_m(m, W0)),
+                    node_limit=cfg.node_limit)
+    assert res.status == OPTIMAL
+    assert res.objective == solve_maxmin_milp(m, W0, cfg).F
+    na, nd, nw = m.b.size, m.d.size, m.n_w
+    alpha, w = res.x[:na], res.x[na + nd:na + nd + nw]
+    theta = res.x[na + nd + nw:na + nd + nw + W0.n_facets]
+    lhs = -(alpha @ m.A) @ w
+    rhs = theta @ (W0.H @ w)
     assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
@@ -303,7 +311,7 @@ def test_run_iblp_projection_failure_stops_only_its_scenarios(two, monkeypatch):
 
 
 def test_run_iblp_keeps_cuts_too_short_for_the_engine_as_degenerate(two, monkeypatch):
-    # Two solutions whose cut normal has a norm of 5e-11, which make_cut
+    # Two solutions whose cut normal has a norm of 5e-11, which cut_vector
     # rejects as degenerate: run_iblp keeps both for the engine to judge
     # and deduplicates neither as a real cut.
     _, m, W0, cfg = two
@@ -311,7 +319,7 @@ def test_run_iblp_keeps_cuts_too_short_for_the_engine_as_degenerate(two, monkeyp
     alpha = np.zeros(m.b.size)
     alpha[j] = 5e-11 / np.linalg.norm(m.A[j])
     sols = [MaxMinSolution(F=1.0, w_star=np.zeros(m.n_w), alpha=alpha.copy(),
-                           delta=np.zeros(m.d.size), theta=None, method="iblp")
+                           delta=np.zeros(m.d.size))
             for _ in range(2)]
     assert 1e-11 < np.linalg.norm(alpha @ m.A) < 1e-10
     monkeypatch.setattr(IblpOracle, "alternate", lambda self, W, starts: sols)
@@ -324,8 +332,6 @@ def test_run_iblp_keeps_cuts_too_short_for_the_engine_as_degenerate(two, monkeyp
     for sol in sols:
         with pytest.raises(DegenerateCut):
             cut_vector(sol, m)
-        with pytest.raises(DegenerateCut):
-            make_cut(sol, m)
 
 
 # --- LP memo ---------------------------------------------------------------------

@@ -73,11 +73,10 @@ def test_a_model_highs_rejects_is_a_numerical_failure_not_infeasible():
                   node_limit=NODE_LIMIT)
 
 
-def test_a_milp_run_assembles_each_program_once(pjm5, monkeypatch):
-    # Each KKT MIP reuses the matrix its LinearProgram assembled, so a milp
-    # run calls _csc once per LinearProgram built (with_vectors copies
-    # build none), and never for a MIP.  _csc is counted under every
-    # drrcalc module name it is bound to.
+def test_a_milp_run_assembles_each_lp_once_and_each_mip_once(pjm5, monkeypatch):
+    # A milp run calls _csc once per LinearProgram built (with_vectors copies
+    # build none), and once more per MIP for its equality-first rows.  _csc
+    # is counted under every drrcalc module name it is bound to.
     import sys
     import drrcalc.lp as lp_mod
     from drrcalc import engine, maxmin_milp
@@ -105,7 +104,7 @@ def test_a_milp_run_assembles_each_program_once(pjm5, monkeypatch):
     monkeypatch.setattr(maxmin_milp, "solve_mip", counting_solve_mip)
     engine.run(pjm5, StudyConfig(), method="milp")
     assert mips
-    assert len(assembled) == len(built)
+    assert len(assembled) == len(built) + len(mips)
 
 
 def test_node_limit():

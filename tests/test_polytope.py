@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from drrcalc import engine
-from drrcalc.caseio import StudyConfig
 from drrcalc.errors import EmptyRegionError, ZeroNormal
 from drrcalc.polytope import FacetProvenance, Polytope, box, remove_redundant
-from tests.conftest import box_bounds, chebyshev_center, pruning_reference
+from tests.conftest import (box_bounds, chebyshev_center, pruning_reference,
+                            recorded_run)
 
 
 def _tags(n, kind="Cut"):
@@ -148,20 +147,13 @@ def test_pruning_keeps_the_reference_rows(make, d):
         assert remove_redundant(W).provenance == tuple(W.provenance[i] for i in want)
 
 
-@pytest.mark.parametrize("fixture", ["pjm5", "ieee39"])
-def test_engine_pruning_keeps_the_reference_rows(fixture, request, monkeypatch):
+@pytest.mark.parametrize("stem", ["case5_wind", "case39_wind"], ids=["pjm5", "ieee39"])
+def test_engine_pruning_keeps_the_reference_rows(stem):
     # Every pruning call of a seed-0 milp run whose rows have at most
     # 20,000 d-subsets.
-    calls = []
-
-    def recording(W):
-        calls.append((W, remove_redundant(W)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(engine, "remove_redundant", recording)
-    engine.run(request.getfixturevalue(fixture), StudyConfig(seed=0), method="milp")
+    calls = recorded_run(stem, "milp").calls
     checked = 0
-    for W, R in calls:
+    for W, R in ((call.cut, call.pruned) for call in calls if call.cut is not None):
         assert len(set(W.provenance)) == W.n_facets
         want = pruning_reference(W)
         if want is not None:
