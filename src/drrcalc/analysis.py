@@ -128,7 +128,8 @@ def region_payload(result: DrrResult, w_bar_mw) -> dict:
         "config": _jsonable(result.config_echo),
     }
     if W.dim <= 2:
-        # After EmptyRegion, W is the last non-empty region, not the answer.
+        # After EmptyRegion, W is not the answer: the previous region, or the
+        # unpruned rows that prove it empty.
         payload["vertices_mw"] = ([] if result.termination == EMPTY_REGION else
                                   [list(v * base) for v in vertices_2d(W)])
     return payload

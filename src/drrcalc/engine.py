@@ -12,7 +12,8 @@ per iteration (violation, cuts added, facets after pruning, worst point,
 oracle diagnostics and wall time), the termination, the method, the config
 echo (the seed included) and the model.  Cuts and multipliers are not kept;
 each cut is a ``Cut`` row of the region until pruning drops it.  After
-``EmptyRegion`` the region is the last non-empty W, not an answer.
+``EmptyRegion`` the region is not an answer: it is the previous W when a
+cut had a zero direction, or W with the unpruned cuts that prove it empty.
 """
 
 from __future__ import annotations

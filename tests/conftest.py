@@ -136,12 +136,16 @@ class RecordedRun:
                 for i in range(call.region.n_facets, call.cut.n_facets)]
 
 
-@functools.cache
 def recorded_run(stem: str, method: str, seed: int = 0) -> RecordedRun:
     """``engine.run`` of a shipped case at the default settings and a seed,
     with one :class:`OracleCall` per iteration, recorded by wrapping
     ``engine.solve_maxmin_milp``, ``engine.run_iblp`` and
     ``engine.remove_redundant``.  Each run is made once per session."""
+    return _recorded_run(stem, method, seed)
+
+
+@functools.cache
+def _recorded_run(stem: str, method: str, seed: int) -> RecordedRun:
     calls: list[OracleCall] = []
 
     def oracle(original, as_list):

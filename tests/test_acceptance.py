@@ -18,7 +18,7 @@ from drrcalc.caseio import (StudyConfig, apply_renewables, parse_matpower,
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
 from drrcalc.engine import CONVERGED, init_w0, run
 from drrcalc.lp import solve_lp
-from drrcalc.maxmin_milp import cut_vector, multiplier_lp, solve_maxmin_milp
+from drrcalc.maxmin_milp import multiplier_lp, solve_maxmin_milp
 from tests.conftest import box_bounds, chebyshev_center, load_case, recorded_run
 
 
@@ -290,8 +290,9 @@ def test_criterion_06_cut_soundness_by_weak_duality(pjm5_runs, ieee39_runs):
     # G'delta, D'alpha = J'delta and delta >= 0, any dispatch (p, l, v) of w
     # gives alpha'(b - Aw) = delta'(Fp + Gl + Jv) <= delta'd: the cut built
     # from (alpha, delta) keeps every dispatchable w.  Every cut a run added,
-    # and every Cut row of its final region, is cut_vector of the recorded
-    # solution its provenance names (iteration, and scenario for iblp).
+    # and every Cut row of its final region, is the cut of the recorded
+    # solution its provenance names (iteration, and scenario for iblp),
+    # scaled to a unit normal: -a'A w <= -(a'b - d'm.d).
     ok = True
     details = []
     for name, runs in (("pjm5", pjm5_runs), ("ieee39", ieee39_runs)):
@@ -315,9 +316,11 @@ def test_criterion_06_cut_soundness_by_weak_duality(pjm5_runs, ieee39_runs):
                 for X, Y in ((m.B, m.F), (m.C, m.G), (m.D, m.J)):
                     residual = max(residual, np.abs(X.T @ a - Y.T @ d).max())
                 delta_min = min(delta_min, d.min())
-                normal, offset = cut_vector(s, m)
-                tied = max(tied, np.abs(h - normal).max(), abs(f - offset))
-        ok &= residual <= 1e-9 and delta_min >= -1e-9 and tied <= 1e-12
+                normal = -(a @ m.A)
+                scale = np.linalg.norm(normal)
+                tied = max(tied, np.abs(h - normal / scale).max(),
+                           abs(f + (a @ m.b - d @ m.d) / scale))
+        ok &= residual <= 1e-9 and delta_min >= -1e-9 and tied <= 1e-9
         ok &= 0 < final < cuts
         details.append(f"{name}: {cuts} cuts, {final} in the region, "
                        f"coupling residual {residual:.2e}, min delta "

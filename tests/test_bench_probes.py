@@ -2,18 +2,19 @@
 
 ``perfbench/tracing.py`` swaps drrcalc names for timing wrappers, and its
 ``Tracer.wrap`` skips a name that is gone, so a rename would silently zero
-a per-layer metric.  This reads the tracer's source with ``ast`` (it is
-not imported) and checks every (drrcalc module, name) it wraps or looks up.
+a per-layer metric.  This loads the tracer, enters it with ``wrap``
+replaced by a recorder, and checks every (owner, name) it would wrap.
 """
 
-import ast
-import importlib
+import importlib.util
 import pathlib
+
+from drrcalc import maxmin_milp
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# Wrapped by the tracer but gone from drrcalc, so their metrics read 0 until
-# the tracer reads counters that the library owns (ROADMAP item 3).
+# Gone from drrcalc, so their metrics read 0 until the tracer reads counters
+# that the library owns (ROADMAP item 3).
 GONE = {
     ("lp", "linprog"),
     ("mip", "milp"),
@@ -23,57 +24,21 @@ GONE = {
 }
 
 
-def _probes() -> set[tuple[str, str]]:
-    """Every (module, name) the tracer wraps or getattr()s on a drrcalc module."""
-    tree = ast.parse(TRACING.read_text())
-    constants = {t.id: node.value for node in tree.body
-                 if isinstance(node, ast.Assign)
-                 for t in node.targets if isinstance(t, ast.Name)}
-    modules = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "drrcalc"
-               for alias in node.names}
-    # Loop variables over module names: `for site in (*LP_SITES, "mip")`.
-    sites: dict[str, list[str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
-            values = []
-            for elt in getattr(node.iter, "elts", ()):
-                if isinstance(elt, ast.Starred):
-                    values.extend(ast.literal_eval(constants[elt.value.id]))
-                else:
-                    values.append(ast.literal_eval(elt))
-            sites[node.target.id] = values
-    # Names bound to a getattr() probe, whose own attributes are not modules.
-    probed_names = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                    and isinstance(node.value, ast.Call)
-                    and getattr(node.value.func, "id", None) == "getattr"
-                    for t in node.targets if isinstance(t, ast.Name)}
-
-    probes = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or len(node.args) < 2:
-            continue
-        owner, name = node.args[:2]
-        if getattr(node.func, "id", None) == "getattr":
-            if isinstance(owner, ast.Name) and owner.id in modules:
-                probes.add((owner.id, ast.literal_eval(name)))
-        elif getattr(node.func, "attr", None) == "wrap":
-            name = ast.literal_eval(name)
-            if isinstance(owner, ast.Name) and owner.id in modules:
-                probes.add((owner.id, name))
-            elif isinstance(owner, ast.Name) and owner.id in probed_names:
-                pass  # an attribute of what a getattr() probe found
-            else:
-                # import_module(f"drrcalc.{site}") inside a loop over sites.
-                assert ast.unparse(owner) == "importlib.import_module(f'drrcalc.{site}')", \
-                    f"unknown owner: {ast.unparse(node)}"
-                probes.update((site, name) for site in sites["site"])
-    return probes
-
-
-def test_the_tracer_probes_only_names_drrcalc_has():
-    probes = _probes()
-    assert ("engine", "run") in probes and ("polytope", "solve_lp") in probes
-    missing = {(mod, name) for mod, name in probes
-               if not hasattr(importlib.import_module(f"drrcalc.{mod}"), name)}
+def test_the_tracer_wraps_only_names_drrcalc_has(monkeypatch):
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = []
+    monkeypatch.setattr(tracing.Tracer, "wrap", lambda self, owner, attr, *a, **k:
+                        wrapped.append((owner.__name__.removeprefix("drrcalc."),
+                                        attr, hasattr(owner, attr))))
+    with tracing.Tracer():
+        pass
+    assert ("engine", "run", True) in wrapped
+    assert ("polytope", "solve_lp", True) in wrapped
+    missing = {(owner, attr) for owner, attr, found in wrapped if not found}
+    # The tracer looks DualizedMaxMin up with getattr and wraps its methods
+    # only when it is found, so the class shows here by its absence.
+    if not hasattr(maxmin_milp, "DualizedMaxMin"):
+        missing.add(("maxmin_milp", "DualizedMaxMin"))
     assert missing == GONE
