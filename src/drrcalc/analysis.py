@@ -128,8 +128,7 @@ def region_payload(result: DrrResult, w_bar_mw) -> dict:
         "config": _jsonable(result.config_echo),
     }
     if W.dim <= 2:
-        # After EmptyRegion, W is not the answer: the previous region, or the
-        # unpruned rows that prove it empty.
+        # An empty region keeps no rows and has no vertices.
         payload["vertices_mw"] = ([] if result.termination == EMPTY_REGION else
                                   [list(v * base) for v in vertices_2d(W)])
     return payload
@@ -141,6 +140,8 @@ def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str, StudyC
     pu bounds that were written.  An empty region is an error."""
     try:
         data = json.loads(path.read_text())
+        if data["termination"] == EMPTY_REGION:
+            raise EmptyRegionError(f"{path}: the region is empty: no facet to explain")
         H = np.array(data["H"], dtype=float)
         f = np.array(data["f_mw"], dtype=float) / base_mva
         tags = tuple(FacetProvenance(**p) for p in data["provenance"])
@@ -148,8 +149,6 @@ def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str, StudyC
         if data["method"] not in ("milp", "iblp"):
             raise ValueError(f"unknown method {data['method']!r}")
         cfg = StudyConfig.from_echo(data["config"])
-        if data["termination"] == EMPTY_REGION:
-            raise EmptyRegionError(f"{path}: the region is empty: no facet to explain")
         return region, data["method"], cfg
     # JSONDecodeError and InvalidSetting are ValueErrors; a missing key, a key
     # of another type or an unknown field is a Key-, Type- or AttributeError.

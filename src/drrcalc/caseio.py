@@ -2,9 +2,13 @@
 
 The parser covers the MATLAB subset MATPOWER cases actually use: scalar
 assignments (``mpc.baseMVA = 100;``), matrix literals with ``;`` row breaks,
-``%`` comments, and an optional ``function mpc = name`` header.  The
-fields the model reads are kept exactly as written (per-unit and MW fields
-untouched); the others are not kept.
+``%`` comments, and an optional ``function mpc = name`` header, which is
+skipped.  The fields the model reads are kept exactly as written (per-unit
+and MW fields untouched); the others are not kept.  A :class:`RawCase`
+holds every bus and generator row, the in-service branches only, and the
+id of its reference bus: the first type-3 bus, else the first bus with an
+in-service generator.  A gencost row keeps the NCOST coefficients its
+model reads (2 * NCOST for piecewise rows); the padding after them goes.
 
 Renewable farms are designated in a sidecar JSON file rather than inside the
 ``.m`` file, so standard case files can be consumed unmodified:
@@ -35,7 +39,6 @@ _GEN_MIN_COLS = 10
 @dataclass(frozen=True)
 class Bus:
     id: int
-    type: int          # 1 PQ, 2 PV, 3 reference
     load_mw: float
 
 
@@ -47,7 +50,6 @@ class Branch:
     rate_a_mw: float   # 0 means unlimited in MATPOWER convention
     angle_min_deg: float
     angle_max_deg: float
-    status: int
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,9 @@ class CostRecord:
 
 @dataclass(frozen=True)
 class RawCase:
-    name: str
     base_mva: float
     buses: tuple[Bus, ...]
+    ref_bus: int                    # id of the reference bus
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
     gencost: tuple[CostRecord, ...]
@@ -97,9 +99,9 @@ class RenewableSpec:
 class CaseData:
     """A raw case split into flexible units and renewable farms.
 
-    Out-of-service equipment has been dropped and the remaining network is a
-    single connected component.  ``flexible``/``renewable`` index into the
-    original 1-based generator rows; forecasts follow renewable order.
+    The in-service branches connect every bus.  ``flexible``/``renewable``
+    index into the 1-based generator rows, which keep out-of-service units
+    in place but name none of them; forecasts follow renewable order.
     """
     raw: RawCase
     flexible: tuple[int, ...]
@@ -215,13 +217,12 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _parse_tables(text: str) -> tuple[str, dict[str, float], dict[str, list[list[float]]], dict[str, int]]:
-    """Return (name, scalars, matrices, first-line-of-table) from case text.
+def _parse_tables(text: str) -> tuple[dict[str, float], dict[str, list[list[float]]], dict[str, int]]:
+    """Return (scalars, matrices, first-line-of-table) from case text.
 
     Grammar subset: one row per line (or several separated by ``;``); a row
     ends at ``;`` or at the end of the line; a table ends at ``]``.
     """
-    name = "case"
     scalars: dict[str, float] = {}
     matrices: dict[str, list[list[float]]] = {}
     table_line: dict[str, int] = {}
@@ -246,9 +247,6 @@ def _parse_tables(text: str) -> tuple[str, dict[str, float], dict[str, list[list
                 current = None
             continue
         if line.startswith("function"):
-            parts = line.replace("=", " ").split()
-            if parts:
-                name = parts[-1]
             continue
         if line.startswith("mpc.") and "=" in line:
             key, _, rhs = line.partition("=")
@@ -272,7 +270,7 @@ def _parse_tables(text: str) -> tuple[str, dict[str, float], dict[str, list[list
     if current is not None:
         raise MalformedCase(f"table mpc.{current} is never closed",
                             line=table_line[current])
-    return name, scalars, matrices, table_line
+    return scalars, matrices, table_line
 
 
 def _floats(tokens, table, lineno):
@@ -301,7 +299,7 @@ def _check_values(table: str, r: int, row, finite=(), not_nan=()) -> None:
 
 def parse_matpower(text: str) -> RawCase:
     """Parse MATPOWER case text into a :class:`RawCase`."""
-    name, scalars, matrices, table_line = _parse_tables(text)
+    scalars, matrices, table_line = _parse_tables(text)
 
     for table in ("bus", "branch", "gen", "gencost"):
         if table not in matrices:
@@ -324,36 +322,37 @@ def parse_matpower(text: str) -> RawCase:
         if bid in seen_bus:
             raise MalformedCase(f"duplicate bus id {bid}")
         seen_bus.add(bid)
-        buses.append(Bus(id=bid, type=int(row[1]), load_mw=row[2]))
+        buses.append(Bus(id=bid, load_mw=row[2]))
 
     branches = []
     for r, row in enumerate(matrices["branch"], start=1):
         if len(row) < _BRANCH_COLS:
             raise MalformedCase(
                 f"branch row {r} has {len(row)} columns, expected {_BRANCH_COLS}")
-        _check_values("branch", r, row, finite=(("x", 3),),
+        _check_values("branch", r, row, finite=(("x", 3), ("status", 10)),
                       not_nan=(("rateA", 5), ("angmin", 11), ("angmax", 12)))
         br = Branch(from_bus=int(row[0]), to_bus=int(row[1]),
                     reactance_pu=row[3], rate_a_mw=row[5],
-                    angle_min_deg=row[11], angle_max_deg=row[12],
-                    status=int(row[10]))
+                    angle_min_deg=row[11], angle_max_deg=row[12])
         for end in (br.from_bus, br.to_bus):
             if end not in seen_bus:
                 raise MalformedCase(
                     f"branch row {r} references unknown bus {end}")
-        if br.status != 0 and br.reactance_pu == 0.0:
+        in_service = int(row[10]) != 0
+        if in_service and br.reactance_pu == 0.0:
             raise MalformedCase(
                 f"branch row {r} is in service with zero reactance")
         if br.rate_a_mw < 0:
             raise MalformedCase(f"branch row {r} has negative rating")
-        branches.append(br)
+        if in_service:
+            branches.append(br)
 
     gens = []
     for r, row in enumerate(matrices["gen"], start=1):
         if len(row) < _GEN_MIN_COLS:
             raise MalformedCase(
                 f"gen row {r} has {len(row)} columns, expected >= {_GEN_MIN_COLS}")
-        _check_values("gen", r, row, finite=(("Pmax", 8), ("Pmin", 9)))
+        _check_values("gen", r, row, finite=(("status", 7), ("Pmax", 8), ("Pmin", 9)))
         g = Generator(bus=int(row[0]), p_max_mw=row[8], p_min_mw=row[9],
                       status=int(row[7]))
         if g.bus not in seen_bus:
@@ -367,31 +366,23 @@ def parse_matpower(text: str) -> RawCase:
     for r, row in enumerate(matrices["gencost"], start=1):
         if len(row) < 4:
             raise MalformedCase(f"gencost row {r} too short")
+        _check_values("gencost", r, row, finite=(("model", 0), ("NCOST", 3)))
+        model, n = int(row[0]), row[3]
+        end = 4 + int(n if model == 2 else 2 * n)
+        if not (n >= 0 and n == int(n) and len(row) >= end):
+            raise MalformedCase(f"gencost row {r}: NCOST {n:g} does not fit its "
+                                f"{len(row) - 4} coefficients")
         _check_values("gencost", r, row, finite=tuple(
-            (f"coefficient {k - 3}", k) for k in range(4, len(row))))
-        costs.append(CostRecord(model=int(row[0]), coeffs=tuple(row[4:])))
+            (f"coefficient {k - 3}", k) for k in range(4, end)))
+        costs.append(CostRecord(model=model, coeffs=tuple(row[4:end])))
 
-    # Normalize the reference bus: keep the first type-3 bus, demote extras;
-    # promote the first generator bus when none is marked.
-    ref_seen = False
-    normalized = []
-    for b in buses:
-        if b.type == 3:
-            if ref_seen:
-                b = replace(b, type=2)
-            ref_seen = True
-        normalized.append(b)
-    if not ref_seen:
-        gen_buses = {g.bus for g in gens if g.status != 0}
-        for i, b in enumerate(normalized):
-            if b.id in gen_buses:
-                normalized[i] = replace(b, type=3)
-                ref_seen = True
-                break
-    if not ref_seen:
+    gen_buses = {g.bus for g in gens if g.status != 0}
+    refs = [int(row[0]) for row in matrices["bus"] if row[1] == 3] or \
+        [b.id for b in buses if b.id in gen_buses]
+    if not refs:
         raise MalformedCase("no reference bus and no in-service generator to promote")
 
-    return RawCase(name=name, base_mva=base, buses=tuple(normalized),
+    return RawCase(base_mva=base, buses=tuple(buses), ref_bus=refs[0],
                    branches=tuple(branches), generators=tuple(gens),
                    gencost=tuple(costs))
 
@@ -410,9 +401,11 @@ def apply_renewables(raw: RawCase, specs: list[RenewableSpec]) -> CaseData:
     for s in specs:
         if not 1 <= s.gen_index <= n:
             raise UnknownGenerator(f"gen_index {s.gen_index} not in 1..{n}")
+        g = raw.generators[s.gen_index - 1]
+        if g.status == 0:
+            raise UnknownGenerator(f"gen_index {s.gen_index} is out of service")
         if s.gen_index in seen:
             raise DuplicateDesignation(f"gen_index {s.gen_index} designated twice")
-        g = raw.generators[s.gen_index - 1]
         if not 0.0 <= s.forecast_mw <= g.p_max_mw + 1e-9:
             raise UnknownGenerator(
                 f"forecast {s.forecast_mw} MW outside [0, {g.p_max_mw}] "
@@ -424,16 +417,13 @@ def apply_renewables(raw: RawCase, specs: list[RenewableSpec]) -> CaseData:
                      if i not in seen and raw.generators[i - 1].status != 0)
     forecast = tuple(s.forecast_mw for s in specs)
 
-    # Generators keep their 1-based positions (CaseData indexes by row), so
-    # out-of-service units are retained in the tuple but never referenced.
-    pruned = replace(raw, branches=tuple(b for b in raw.branches if b.status != 0))
-    _require_connected(pruned)
-    return CaseData(raw=pruned, flexible=flexible, renewable=renewable,
+    _require_connected(raw)
+    return CaseData(raw=raw, flexible=flexible, renewable=renewable,
                     forecast_mw=forecast)
 
 
 def _require_connected(raw: RawCase) -> None:
-    """Raise unless the branches of ``raw``, all in service, connect every bus."""
+    """Raise unless the (in-service) branches of ``raw`` connect every bus."""
     ids = [b.id for b in raw.buses]
     adj: dict[int, list[int]] = {i: [] for i in ids}
     for br in raw.branches:

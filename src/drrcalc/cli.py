@@ -199,7 +199,7 @@ def cmd_validate(args) -> int:
 
     if args.w is not None:
         res = feasibility_model(m, w_mw / case.base_mva)
-        print(f"w = {args.w} MW: violation {res.objective_mw:.6f} MW")
+        print(f"w = {args.w} MW: violation {res.objective * case.base_mva:.6f} MW")
         for label, slack in sorted(res.slacks.items()):
             print(f"  {label}: {slack * case.base_mva:.6f} MW")
 

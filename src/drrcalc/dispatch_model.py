@@ -91,12 +91,7 @@ class CompactPsd:
 class FeasibilityResult:
     objective: float                       # per-unit violation measure
     slacks: dict[str, float]               # label -> slack (pu), nonzero rows
-    base_mva: float
     feasible: bool = True                  # False only when rows were held hard
-
-    @property
-    def objective_mw(self) -> float:
-        return self.objective * self.base_mva
 
 
 # --- shared network view ---------------------------------------------------------
@@ -105,11 +100,10 @@ class FeasibilityResult:
 class _Net:
     def __init__(self, case: CaseData):
         self.base = case.base_mva
-        # apply_renewables has dropped the out-of-service branches.
         self.buses = case.raw.buses
         self.bus_pos = {b.id: i for i, b in enumerate(self.buses)}
         self.branches = case.raw.branches
-        self.ref_pos = next(i for i, b in enumerate(self.buses) if b.type == 3)
+        self.ref_pos = self.bus_pos[case.raw.ref_bus]
         for br in self.branches:
             if br.reactance_pu == 0.0:
                 raise SingularNetwork(
@@ -321,12 +315,10 @@ def feasibility_model(m: CompactPsd, w, hard=()) -> FeasibilityResult:
     if sol.status != OPTIMAL:
         # Only reachable when `hard` holds rows; the fully slacked model is
         # feasible by construction.
-        return FeasibilityResult(objective=math.inf, slacks={},
-                                 base_mva=m.base_mva, feasible=False)
+        return FeasibilityResult(objective=math.inf, slacks={}, feasible=False)
 
     t = sol.x[nx:]
     row_slack = np.concatenate([t[:m_eq] + t[m_eq:2 * m_eq], t[2 * m_eq:]])
     slacks = {desc.label: float(v) for desc, v in zip(m.eq_rows + m.in_rows, row_slack)
               if v > 1e-12}
-    return FeasibilityResult(objective=float(sol.objective), slacks=slacks,
-                             base_mva=m.base_mva)
+    return FeasibilityResult(objective=float(sol.objective), slacks=slacks)

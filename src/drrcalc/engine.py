@@ -11,9 +11,9 @@ A :class:`DrrResult` holds what the outputs read: the region, one record
 per iteration (violation, cuts added, facets after pruning, worst point,
 oracle diagnostics and wall time), the termination, the method, the config
 echo (the seed included) and the model.  Cuts and multipliers are not kept;
-each cut is a ``Cut`` row of the region until pruning drops it.  After
-``EmptyRegion`` the region is not an answer: it is the previous W when a
-cut had a zero direction, or W with the unpruned cuts that prove it empty.
+each cut is a ``Cut`` row of the region until pruning drops it.  The search
+starts from the box of the model's farm capacities.  After ``EmptyRegion``
+the region keeps no rows, and its last record counts no facets.
 """
 
 from __future__ import annotations
@@ -61,16 +61,14 @@ class DrrResult:
         return len(self.trace)
 
 
-def init_w0(case: CaseData) -> Polytope:
-    """Installed-capacity box per farm: 0 <= w_i <= p_max_i."""
-    if not case.renewable:
+def init_w0(m: CompactPsd) -> Polytope:
+    """Installed-capacity box per farm: 0 <= w_i <= the model's capacity."""
+    n = m.n_w
+    if n == 0:
         raise NoRenewables("case has no designated renewable farms")
-    caps = np.array([case.gen(gi).p_max_mw for gi in case.renewable])
-    caps_pu = caps / case.base_mva
-    n = caps_pu.size
     upper = [FacetProvenance("InitialBox", farm=i, bound="upper") for i in range(n)]
     lower = [FacetProvenance("InitialBox", farm=i, bound="lower") for i in range(n)]
-    return box(np.zeros(n), caps_pu, upper, lower)
+    return box(np.zeros(n), m.farm_capacity_pu, upper, lower)
 
 
 def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
@@ -79,7 +77,7 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
     if method not in ("milp", "iblp"):
         raise ValueError(f"method must be 'milp' or 'iblp', got {method!r}")
     m = build_compact(case, initial_dispatch(case, cfg))
-    W = init_w0(case)
+    W = init_w0(m)
     w_bar = np.array(case.forecast_mw) / case.base_mva
 
     trace: list[IterationRecord] = []
@@ -130,6 +128,8 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
                         W = remove_redundant(W)
                     except EmptyRegionError:
                         stop = EMPTY_REGION
+            if stop == EMPTY_REGION:
+                W = W.select([])   # no point is dispatchable
 
             trace.append(IterationRecord(k=k, F=F_k, cuts_added=cuts_added,
                                          oracle_ms=oracle_ms,

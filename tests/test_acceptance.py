@@ -166,8 +166,8 @@ mpc.gencost = [
     return apply_renewables(parse_matpower(text), specs)
 
 
-def _grid_disagreement(case, res_a, res_b, n=200):
-    lo, hi = box_bounds(init_w0(case))
+def _grid_disagreement(res_a, res_b, n=200):
+    lo, hi = box_bounds(init_w0(res_a.model))
     axes = [np.linspace(lo[d], hi[d], n) for d in range(len(lo))]
     G = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(lo))
     in_a = np.all(G @ res_a.region.H.T <= res_a.region.f + 1e-6, axis=1)
@@ -175,10 +175,10 @@ def _grid_disagreement(case, res_a, res_b, n=200):
     return float(np.logical_xor(in_a, in_b).mean())
 
 
-def test_criterion_02_method_agreement(pjm5m, pjm5_runs):
+def test_criterion_02_method_agreement(pjm5_runs):
     details = []
     ok = True
-    diff = _grid_disagreement(pjm5m, pjm5_runs["milp"], pjm5_runs["iblp"])
+    diff = _grid_disagreement(pjm5_runs["milp"], pjm5_runs["iblp"])
     ok &= diff <= 1e-3 and pjm5_runs["seconds"] < 30.0
     details.append(f"pjm5 {diff*100:.4f}% {pjm5_runs['seconds']:.1f}s")
 
@@ -198,17 +198,17 @@ def test_criterion_02_method_agreement(pjm5m, pjm5_runs):
         if ra.termination != CONVERGED or rb.termination != CONVERGED:
             continue
         produced += 1
-        diff = _grid_disagreement(case, ra, rb)
+        diff = _grid_disagreement(ra, rb)
         ok &= diff <= 1e-3 and elapsed < 30.0
         details.append(f"s{seed} {diff*100:.4f}% {elapsed:.1f}s")
     _report(2, "exact and heuristic regions agree", ok, "; ".join(details))
 
 
-def test_criterion_03_bruteforce_membership(pjm5m, pjm5_runs):
+def test_criterion_03_bruteforce_membership(pjm5_runs):
     res = pjm5_runs["milp"]
     m = res.model
     W = res.region
-    lo, hi = box_bounds(init_w0(pjm5m))
+    lo, hi = box_bounds(init_w0(m))
     t0 = time.perf_counter()
     xs = np.linspace(lo[0], hi[0], 100)
     ys = np.linspace(lo[1], hi[1], 100)
@@ -236,7 +236,7 @@ def test_criterion_04_strong_duality(two, pjm5m, ieee39m):
     for name, case in (("two", two), ("pjm5", pjm5m), ("ieee39", ieee39m)):
         cfg = StudyConfig()
         m = build_compact(case, initial_dispatch(case, cfg))
-        lo, hi = box_bounds(init_w0(case))
+        lo, hi = box_bounds(init_w0(m))
         rng = np.random.default_rng(17)
         worst = 0.0
         for _ in range(20):
@@ -252,7 +252,7 @@ def test_criterion_04_strong_duality(two, pjm5m, ieee39m):
 def test_criterion_05_milp_oracle_exact(two):
     cfg = StudyConfig()
     m = build_compact(two, initial_dispatch(two, cfg))
-    W0 = init_w0(two)
+    W0 = init_w0(m)
     sol = solve_maxmin_milp(m, W0, cfg)
     grid = np.arange(0.0, 1.0 + 1e-12, 0.001)   # 0.1 MW steps over the box
     scan = max(feasibility_model(m, [w]).objective for w in grid)
@@ -329,12 +329,12 @@ def test_criterion_06_cut_soundness_by_weak_duality(pjm5_runs, ieee39_runs):
             "; ".join(details))
 
 
-def test_criterion_07_monotonicity(pjm5m, pjm5_runs):
+def test_criterion_07_monotonicity(pjm5_runs):
     res = pjm5_runs["milp"]
     Fs = [t.F for t in res.trace]
     ok = all(b <= a + 1e-9 for a, b in zip(Fs, Fs[1:]))
     ok &= all(F >= -1e-9 for F in Fs)
-    lo, hi = box_bounds(init_w0(pjm5m))
+    lo, hi = box_bounds(init_w0(res.model))
     rng = np.random.default_rng(5)
     pts = rng.uniform(lo, hi, size=(100, len(lo)))
     # The region each oracle call searched, W_0 to W_{K-1}, then W_K.

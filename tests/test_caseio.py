@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from drrcalc.caseio import (RenewableSpec, StudyConfig, apply_renewables,
                             load_config_file, parse_matpower)
+from drrcalc.dispatch_model import build_compact, initial_dispatch
 from drrcalc.errors import (DisconnectedNetwork, DuplicateDesignation,
                             InconsistentDimensions, InvalidSetting,
                             MalformedCase, MissingTable, UnknownGenerator)
@@ -34,7 +35,7 @@ mpc.gencost = [
 
 def test_parse_mini_case():
     raw = parse_matpower(MINI_CASE)
-    assert raw.name == "mini"
+    assert raw.ref_bus == 1
     assert raw.base_mva == 100
     assert len(raw.buses) == 2
     assert raw.buses[1].load_mw == 10
@@ -50,7 +51,7 @@ def test_parse_pjm5_fixture():
     assert len(raw.generators) == 7
     assert len(raw.branches) == 6
     assert raw.branches[5].rate_a_mw == 240
-    assert [b.type for b in raw.buses].count(3) == 1
+    assert raw.ref_bus == 4  # the one type-3 bus
 
 
 def test_parse_ieee39_fixture():
@@ -107,19 +108,21 @@ def test_fixture_cases_parse_as_written():
     for stem in ("case2_ramp", "case5_wind", "case39_wind"):
         text = (CASE_DIR / f"{stem}.m").read_text()
         raw = parse_matpower(text)
-        assert (raw.name, raw.base_mva) == (stem, 100.0)
-        assert [(b.id, b.type, b.load_mw) for b in raw.buses] == \
-            [(r[0], r[1], r[2]) for r in _rows(text, "bus")]
+        assert raw.base_mva == 100.0
+        assert [(b.id, b.load_mw) for b in raw.buses] == \
+            [(r[0], r[2]) for r in _rows(text, "bus")]
+        assert raw.ref_bus == next(r[0] for r in _rows(text, "bus") if r[1] == 3)
         assert [(br.from_bus, br.to_bus, br.reactance_pu, br.rate_a_mw,
-                 br.status, br.angle_min_deg, br.angle_max_deg)
+                 br.angle_min_deg, br.angle_max_deg)
                 for br in raw.branches] == \
-            [(r[0], r[1], r[3], r[5], r[10], r[11], r[12])
-             for r in _rows(text, "branch")]
+            [(r[0], r[1], r[3], r[5], r[11], r[12])
+             for r in _rows(text, "branch") if r[10] != 0]
         assert [(g.bus, g.status, g.p_max_mw, g.p_min_mw)
                 for g in raw.generators] == \
             [(r[0], r[7], r[8], r[9]) for r in _rows(text, "gen")]
+        # The shipped rows are polynomial and hold exactly NCOST coefficients.
         assert [(c.model, c.coeffs) for c in raw.gencost] == \
-            [(r[0], tuple(r[4:])) for r in _rows(text, "gencost")]
+            [(r[0], tuple(r[4:4 + int(r[3])])) for r in _rows(text, "gencost")]
 
 
 @settings(max_examples=30, deadline=None)
@@ -187,9 +190,30 @@ def test_out_of_service_branch_dropped():
         "1 2 0.01 0.05 0 100 100 100 0 0 1 -360 360;\n"
         "1 2 0.02 0.08 0 50 50 50 0 0 0 -360 360;")
     raw = parse_matpower(text)
-    assert len(raw.branches) == 2
-    case = apply_renewables(raw, [])
-    assert [br.status for br in case.raw.branches] == [1]
+    assert [br.reactance_pu for br in raw.branches] == [0.05]
+    assert apply_renewables(raw, []).raw.branches == raw.branches
+
+
+def test_out_of_service_branch_with_zero_reactance_is_dropped():
+    text = MINI_CASE.replace(
+        "1 2 0.01 0.05 0 100 100 100 0 0 1 -360 360;",
+        "1 2 0.01 0.05 0 100 100 100 0 0 1 -360 360;\n"
+        "1 2 0.02 0 0 50 50 50 0 0 0 -360 360;")
+    assert [br.reactance_pu for br in parse_matpower(text).branches] == [0.05]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1 2 0.02 nan 0 50 50 50 0 0 0 -360 360;", "branch row 2 has a non-finite x"),
+    ("1 9 0.02 0.08 0 50 50 50 0 0 0 -360 360;",
+     "branch row 2 references unknown bus 9"),
+    ("1 2 0.02 0.08 0 -50 50 50 0 0 0 -360 360;", "branch row 2 has negative rating"),
+], ids=["nan", "unknown-bus", "negative-rating"])
+def test_out_of_service_branch_rows_are_still_checked(row, message):
+    text = MINI_CASE.replace(
+        "1 2 0.01 0.05 0 100 100 100 0 0 1 -360 360;",
+        f"1 2 0.01 0.05 0 100 100 100 0 0 1 -360 360;\n{row}")
+    with pytest.raises(MalformedCase, match=message):
+        parse_matpower(text)
 
 
 def test_config_validation_and_file(tmp_path):
@@ -293,12 +317,65 @@ def test_parser_tolerates_formatting_variants():
 
 def test_reference_bus_promoted_when_missing():
     text = MINI_CASE.replace("1 3 0 0", "1 2 0 0")
-    raw = parse_matpower(text)
-    assert [b.type for b in raw.buses].count(3) == 1
-    assert raw.buses[0].type == 3  # first in-service generator bus promoted
+    assert parse_matpower(text).ref_bus == 1  # the first in-service generator bus
 
 
 def test_extra_reference_buses_demoted():
     text = MINI_CASE.replace("2 1 10 5", "2 3 10 5")
+    assert parse_matpower(text).ref_bus == 1  # the first type-3 bus
+
+
+def test_no_reference_bus_and_no_generator_in_service_is_malformed():
+    text = MINI_CASE.replace("1 3 0 0", "1 2 0 0").replace(
+        "1 0 0 10 -10 1 100 1 50 0;", "1 0 0 10 -10 1 100 0 50 0;")
+    with pytest.raises(MalformedCase, match="no reference bus"):
+        parse_matpower(text)
+
+
+def test_reference_bus_other_than_the_first_pins_the_angle():
+    text = MINI_CASE.replace("1 3 0 0", "1 1 0 0").replace("2 1 10 5", "2 3 10 5")
     raw = parse_matpower(text)
-    assert [b.type for b in raw.buses] == [3, 2]
+    assert raw.ref_bus == 2
+    case = apply_renewables(raw, [])
+    m = build_compact(case, initial_dispatch(case, StudyConfig()))
+    (k,) = [i for i, r in enumerate(m.eq_rows) if r.kind == "AngleRef"]
+    assert m.eq_rows[k].label == "reference angle at bus 2"
+    assert m.D[k].tolist() == [0.0, 1.0]  # the pin is on bus 2's angle
+
+
+_PADDED_GENCOST = MINI_CASE.replace(
+    "1 0 0 10 -10 1 100 1 50 0;",
+    "1 0 0 10 -10 1 100 1 50 0;\n2 0 0 10 -10 1 100 1 40 0;\n"
+    "2 0 0 10 -10 1 100 1 40 0;")
+
+
+def test_gencost_keeps_exactly_ncost_coefficients():
+    # A rectangular table pads the shorter rows with zeros; the rate is the
+    # row's own linear term, not a padding entry.
+    text = _PADDED_GENCOST.replace("2 0 0 2 12 0;", "2 0 0 3 0 10 0 0;\n"
+                                   "2 0 0 2 25 0 0 0;\n1 0 0 1 0 0 50 500;")
+    raw = parse_matpower(text)
+    assert [c.coeffs for c in raw.gencost] == [(0.0, 10.0, 0.0), (25.0, 0.0), (0.0, 0.0)]
+    # A one-point piecewise cost has no segment, so no slope.
+    assert [c.linear_rate() for c in raw.gencost] == [10.0, 25.0, 0.0]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2 0 0 3 10 0;", "gencost row 2: NCOST 3 does not fit its 2 coefficients"),
+    ("1 0 0 2 0 0 50;", "gencost row 2: NCOST 2 does not fit its 3 coefficients"),
+    ("2 0 0 -1 10 0;", "gencost row 2: NCOST -1 does not fit its 2 coefficients"),
+    ("2 0 0 1.5 10 0;", "gencost row 2: NCOST 1.5 does not fit its 2 coefficients"),
+], ids=["polynomial", "piecewise", "negative", "fraction"])
+def test_gencost_row_shorter_than_its_ncost_is_malformed(row, message):
+    text = _PADDED_GENCOST.replace("2 0 0 2 12 0;", f"2 0 0 2 12 0;\n{row}\n2 0 0 1 0;")
+    with pytest.raises(MalformedCase, match=message):
+        parse_matpower(text)
+
+
+def test_farm_on_an_out_of_service_generator_is_rejected():
+    text = MINI_CASE.replace("1 0 0 10 -10 1 100 1 50 0;",
+                             "1 0 0 10 -10 1 100 1 50 0;\n1 0 0 10 -10 1 100 0 30 0;"
+                             ).replace("2 0 0 2 12 0;", "2 0 0 2 12 0;\n2 0 0 2 0 0;")
+    with pytest.raises(UnknownGenerator, match="gen_index 2 is out of service"):
+        apply_renewables(parse_matpower(text), [RenewableSpec(gen_index=2,
+                                                              forecast_mw=10.0)])

@@ -501,7 +501,13 @@ def test_compute_empty_region_exits_2(paths, fixture, bus_pos, request, tmp_path
     assert manifest["artifacts"] == ["region.json", "trace.csv"]
     region = json.loads((out / "region.json").read_text())
     assert region["termination"] == "EmptyRegion"
+    # The region.json lists no rows: neither the contradicting cut nor the
+    # box the run started from.
+    dim = len(request.getfixturevalue(fixture).renewable)
+    assert region["shape"] == [0, dim]
+    assert region["H"] == region["f_mw"] == region["provenance"] == []
     assert region["vertices_mw"] == []
+    assert manifest["oracle"][-1]["facets"] == 0
     assert manifest["notes"] == ["svg_skipped: region is empty"]
 
 

@@ -12,32 +12,34 @@ from drrcalc.maxmin_milp import MaxMinSolution, cut_vector, solve_maxmin_milp
 from tests.conftest import box_bounds, recorded_run
 
 
-def test_init_w0_twobus(twobus):
-    W0 = init_w0(twobus)
+def test_init_w0_twobus(twobus, cfg):
+    W0 = init_w0(build_compact(twobus, initial_dispatch(twobus, cfg)))
     lo, hi = box_bounds(W0)
     assert lo == pytest.approx([0.0])
     assert hi == pytest.approx([1.0])  # 100 MW installed on a 100 MVA base
     assert all(p.kind == "InitialBox" for p in W0.provenance)
 
 
-def test_init_w0_pjm5_facets(pjm5):
-    W0 = init_w0(pjm5)
+def test_init_w0_pjm5_facets(pjm5, cfg):
+    W0 = init_w0(build_compact(pjm5, initial_dispatch(pjm5, cfg)))
     assert W0.n_facets == 4
     labels = [p.label() for p in W0.provenance]
     assert "initial upper bound of farm 0" in labels
     assert "initial lower bound of farm 1" in labels
 
 
-def test_init_w0_requires_renewables(twobus):
+def test_init_w0_requires_renewables(pjm5, cfg):
     from dataclasses import replace
-    bare = replace(twobus, renewable=(), forecast_mw=())
+    bare = replace(pjm5, renewable=(), forecast_mw=())
+    m = build_compact(bare, initial_dispatch(bare, cfg))
+    assert m.n_w == 0
     with pytest.raises(NoRenewables):
-        init_w0(bare)
+        init_w0(m)
 
 
 def test_cut_vector_separates_worst_point(twobus, cfg):
     m = build_compact(twobus, initial_dispatch(twobus, cfg))
-    W0 = init_w0(twobus)
+    W0 = init_w0(m)
     sol = solve_maxmin_milp(m, W0, cfg)
     normal, offset = cut_vector(sol, m)
     assert np.linalg.norm(normal) == pytest.approx(1.0)
@@ -68,7 +70,7 @@ def test_twobus_run_converges_to_band(twobus, method):
     assert res.trace[-1].F <= cfg.eps_term
 
 
-def test_milp_trace_monotone_and_nested(pjm5):
+def test_milp_trace_monotone_and_nested():
     rec = recorded_run("case5_wind", "milp")
     res = rec.result
     assert res.termination == CONVERGED
@@ -78,7 +80,7 @@ def test_milp_trace_monotone_and_nested(pjm5):
     # Nesting on sampled points: anything outside W_k stays outside W_{k+1},
     # from the box W_0 that the first oracle call searched to the result.
     rng = np.random.default_rng(0)
-    lo, hi = box_bounds(init_w0(pjm5))
+    lo, hi = box_bounds(init_w0(res.model))
     pts = rng.uniform(lo, hi, size=(100, 2))
     regions = [call.region for call in rec.calls] + [res.region]
     assert len(regions) == res.iterations + 1

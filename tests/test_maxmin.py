@@ -26,7 +26,7 @@ def two():
     case = load_case("case2_ramp")
     cfg = StudyConfig()
     m = build_compact(case, initial_dispatch(case, cfg))
-    return case, m, init_w0(case), cfg
+    return case, m, init_w0(m), cfg
 
 
 def test_zero_multipliers_feasible(two):
@@ -60,7 +60,7 @@ def test_milp_oracle_rejects_a_region_of_another_dimension(pjm5, cfg):
 def test_strong_duality_random_points(fixture, cfg, request):
     case = request.getfixturevalue(fixture)
     m = build_compact(case, initial_dispatch(case, cfg))
-    lo, hi = box_bounds(init_w0(case))
+    lo, hi = box_bounds(init_w0(m))
     rng = np.random.default_rng(7)
     for _ in range(20):
         w = rng.uniform(lo, hi)
@@ -120,7 +120,7 @@ def test_milp_on_true_region_returns_zero(two):
 
 def test_milp_F_dominates_samples(pjm5, cfg):
     m = build_compact(pjm5, initial_dispatch(pjm5, cfg))
-    W0 = init_w0(pjm5)
+    W0 = init_w0(m)
     sol = solve_maxmin_milp(m, W0, cfg)
     lo, hi = box_bounds(W0)
     rng = np.random.default_rng(3)
@@ -133,7 +133,7 @@ def test_milp_F_dominates_samples(pjm5, cfg):
 def test_pruning_is_optimality_neutral(pjm5, cfg):
     from drrcalc.polytope import remove_redundant
     m = build_compact(pjm5, initial_dispatch(pjm5, cfg))
-    W0 = init_w0(pjm5)
+    W0 = init_w0(m)
     padded = W0.with_rows(np.array([[1.0, 0.0], [0.5, 0.5]]),
                           np.array([3.0, 4.0]),
                           [FacetProvenance("Cut", iteration=1),
@@ -194,7 +194,7 @@ def test_gen_s2_projection_formula():
 
 
 def test_gen_s2_hyperplane_membership(pjm5, cfg):
-    W0 = init_w0(pjm5)
+    W0 = init_w0(build_compact(pjm5, initial_dispatch(pjm5, cfg)))
     w_bar = np.array(pjm5.forecast_mw) / pjm5.base_mva
     pts = gen_s2(W0, w_bar)
     assert len(pts) == W0.n_facets
@@ -227,7 +227,7 @@ def test_alternate_matches_duality_at_fixed_w(two):
 
 def test_alternate_sequence_nondecreasing(pjm5, cfg):
     m = build_compact(pjm5, initial_dispatch(pjm5, cfg))
-    W0 = init_w0(pjm5)
+    W0 = init_w0(m)
     lo, hi = box_bounds(W0)
     rng = np.random.default_rng(5)
     with IblpOracle(m, cfg) as oracle:

@@ -208,8 +208,7 @@ def test_degenerate_single_bus_network():
     # An empty branch table is rejected by the parser, so build the case
     # objects directly to exercise the degenerate model shape.
     from drrcalc.caseio import Bus, CaseData, CostRecord, Generator, RawCase
-    raw = RawCase(name="one", base_mva=100.0,
-                  buses=(Bus(id=1, type=3, load_mw=50.0),),
+    raw = RawCase(base_mva=100.0, buses=(Bus(id=1, load_mw=50.0),), ref_bus=1,
                   branches=(),
                   generators=(Generator(bus=1, p_max_mw=80.0, p_min_mw=0.0,
                                         status=1),),
@@ -227,7 +226,7 @@ def test_twobus_feasibility_values(twobus, cfg):
     m = build_compact(twobus, initial_dispatch(twobus, cfg))
     assert feasibility_model(m, [0.50]).objective == pytest.approx(0.0, abs=1e-9)
     r70 = feasibility_model(m, [0.70])
-    assert r70.objective_mw == pytest.approx(5.0, abs=1e-6)
+    assert r70.objective * twobus.base_mva == pytest.approx(5.0, abs=1e-6)
     r44 = feasibility_model(m, [0.44])
     assert r44.objective > 1e-6
     kinds = {k for k in r44.slacks}
@@ -384,7 +383,7 @@ def test_angle_ptdf_equivalence(fixture, cfg, request):
     case = request.getfixturevalue(fixture)
     m = build_compact(case, initial_dispatch(case, cfg))
     ptdf = build_ptdf(case)
-    ref = next(i for i, b in enumerate(case.raw.buses) if b.type == 3)
+    ref = [b.id for b in case.raw.buses].index(case.raw.ref_bus)
     assert not ptdf[:, ref].any()
 
     # On balanced injections the angle blocks' flow map is the PTDF: the
