@@ -6,7 +6,8 @@ Files written by :func:`export_artifacts` (MW units throughout):
 * ``region.json`` - facets, provenance, vertices (dim <= 2), config echo
 * ``binding.json``- per-facet binding constraints
 * ``event.json``  - highest-risk ramping event
-* ``region.svg``  - 2-D rendering (polygon, forecast marker, risk arrow)
+* ``region.svg``  - 2-D rendering (polygon, forecast marker, risk arrow),
+  the one file a region of another dimension goes without
 
 This module owns the ``region.json`` and ``binding.json`` formats, which
 are deterministic for a given seed and exclude wall-clock data, so runs
@@ -24,7 +25,7 @@ import numpy as np
 
 from .binding import BindingReport
 from .caseio import StudyConfig
-from .engine import EMPTY_REGION, DrrResult
+from .engine import DrrResult
 from .errors import DimensionTooHigh, EmptyRegionError, MalformedCase
 from .polytope import FacetProvenance, Polytope
 
@@ -128,20 +129,16 @@ def region_payload(result: DrrResult, w_bar_mw) -> dict:
         "config": _jsonable(result.config_echo),
     }
     if W.dim <= 2:
-        # An empty region keeps no rows and has no vertices.
-        payload["vertices_mw"] = ([] if result.termination == EMPTY_REGION else
-                                  [list(v * base) for v in vertices_2d(W)])
+        payload["vertices_mw"] = [list(v * base) for v in vertices_2d(W)]
     return payload
 
 
 def region_from_json(path: Path, base_mva: float) -> tuple[Polytope, str, StudyConfig]:
     """The region of a ``region.json``, its method and the settings of its
     config echo; ``f_mw / base_mva`` need not give back the last bit of the
-    pu bounds that were written.  An empty region is an error."""
+    pu bounds that were written."""
     try:
         data = json.loads(path.read_text())
-        if data["termination"] == EMPTY_REGION:
-            raise EmptyRegionError(f"{path}: the region is empty: no facet to explain")
         H = np.array(data["H"], dtype=float)
         f = np.array(data["f_mw"], dtype=float) / base_mva
         tags = tuple(FacetProvenance(**p) for p in data["provenance"])
@@ -189,34 +186,23 @@ def write_trace_csv(result: DrrResult, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def export_artifacts(result: DrrResult, report: BindingReport | None,
-                     event: RampEvent | None, out_dir: str | Path,
+def export_artifacts(result: DrrResult, report: BindingReport,
+                     event: RampEvent, out_dir: str | Path,
                      w_bar_mw) -> dict:
     """Write every artifact; returns a manifest fragment of written files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = result.model.base_mva
 
-    files: dict[str, str] = {}
-    notes: list[str] = []
-
     write_trace_csv(result, out / "trace.csv")
-    files["trace"] = "trace.csv"
-
     _dump(out / "region.json", region_payload(result, w_bar_mw))
-    files["region"] = "region.json"
-
-    if report is not None:
-        write_binding_json(report, out, result.method, result.config_echo)
-        files["binding"] = "binding.json"
-    if event is not None:
-        _dump(out / "event.json",
-              event.to_json() | _context(result.method, result.config_echo))
-        files["event"] = "event.json"
-
-    if result.termination == EMPTY_REGION:
-        notes.append("svg_skipped: region is empty")
-    elif result.region.dim != 2:
+    write_binding_json(report, out, result.method, result.config_echo)
+    _dump(out / "event.json",
+          event.to_json() | _context(result.method, result.config_echo))
+    files = {"trace": "trace.csv", "region": "region.json",
+             "binding": "binding.json", "event": "event.json"}
+    notes: list[str] = []
+    if result.region.dim != 2:
         notes.append("svg_skipped: region dimension is not 2")
     else:
         svg = render_region_svg(result.region, np.asarray(w_bar_mw) / base,
@@ -226,7 +212,7 @@ def export_artifacts(result: DrrResult, report: BindingReport | None,
     return {"files": files, "notes": notes}
 
 
-def render_region_svg(W: Polytope, w_bar, event: RampEvent | None,
+def render_region_svg(W: Polytope, w_bar, event: RampEvent,
                       base_mva: float) -> str:
     """Self-contained SVG: region polygon, forecast marker, risk arrow."""
     size = 480  # px, width and height
@@ -271,7 +257,7 @@ def render_region_svg(W: Polytope, w_bar, event: RampEvent | None,
                      f'text-anchor="middle">{xv:.0f}</text>')
         parts.append(f'<text x="54" y="{sy(yv):.1f}" font-size="11" '
                      f'text-anchor="end">{yv:.0f}</text>')
-    if event is not None and not event.degenerate:
+    if not event.degenerate:
         x1, y1 = sx(event.from_mw[0]), sy(event.from_mw[1])
         x2, y2 = sx(event.to_mw[0]), sy(event.to_mw[1])
         ang = math.atan2(y2 - y1, x2 - x1)

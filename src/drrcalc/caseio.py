@@ -285,10 +285,15 @@ def _floats(tokens, table, lineno):
     return vals
 
 
-def _check_values(table: str, r: int, row, finite=(), not_nan=()) -> None:
+def _check_values(table: str, r: int, row, finite=(), not_nan=(), whole=()) -> None:
     """MalformedCase unless the (name, column) entries of ``finite`` are
-    finite in ``row``, and those of ``not_nan`` are numbers, where +-inf
-    means no limit.  Columns the model never reads are not checked."""
+    finite in ``row``, those of ``not_nan`` are numbers, where +-inf means
+    no limit, and those of ``whole`` (ids) finite whole numbers.  Columns
+    the model never reads are not checked."""
+    for name, k in whole:
+        if not (math.isfinite(row[k]) and row[k] == int(row[k])):
+            raise MalformedCase(f"{table} row {r} has a {name} that is not a "
+                                f"whole number: {row[k]!r}")
     for name, k in finite:
         if not math.isfinite(row[k]):
             raise MalformedCase(f"{table} row {r} has a non-finite {name}: {row[k]!r}")
@@ -317,7 +322,7 @@ def parse_matpower(text: str) -> RawCase:
         if len(row) < _BUS_COLS:
             raise MalformedCase(
                 f"bus row {r} has {len(row)} columns, expected {_BUS_COLS}")
-        _check_values("bus", r, row, finite=(("Pd", 2),))
+        _check_values("bus", r, row, finite=(("Pd", 2),), whole=(("bus id", 0),))
         bid = int(row[0])
         if bid in seen_bus:
             raise MalformedCase(f"duplicate bus id {bid}")
@@ -330,7 +335,8 @@ def parse_matpower(text: str) -> RawCase:
             raise MalformedCase(
                 f"branch row {r} has {len(row)} columns, expected {_BRANCH_COLS}")
         _check_values("branch", r, row, finite=(("x", 3), ("status", 10)),
-                      not_nan=(("rateA", 5), ("angmin", 11), ("angmax", 12)))
+                      not_nan=(("rateA", 5), ("angmin", 11), ("angmax", 12)),
+                      whole=(("fbus", 0), ("tbus", 1)))
         br = Branch(from_bus=int(row[0]), to_bus=int(row[1]),
                     reactance_pu=row[3], rate_a_mw=row[5],
                     angle_min_deg=row[11], angle_max_deg=row[12])
@@ -352,7 +358,8 @@ def parse_matpower(text: str) -> RawCase:
         if len(row) < _GEN_MIN_COLS:
             raise MalformedCase(
                 f"gen row {r} has {len(row)} columns, expected >= {_GEN_MIN_COLS}")
-        _check_values("gen", r, row, finite=(("status", 7), ("Pmax", 8), ("Pmin", 9)))
+        _check_values("gen", r, row, finite=(("status", 7), ("Pmax", 8), ("Pmin", 9)),
+                      whole=(("bus", 0),))
         g = Generator(bus=int(row[0]), p_max_mw=row[8], p_min_mw=row[9],
                       status=int(row[7]))
         if g.bus not in seen_bus:
@@ -366,7 +373,10 @@ def parse_matpower(text: str) -> RawCase:
     for r, row in enumerate(matrices["gencost"], start=1):
         if len(row) < 4:
             raise MalformedCase(f"gencost row {r} too short")
-        _check_values("gencost", r, row, finite=(("model", 0), ("NCOST", 3)))
+        _check_values("gencost", r, row, finite=(("NCOST", 3),))
+        if row[0] not in (1, 2):
+            raise MalformedCase(f"gencost row {r} has model {row[0]:g}, not 1 "
+                                "(piecewise linear) or 2 (polynomial)")
         model, n = int(row[0]), row[3]
         end = 4 + int(n if model == 2 else 2 * n)
         if not (n >= 0 and n == int(n) and len(row) >= end):

@@ -1,10 +1,11 @@
 """Command-line workflow: compute, binding, validate.
 
 Exit codes are frozen for CI use: 0 converged, 1 any error (a usage error
-included), 2 empty region, 3 iteration cap.  Each subcommand takes only the
-flags it reads.  Every ``compute`` run writes ``manifest.json`` into the
-output directory (input hashes, resolved settings, artifact list, phase
-timings, each iteration's record), success or failure.
+included), 3 iteration cap.  Each subcommand takes only the flags it reads.
+Every ``compute`` run writes ``manifest.json`` into the output directory
+(input hashes, resolved settings, artifact list, phase timings, each
+iteration's record), success or failure; a failed run's manifest names
+its error.
 """
 
 from __future__ import annotations
@@ -24,21 +25,15 @@ from . import analysis, binding, engine
 from .caseio import (StudyConfig, apply_renewables, load_config_file,
                      load_renewables_file, parse_matpower_file)
 from .dispatch_model import build_compact, build_ptdf, feasibility_model, initial_dispatch
-from .errors import (AmbiguousFacet, DrrError, EmptyRegionError, InvalidSetting,
-                     NoRenewables)
+from .errors import AmbiguousFacet, DrrError, InvalidSetting, NoRenewables
 from .lp import solve_lp
 from .maxmin_milp import multiplier_lp
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_EMPTY = 2
 EXIT_MAXITER = 3
 
-_TERMINATION_EXIT = {
-    engine.CONVERGED: EXIT_OK,
-    engine.EMPTY_REGION: EXIT_EMPTY,
-    engine.MAX_ITERATIONS: EXIT_MAXITER,
-}
+_TERMINATION_EXIT = {engine.CONVERGED: EXIT_OK, engine.MAX_ITERATIONS: EXIT_MAXITER}
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -85,16 +80,13 @@ def cmd_compute(args) -> int:
         result = engine.run(case, cfg, method=args.method)
         manifest["phase_seconds"]["compute"] = time.perf_counter() - t0
 
-        # An empty region has no facet to explain and no boundary to reach.
-        report = event = None
-        if result.termination != engine.EMPTY_REGION:
-            w_bar_pu = np.array(case.forecast_mw) / case.base_mva
-            t0 = time.perf_counter()
-            report = binding.identify(result.model, result.region, w_bar_pu,
-                                      cfg, allow_unresolved=True)
-            event = analysis.high_risk_event(result.region, w_bar_pu,
-                                             base_mva=case.base_mva)
-            manifest["phase_seconds"]["analysis"] = time.perf_counter() - t0
+        w_bar_pu = np.array(case.forecast_mw) / case.base_mva
+        t0 = time.perf_counter()
+        report = binding.identify(result.model, result.region, w_bar_pu,
+                                  cfg, allow_unresolved=True)
+        event = analysis.high_risk_event(result.region, w_bar_pu,
+                                         base_mva=case.base_mva)
+        manifest["phase_seconds"]["analysis"] = time.perf_counter() - t0
 
         frag = analysis.export_artifacts(result, report, event, out,
                                          w_bar_mw=np.array(case.forecast_mw))
@@ -123,6 +115,9 @@ def cmd_compute(args) -> int:
               f"artifacts in {out}")
         manifest["exit_status"] = _TERMINATION_EXIT[result.termination]
         return manifest["exit_status"]
+    except (FileNotFoundError, DrrError) as exc:  # what main reports
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         manifest["phase_seconds"]["total"] = time.perf_counter() - t_all
         (out / "manifest.json").write_text(
@@ -131,11 +126,7 @@ def cmd_compute(args) -> int:
 
 def cmd_binding(args) -> int:
     case = _load_case(args.case, args.renewables)
-    try:
-        W, method, cfg = analysis.region_from_json(Path(args.region), case.base_mva)
-    except EmptyRegionError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_EMPTY
+    W, method, cfg = analysis.region_from_json(Path(args.region), case.base_mva)
     cfg = _resolve_config(args, cfg)
     m = build_compact(case, initial_dispatch(case, cfg))
     w_bar_pu = np.array(case.forecast_mw) / case.base_mva
@@ -211,8 +202,8 @@ def cmd_validate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, not argparse's 2, which here means an empty
-    region.  Subparsers are made of the same class."""
+    """Usage errors exit 1, not argparse's 2: 1 is every error.  Subparsers
+    are made of the same class."""
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -4,16 +4,22 @@ Each iteration asks an oracle for the worst admissible-region point and the
 violation there.  A positive violation yields a separating halfspace from
 the oracle's multipliers; the exact oracle contributes one cut, the
 multi-start heuristic contributes its whole deduplicated batch.  Redundant
-facets are pruned every iteration, and a zero-direction cut with positive
-violation is a certificate that no dispatchable point exists at all.
+facets are pruned every iteration.
+
+The region is never empty.  The initial dispatch p* at the forecast w_bar
+lies in the ramp envelope built around it and meets the network rows of
+the compact model, so F(w_bar) = 0: every valid cut keeps w_bar, and a cut
+with no direction, whose violation F > 0 holds at every w, cannot occur.
+Either would be a fault, and raises: :class:`DegenerateCut` for the zero
+normal, :class:`EmptyRegionError` when pruning finds no feasible point.  A
+run ends ``Converged`` or ``MaxIterations``.
 
 A :class:`DrrResult` holds what the outputs read: the region, one record
 per iteration (violation, cuts added, facets after pruning, worst point,
 oracle diagnostics and wall time), the termination, the method, the config
 echo (the seed included) and the model.  Cuts and multipliers are not kept;
 each cut is a ``Cut`` row of the region until pruning drops it.  The search
-starts from the box of the model's farm capacities.  After ``EmptyRegion``
-the region keeps no rows, and its last record counts no facets.
+starts from the box of the model's farm capacities.
 """
 
 from __future__ import annotations
@@ -26,14 +32,13 @@ import numpy as np
 
 from .caseio import CaseData, StudyConfig
 from .dispatch_model import CompactPsd, build_compact, initial_dispatch
-from .errors import DegenerateCut, EmptyRegionError, NoRenewables
+from .errors import NoRenewables
 from .maxmin_iblp import IblpOracle, make_scenarios, run_iblp
 from .maxmin_milp import cut_vector, solve_maxmin_milp
 from .polytope import FacetProvenance, Polytope, box, remove_redundant
 
 CONVERGED = "Converged"
 MAX_ITERATIONS = "MaxIterations"
-EMPTY_REGION = "EmptyRegion"
 
 
 @dataclass
@@ -81,7 +86,7 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
     w_bar = np.array(case.forecast_mw) / case.base_mva
 
     trace: list[IterationRecord] = []
-    termination = MAX_ITERATIONS
+    converged = False
 
     # One iblp oracle per run: its LP memo and worker threads outlive the
     # iterations, not the run.
@@ -102,43 +107,27 @@ def run(case: CaseData, cfg: StudyConfig, method: str) -> DrrResult:
             if oracle is not None:
                 diag.update(oracle.counts)
             w_star = worst.w_star.copy() if worst is not None else None
-            cuts_added, stop = 0, None
-            if F_k <= cfg.eps_term:
-                stop = CONVERGED
-            else:
+            converged = F_k <= cfg.eps_term
+            cuts_added = 0
+            if not converged:
                 batch = sorted([s for s in sols if s.F > cfg.eps_term],
                                key=lambda s: -s.F)[:cfg.cut_batch_cap]
-                rows, offsets, tags = [], [], []
-                for s in batch:
-                    try:
-                        normal, offset = cut_vector(s, m)
-                    except DegenerateCut:
-                        # Zero direction with positive violation: the dual
-                        # value is F for every w, so no point is dispatchable.
-                        stop = EMPTY_REGION
-                        break
-                    rows.append(normal)
-                    offsets.append(offset)
-                    tags.append(FacetProvenance("Cut", iteration=k,
-                                                scenario=s.diagnostics.get("scenario")))
-                if stop is None:
-                    W = W.with_rows(np.array(rows), np.array(offsets), tags)
-                    cuts_added = len(rows)
-                    try:
-                        W = remove_redundant(W)
-                    except EmptyRegionError:
-                        stop = EMPTY_REGION
-            if stop == EMPTY_REGION:
-                W = W.select([])   # no point is dispatchable
+                normals, offsets = zip(*(cut_vector(s, m) for s in batch))
+                tags = [FacetProvenance("Cut", iteration=k,
+                                        scenario=s.diagnostics.get("scenario"))
+                        for s in batch]
+                W = remove_redundant(W.with_rows(np.array(normals),
+                                                 np.array(offsets), tags))
+                cuts_added = len(batch)
 
             trace.append(IterationRecord(k=k, F=F_k, cuts_added=cuts_added,
                                          oracle_ms=oracle_ms,
                                          facets_after=W.n_facets,
                                          oracle_diag=diag, w_star=w_star))
-            if stop is not None:
-                termination = stop
+            if converged:
                 break
 
-    return DrrResult(region=W, trace=trace, termination=termination,
+    return DrrResult(region=W, trace=trace,
+                     termination=CONVERGED if converged else MAX_ITERATIONS,
                      method=method, config_echo=cfg.algorithmic_echo(),
                      model=m)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .caseio import StudyConfig
 from .dispatch_model import CompactPsd
-from .errors import DegenerateCut, DrrError, NumericalFailure
+from .errors import DrrError, NumericalFailure
 from .lp import OPTIMAL, LinearProgram, LpSolution, solve_lp, worker_map
 from .maxmin_milp import (MaxMinSolution, cut_vector, multiplier_cost,
                           multiplier_lp, w_cost)
@@ -262,7 +262,9 @@ def run_iblp(oracle: IblpOracle, W: Polytope,
     """Alternate-solve every scenario; keep deduplicated positive violations.
 
     Failures are collected per scenario and only raised when no scenario
-    succeeds.  The result order follows scenario order for any thread count.
+    succeeds; a positive violation whose cut has no direction raises
+    :class:`DegenerateCut`.  The result order follows scenario order for
+    any thread count.
     ``oracle`` is the run's: its model, settings, memo and workers.
     """
     m, cfg = oracle.m, oracle.cfg
@@ -283,11 +285,7 @@ def run_iblp(oracle: IblpOracle, W: Polytope,
     kept_vectors: list[np.ndarray] = []
     deduplicated = 0
     for s in positive:
-        try:
-            normal, offset = cut_vector(s, m)
-        except DegenerateCut:
-            kept.append(s)  # degenerate direction; engine decides what it means
-            continue
+        normal, offset = cut_vector(s, m)
         vec = np.append(normal, offset)
         if any(np.abs(vec - v).max() < _CUT_DEDUPE_TOL for v in kept_vectors):
             deduplicated += 1

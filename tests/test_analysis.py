@@ -193,15 +193,20 @@ def test_export_artifacts_pjm5(tmp_path, pjm_run):
 
 def test_export_skips_svg_above_2d(tmp_path, pjm_run):
     import copy
-    _, _, res = pjm_run
+    case, cfg, res = pjm_run
     W3 = Polytope(H=np.vstack([np.eye(3), -np.eye(3)]),
                   f=np.concatenate([np.ones(3), np.zeros(3)]),
                   provenance=tuple(FacetProvenance("Cut", iteration=i)
                                    for i in range(6)))
     res3 = copy.copy(res)
     res3.region = W3
-    frag = export_artifacts(res3, None, None, tmp_path, w_bar_mw=np.zeros(3))
+    # export writes the report as given, so the 2-D run's stands in.
+    w_bar = np.array(case.forecast_mw) / case.base_mva
+    report = identify(res.model, res.region, w_bar, cfg)
+    event = high_risk_event(W3, np.full(3, 0.5), base_mva=100.0)
+    frag = export_artifacts(res3, report, event, tmp_path, w_bar_mw=np.zeros(3))
     assert not (tmp_path / "region.svg").exists()
+    assert sorted(frag["files"]) == ["binding", "event", "region", "trace"]
     assert any("svg_skipped" in n for n in frag["notes"])
 
 

@@ -1,6 +1,7 @@
 """MATPOWER parsing, renewable designation, and config loading."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -379,3 +380,37 @@ def test_farm_on_an_out_of_service_generator_is_rejected():
     with pytest.raises(UnknownGenerator, match="gen_index 2 is out of service"):
         apply_renewables(parse_matpower(text), [RenewableSpec(gen_index=2,
                                                               forecast_mw=10.0)])
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"2 1 10 5": "NaN 1 10 5"}, "bus row 2 has a bus id that is not a whole number: nan"),
+    # Read as int, bus 2.5 and the branch to it would both be bus 2.
+    ({"2 1 10 5": "2.5 1 10 5", "1 2 0.01 0.05": "1 2.5 0.01 0.05"},
+     "bus row 2 has a bus id that is not a whole number: 2.5"),
+    ({"1 2 0.01 0.05": "1.5 2 0.01 0.05"},
+     "branch row 1 has a fbus that is not a whole number: 1.5"),
+    ({"1 2 0.01 0.05": "1 Inf 0.01 0.05"},
+     "branch row 1 has a tbus that is not a whole number: inf"),
+    ({"1 0 0 10 -10": "NaN 0 0 10 -10"},
+     "gen row 1 has a bus that is not a whole number: nan"),
+], ids=["bus-nan", "bus-fraction", "fbus-fraction", "tbus-infinite", "gen-bus-nan"])
+def test_ids_must_be_finite_whole_numbers(edits, message):
+    text = MINI_CASE
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(MalformedCase, match=message):
+        parse_matpower(text)
+
+
+@pytest.mark.parametrize("row, model", [
+    ("3 0 0 1 0 0 10 120;", "3"), ("0 0 0 2 12 0;", "0"),
+    ("1.5 0 0 1 0 0 10 120;", "1.5"), ("NaN 0 0 2 12 0;", "nan"),
+], ids=["three", "zero", "fraction", "nan"])
+def test_gencost_model_outside_1_and_2_is_malformed(row, model):
+    # Neither polynomial nor piecewise linear: no rate to read from it.
+    text = MINI_CASE.replace("2 0 0 2 12 0;", row)
+    with pytest.raises(MalformedCase, match=re.escape(
+            f"gencost row 1 has model {model}, not 1 (piecewise linear) or 2 "
+            "(polynomial)")):
+        parse_matpower(text)

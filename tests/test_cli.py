@@ -169,6 +169,10 @@ _BOX_2D = {"H": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
      "region of dimension 1 and forecast of 2 entries for a model with 2 farms"),
     (json.dumps({k: v for k, v in _BOX_2D.items() if k != "config"}),
      "not a region.json: KeyError: 'config'"),
+    # The layout the former EmptyRegion termination wrote: a region has rows.
+    (json.dumps({**_BOX_2D, "termination": "EmptyRegion", "shape": [0, 2],
+                 "H": [], "f_mw": [], "provenance": [], "vertices_mw": []}),
+     "not a region.json: ValueError: facet count mismatch"),
     # Each setting comes from the echo, so every key of it must be one.
     (json.dumps({**_BOX_2D, "config": {**_BOX_2D["config"], "colour": 1}}),
      "not a region.json: TypeError: StudyConfig.__init__() got an unexpected "
@@ -177,7 +181,7 @@ _BOX_2D = {"H": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
      "not a region.json: InvalidSetting: seed must be at least 0, got -1"),
 ], ids=["not-json", "no-provenance", "lengths", "provenance-key", "array",
         "no-method", "unknown-method", "wrong-dimension", "no-config",
-        "config-unknown-key", "config-bad-value"])
+        "no-rows", "config-unknown-key", "config-bad-value"])
 def test_malformed_region_file_is_an_error(text, message, tmp_path, capsys):
     region = tmp_path / "region.json"
     region.write_text(text)
@@ -264,8 +268,7 @@ def test_a_command_takes_no_flag_it_ignores(argv, capsys):
     (["binding", "--case", TWO, "--renewables", TWO_R],
      "drrcalc binding: error: the following arguments are required: --region"),
 ], ids=["top-level", "subcommand", "no-bench", "binding-without-region"])
-def test_a_usage_error_exits_1_not_the_empty_region_code(argv, message,
-                                                         tmp_path, capsys):
+def test_a_usage_error_exits_1(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "o")])
     assert exc.value.code == 1
@@ -462,6 +465,7 @@ def test_bad_config_value_is_an_error_not_a_traceback(command, settings, message
     if command == "compute":
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["exit_status"] == 1
+        assert manifest["error"] == f"InvalidSetting: {message}"
 
 
 def _contradicting_oracle(monkeypatch, case, bus_pos):
@@ -478,54 +482,35 @@ def _contradicting_oracle(monkeypatch, case, bus_pos):
     monkeypatch.setattr(eng, "solve_maxmin_milp", lambda *a, **k: fake)
 
 
-@pytest.mark.parametrize("paths, fixture, bus_pos", [
-    ((TWO, TWO_R), "twobus", 1),   # 150 MW load against 100 MW installed
-    ((PJM, PJM_R), "pjm5", 3),     # 400 MW load against 150 MW installed
-    # The run stops on the zero direction with the box still its region.
-    ((PJM, PJM_R), "pjm5", None),
+@pytest.mark.parametrize("paths, fixture, bus_pos, error", [
+    # 150 MW load against 100 MW installed
+    ((TWO, TWO_R), "twobus", 1,
+     "EmptyRegionError: outer approximation has no feasible point"),
+    # 400 MW load against 150 MW installed
+    ((PJM, PJM_R), "pjm5", 3,
+     "EmptyRegionError: outer approximation has no feasible point"),
+    ((PJM, PJM_R), "pjm5", None,
+     "DegenerateCut: cut normal vanished at violation 5.000e-01"),
 ], ids=["case2_ramp", "pjm5", "pjm5-zero-direction"])
-def test_compute_empty_region_exits_2(paths, fixture, bus_pos, request, tmp_path,
-                                      capsys, monkeypatch):
+def test_compute_empty_region_exits_2(paths, fixture, bus_pos, error, request,
+                                      tmp_path, capsys, monkeypatch):
+    # The forecast is in every region, so an oracle that empties the region,
+    # or cuts with no direction, is at fault: compute exits 1 with the
+    # error, not 2, and writes no region.
     _contradicting_oracle(monkeypatch, request.getfixturevalue(fixture), bus_pos)
     out = tmp_path / "o"
     code = main(["compute", "--case", paths[0], "--renewables", paths[1],
                  "--method", "milp", "--out", str(out)])
-    assert code == 2
-    assert "EmptyRegion after 1 iterations" in capsys.readouterr().out
-    # No binding.json, event.json or region.svg for an empty region, and no
-    # vertices in its region.json.
-    assert sorted(os.listdir(out)) == ["manifest.json", "region.json", "trace.csv"]
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error.split(': ', 1)[1]}\n"
+    assert os.listdir(out) == ["manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["exit_status"] == 2
-    assert manifest["termination"] == "EmptyRegion"
-    assert manifest["artifacts"] == ["region.json", "trace.csv"]
-    region = json.loads((out / "region.json").read_text())
-    assert region["termination"] == "EmptyRegion"
-    # The region.json lists no rows: neither the contradicting cut nor the
-    # box the run started from.
-    dim = len(request.getfixturevalue(fixture).renewable)
-    assert region["shape"] == [0, dim]
-    assert region["H"] == region["f_mw"] == region["provenance"] == []
-    assert region["vertices_mw"] == []
-    assert manifest["oracle"][-1]["facets"] == 0
-    assert manifest["notes"] == ["svg_skipped: region is empty"]
-
-
-def test_binding_on_an_empty_region_exits_2(pjm5, tmp_path, capsys, monkeypatch):
-    # An empty region has no facet to explain: binding gets compute's exit
-    # code for it and writes nothing, rather than failing on facet 0.
-    _contradicting_oracle(monkeypatch, pjm5, 3)
-    case = ["--case", PJM, "--renewables", PJM_R]
-    assert main(["compute", *case, "--method", "milp",
-                 "--out", str(tmp_path / "c")]) == 2
-    capsys.readouterr()
-    region = tmp_path / "c" / "region.json"
-    assert main(["binding", *case, "--region", str(region),
-                 "--out", str(tmp_path / "b")]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"{region}: the region is empty: no facet to explain\n"
-    assert not (tmp_path / "b").exists()
+    assert manifest["exit_status"] == 1
+    assert manifest["error"] == error
+    assert manifest["artifacts"] == []
+    assert "termination" not in manifest
 
 
 @pytest.mark.parametrize("text, message", [

@@ -6,10 +6,10 @@ import pytest
 from drrcalc.analysis import vertices_2d
 from drrcalc.caseio import StudyConfig
 from drrcalc.dispatch_model import build_compact, feasibility_model, initial_dispatch
-from drrcalc.engine import CONVERGED, EMPTY_REGION, init_w0, run
-from drrcalc.errors import DegenerateCut, NoRenewables
+from drrcalc.engine import CONVERGED, init_w0, run
+from drrcalc.errors import DegenerateCut, EmptyRegionError, NoRenewables
 from drrcalc.maxmin_milp import MaxMinSolution, cut_vector, solve_maxmin_milp
-from tests.conftest import box_bounds, recorded_run
+from tests.conftest import box_bounds, load_case, recorded_run
 
 
 def test_init_w0_twobus(twobus, cfg):
@@ -111,9 +111,10 @@ def test_cut_soundness_on_certified_points():
 
 
 def test_empty_region_via_contradicting_cut(twobus, cfg, monkeypatch):
-    # A converged dispatch always contains the forecast, so emptiness is a
-    # defensive outcome; fabricate an oracle whose valid-looking cut demands
-    # w >= 150 MW against the 100 MW box.
+    # The forecast is dispatchable, so every valid cut keeps it and the
+    # region is never empty; fabricate an oracle whose cut demands
+    # w >= 150 MW against the 100 MW box: pruning raises, no region is
+    # returned.
     import drrcalc.engine as eng
     m = build_compact(twobus, initial_dispatch(twobus, cfg))
     alpha = np.zeros(m.b.size)
@@ -121,19 +122,20 @@ def test_empty_region_via_contradicting_cut(twobus, cfg, monkeypatch):
     fake = MaxMinSolution(F=0.5, w_star=np.array([1.0]), alpha=alpha,
                           delta=np.zeros(m.d.size))
     monkeypatch.setattr(eng, "solve_maxmin_milp", lambda *a, **k: fake)
-    res = eng.run(twobus, cfg, method="milp")
-    assert res.termination == EMPTY_REGION
+    with pytest.raises(EmptyRegionError, match="no feasible point"):
+        eng.run(twobus, cfg, method="milp")
 
 
 def test_empty_region_via_zero_direction_certificate(twobus, cfg, monkeypatch):
-    # Zero dual direction with positive violation proves every w infeasible.
+    # A zero dual direction with a positive violation would make every w,
+    # the forecast too, undispatchable: a fault, raised as such.
     import drrcalc.engine as eng
     m = build_compact(twobus, initial_dispatch(twobus, cfg))
     fake = MaxMinSolution(F=0.5, w_star=np.array([1.0]),
                           alpha=np.zeros(m.b.size), delta=np.zeros(m.d.size))
     monkeypatch.setattr(eng, "solve_maxmin_milp", lambda *a, **k: fake)
-    res = eng.run(twobus, cfg, method="milp")
-    assert res.termination == EMPTY_REGION
+    with pytest.raises(DegenerateCut, match="cut normal vanished"):
+        eng.run(twobus, cfg, method="milp")
 
 
 def test_run_result_metadata(twobus):
@@ -200,16 +202,18 @@ def test_iblp_run_and_binding_start_no_process(pjm5, monkeypatch):
 
 
 def test_iblp_same_bytes_and_lps_for_any_worker_count(pjm5, tmp_path):
-    from drrcalc.analysis import export_artifacts
+    from drrcalc.analysis import export_artifacts, high_risk_event
     from drrcalc.binding import identify
     w_bar_mw = np.array(pjm5.forecast_mw)
     seen = {}
     for threads in (1, 2, 3):
         cfg = StudyConfig(s1_count=30, thread_count=threads)
         res = run(pjm5, cfg, method="iblp")
-        report = identify(res.model, res.region, w_bar_mw / pjm5.base_mva, cfg)
+        w_bar = w_bar_mw / pjm5.base_mva
+        report = identify(res.model, res.region, w_bar, cfg)
+        event = high_risk_event(res.region, w_bar, base_mva=pjm5.base_mva)
         out = tmp_path / str(threads)
-        export_artifacts(res, report, None, out, w_bar_mw=w_bar_mw)
+        export_artifacts(res, report, event, out, w_bar_mw=w_bar_mw)
         seen[threads] = ((out / "region.json").read_bytes(),
                          (out / "binding.json").read_bytes(),
                          [(rec.oracle_diag["lp_solves"], rec.oracle_diag["memo_hits"],
@@ -230,8 +234,7 @@ def test_iblp_projected_and_deduplicated_scenarios(pjm5):
         starts = make_scenarios(res.model.farm_capacity_pu, W, w_bar, cfg).combined()
         assert d["scenarios_projected"] == sum(not W.contains(w, tol=1e-9)
                                                for w in starts)
-        # Every positive scenario is kept (degenerate cuts included) or
-        # dropped as a duplicate cut.
+        # Every positive scenario is kept or dropped as a duplicate cut.
         assert d["scenarios_kept"] + d["scenarios_deduplicated"] == d["scenarios_positive"]
     assert sum(rec.oracle_diag["scenarios_projected"] for rec in res.trace) > 0
     assert sum(rec.oracle_diag["scenarios_deduplicated"] for rec in res.trace) > 0
@@ -267,3 +270,35 @@ def test_cut_batch_cap_limits_cuts_per_iteration(pjm5):
     a, b = vertices_2d(capped.region), vertices_2d(free.region)
     assert a.shape == b.shape
     assert np.abs(a - b).max() <= 1e-9
+
+
+@pytest.mark.parametrize("stem", ["case2_ramp", "case5_wind", "case39_wind"])
+@pytest.mark.parametrize("method, seed", [("milp", 0), *[("iblp", s) for s in range(4)]],
+                         ids=["milp-0", "iblp-0", "iblp-1", "iblp-2", "iblp-3"])
+def test_the_forecast_is_in_every_region(stem, method, seed):
+    # The premise that lets no run end empty: the forecast is dispatchable,
+    # so every valid cut keeps it, at every step of the loop.
+    recorded = recorded_run(stem, method, seed)
+    w_bar = np.array(load_case(stem).forecast_mw) / recorded.result.model.base_mva
+    assert feasibility_model(recorded.result.model, w_bar).objective <= 1e-9
+    regions = [recorded.result.region]
+    for call in recorded.calls:
+        regions += [R for R in (call.region, call.cut, call.pruned) if R is not None]
+    assert all(R.contains(w_bar, tol=1e-9) for R in regions)
+
+
+def test_the_forecast_is_dispatchable_on_random_systems():
+    from drrcalc.errors import InfeasibleDispatch
+    from tests.test_acceptance import _random_threebus
+    dispatched = 0
+    for seed in range(1, 41):
+        case = _random_threebus(seed)
+        cfg = StudyConfig()
+        try:
+            dp = initial_dispatch(case, cfg)
+        except InfeasibleDispatch:
+            continue
+        dispatched += 1
+        w_bar = np.array(case.forecast_mw) / case.base_mva
+        assert feasibility_model(build_compact(case, dp), w_bar).objective <= 1e-9
+    assert dispatched == 38  # seeds 27 and 31 have no dispatch to start from

@@ -312,8 +312,8 @@ def test_run_iblp_projection_failure_stops_only_its_scenarios(two, monkeypatch):
 
 def test_run_iblp_keeps_cuts_too_short_for_the_engine_as_degenerate(two, monkeypatch):
     # Two solutions whose cut normal has a norm of 5e-11, which cut_vector
-    # rejects as degenerate: run_iblp keeps both for the engine to judge
-    # and deduplicates neither as a real cut.
+    # rejects as degenerate: a positive violation with no cut direction is
+    # a fault, so run_iblp raises it rather than keep either.
     _, m, W0, cfg = two
     j = int(np.flatnonzero(np.abs(m.A).sum(axis=1))[0])
     alpha = np.zeros(m.b.size)
@@ -325,10 +325,8 @@ def test_run_iblp_keeps_cuts_too_short_for_the_engine_as_degenerate(two, monkeyp
     monkeypatch.setattr(IblpOracle, "alternate", lambda self, W, starts: sols)
     scen = ScenarioSet(s1=(np.array([0.1]), np.array([0.2])), s2=())
     with IblpOracle(m, cfg) as oracle:
-        kept = run_iblp(oracle, W0, scen)
-    assert len(kept) == 2 and all(a is b for a, b in zip(kept, sols))
-    assert oracle.counts["scenarios_deduplicated"] == 0
-    assert oracle.counts["scenarios_kept"] == oracle.counts["scenarios_positive"] == 2
+        with pytest.raises(DegenerateCut, match="cut normal vanished"):
+            run_iblp(oracle, W0, scen)
     for sol in sols:
         with pytest.raises(DegenerateCut):
             cut_vector(sol, m)
